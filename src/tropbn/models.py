@@ -1,80 +1,157 @@
 """Integer chip-firing models of tropical curves.
 
-A curve with rational edge lengths is subdivided — after promoting any
-required marked points to vertices and splitting loops — into a multigraph
-whose edges all have the common length 1/λ.  Chip-firing on that graph
-decides linear equivalence questions exactly, and firing vectors convert
-back into piecewise-linear witnesses on the original curve.
+A curve with rational edge lengths is cut at its interior marks and at the
+midpoint of every loop that carries no mark, which leaves a loopless model;
+each piece of that model is then divided into unit steps of length 1/λ.
+Chip-firing on the resulting multigraph decides linear equivalence exactly:
+ranks survive subdivision (Hladký–Kráľ–Norine, arXiv:0709.4485), and the
+vertices of the loopless model form a rank-determining set (Luo,
+arXiv:0906.2807).  Firing vectors convert back into piecewise-linear
+witnesses on the original curve.
+
+The model is never built as a curve: lattice points are numbered by a fixed
+layout (see `IntegerModel`), and index ↔ point conversions are integer
+arithmetic on per-edge tick lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .curve import Point, Subcurve, TropicalCurve, loopless_model, subdivide
+from .curve import Point, Subcurve, TropicalCurve
 from .divisor import Divisor, PLFunction
 
 
 class IntegerModel:
-    """Unit-length model of a curve with a distinguished lattice.
+    """Unit-step model of a curve on the lattice (1/λ)ℤ of each edge.
 
     marks: points of the curve that must become lattice vertices.
     scale: multiplies λ, refining the lattice (scale=2 gives the half-step
     lattice used for diameters).
+
+    The stops of an edge are its interior marks, merged and ascending, or
+    its midpoint when it is a loop without interior marks.  A piece runs
+    between consecutive stops (or an endpoint); λ is ``scale`` times the lcm
+    of the denominators of all piece lengths, so every stop is a lattice
+    point.  Lattice points are numbered in this order:
+
+    1. the curve's vertices, in curve order;
+    2. the interior marks, edge by edge in curve order, offsets ascending;
+    3. the midpoint of each loop without interior marks, in edge order;
+    4. all other lattice points, edge by edge, then piece by piece, with
+       offsets t/λ ascending.
+
+    Indices of the first three groups are ``split_indices``: the vertices of
+    the loopless model.  The graph joins points 1/λ apart along an edge; the
+    CSR arrays ``indptr``/``nbrs`` list each point's neighbours in the order
+    in which a walk over the edges (curve order, each from its first end to
+    its second) meets the unit steps.
     """
 
     def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
         self.curve = curve
-        mark_points = [curve.point(m) if not isinstance(m, Point) else m
-                       for m in marks]
-        c1, m1 = subdivide(curve, mark_points)
-        c2, m2 = loopless_model(c1)
-        dens = [c2.length(e).denominator for e in c2.edges()]
-        self.lam = scale * (lcm(*dens) if dens else 1)
-        lattice = []
-        for e in c2.edges():
-            k = c2.length(e) * self.lam
-            assert k.denominator == 1
-            for j in range(1, int(k)):
-                lattice.append(Point(edge=e, offset=Fraction(j, self.lam)))
-        unit, m3 = subdivide(c2, lattice)
-        self.unit = unit
-        self.to_unit = m1.then(m2).then(m3)
-        self.order: List[str] = unit.vertices()
-        self.index: Dict[str, int] = {v: i for i, v in enumerate(self.order)}
-        self.split_indices: List[int] = [self.index[v] for v in c2.vertices()]
-        n = len(self.order)
+        cuts: Dict[str, set] = {}
+        for m in marks:
+            p = curve.point(m) if not isinstance(m, Point) else curve._canon(m)
+            if not p.is_vertex:
+                cuts.setdefault(p.edge, set()).add(p.offset)
+        verts = curve.vertices()
+        self._vindex: Dict[str, int] = {v: i for i, v in enumerate(verts)}
+        # points of the indices below len(stops), and per edge its stop
+        # offsets (ends included) with the index of each
+        stops: List[Point] = [Point(vertex=v) for v in verts]
+        layout: Dict[str, Tuple[List[Fraction], List[int]]] = {}
+
+        def add_stops(e, offs):
+            u, v = curve.ends(e)
+            first = len(stops)
+            stops.extend(Point(edge=e, offset=o) for o in offs)
+            layout[e] = ([Fraction(0)] + offs + [curve.length(e)],
+                         [self._vindex[u], *range(first, len(stops)),
+                          self._vindex[v]])
+
+        for e in curve.edges():
+            if e in cuts:
+                add_stops(e, sorted(cuts[e]))
+        for e in curve.edges():
+            if e not in layout:
+                add_stops(e, [curve.length(e) / 2] if curve.is_loop(e) else [])
+        self._stops = stops
+        self.split_indices: List[int] = list(range(len(stops)))
+
+        dens = [(b - a).denominator for offs, _ in layout.values()
+                for a, b in zip(offs, offs[1:])]
+        self.lam = lam = scale * lcm(*dens)
+
+        # per edge: ticks t (offset t/λ) of its stops, their indices, and
+        # the first index of each piece's interior points; plus, for every
+        # piece with interior points, its first index, edge and start tick
+        self._edge: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        self._piece_first: List[int] = []
+        self._piece_at: List[Tuple[str, int]] = []
+        n = len(stops)
+        for e in curve.edges():
+            offs, nodes = layout[e]
+            ticks = [int(o * lam) for o in offs]
+            firsts = []
+            for s, t in zip(ticks, ticks[1:]):
+                firsts.append(n)
+                if t - s > 1:
+                    self._piece_first.append(n)
+                    self._piece_at.append((e, s))
+                    n += t - s - 1
+            self._edge[e] = (ticks, nodes, firsts)
         self.n = n
+
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for e in self._edge:
+            path = self._path(e)
+            for a, b in zip(path, path[1:]):
+                adj[a].append(b)
+                adj[b].append(a)
         indptr = [0] * (n + 1)
-        for v in self.order:
-            indptr[self.index[v] + 1] = len(unit.incident(v))
-        for i in range(n):
-            indptr[i + 1] += indptr[i]
-        nbrs = [0] * indptr[n]
-        fill = list(indptr[:n])
-        for v in self.order:
-            i = self.index[v]
-            for _, w in unit.incident(v):
-                nbrs[fill[i]] = self.index[w]
-                fill[i] += 1
+        for i, nb in enumerate(adj):
+            indptr[i + 1] = indptr[i] + len(nb)
         self.indptr = indptr
-        self.nbrs = nbrs
+        self.nbrs = [w for nb in adj for w in nb]
+
+    def _path(self, e: str) -> List[int]:
+        """Indices of the lattice points of edge e, from its first end on."""
+        ticks, nodes, firsts = self._edge[e]
+        path = [nodes[0]]
+        for i, first in enumerate(firsts):
+            path.extend(range(first, first + ticks[i + 1] - ticks[i] - 1))
+            path.append(nodes[i + 1])
+        return path
 
     # -- conversions -------------------------------------------------------
 
     def vertex_index(self, p) -> int:
         """Lattice index of a curve point; the point must be on the lattice."""
         p = self.curve.point(p) if not isinstance(p, Point) else self.curve._canon(p)
-        u = self.to_unit(p)
-        if not u.is_vertex:
+        if p.is_vertex:
+            return self._vindex[p.vertex]
+        t = p.offset * self.lam
+        if t.denominator != 1:
             raise ValueError(f"{p} is not a lattice point of this model")
-        return self.index[u.vertex]
+        t = t.numerator
+        ticks, nodes, firsts = self._edge[p.edge]
+        i = bisect_right(ticks, t) - 1
+        return nodes[i] if ticks[i] == t else firsts[i] + t - ticks[i] - 1
 
     def point_of_index(self, i: int) -> Point:
-        return self.to_unit.inverse(Point(vertex=self.order[i]))
+        if not 0 <= i < self.n:
+            raise IndexError(f"lattice index {i} out of range")
+        if i < len(self._stops):
+            return self._stops[i]
+        k = bisect_right(self._piece_first, i) - 1
+        e, s = self._piece_at[k]
+        return Point(edge=e, offset=Fraction(s + 1 + i - self._piece_first[k],
+                                             self.lam))
 
     def divisor_vector(self, D: Divisor) -> List[int]:
         vec = [0] * self.n
@@ -88,21 +165,27 @@ class IntegerModel:
 
     def pl_from_unit_values(self, vals: Sequence[Fraction]) -> PLFunction:
         """PL function on the original curve from one value per lattice vertex."""
-        inv = self.to_unit.inverse
-        vv: Dict[str, Fraction] = {}
-        knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        for i, uid in enumerate(self.order):
-            p = inv(Point(vertex=uid))
-            if p.is_vertex:
-                vv[p.vertex] = vals[i]
-            else:
-                knots.setdefault(p.edge, []).append((p.offset, vals[i]))
-        return PLFunction(self.curve, vv, knots)
+        return self._pl(vals, 1)
 
     def sigma_to_pl(self, sigma: Sequence[int]) -> PLFunction:
         """f with div(f) = -L·σ, i.e. f = -σ/λ; reduction yields D + div(f)."""
-        return self.pl_from_unit_values(
-            [Fraction(-s, self.lam) for s in sigma])
+        return self._pl(sigma, Fraction(-1, self.lam))
+
+    def _pl(self, vals, factor) -> PLFunction:
+        """PL function worth factor·vals[i] at lattice point i, affine on
+        each unit step; a knot goes only where the slope changes."""
+        vv = {v: factor * vals[i] for v, i in self._vindex.items()}
+        knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
+        for e in self._edge:
+            path = self._path(e)
+            ks = []
+            for t in range(1, len(path) - 1):
+                a, b, c = vals[path[t - 1]], vals[path[t]], vals[path[t + 1]]
+                if b - a != c - b:
+                    ks.append((Fraction(t, self.lam), factor * b))
+            if ks:
+                knots[e] = ks
+        return PLFunction(self.curve, vv, knots)
 
     # -- reduction ---------------------------------------------------------
 
@@ -121,8 +204,18 @@ class IntegerModel:
         return red[qi] >= 0
 
     def indices_in(self, sub: Subcurve) -> List[int]:
-        return [i for i in range(self.n)
-                if sub.contains_point(self.point_of_index(i))]
+        """Sorted indices of the lattice points that lie on the subcurve."""
+        out = {self._vindex[v] for v in sub.vertices}
+        for e, (ticks, nodes, firsts) in self._edge.items():
+            for a, b in sub.covered_intervals(e):
+                lo = max(ceil(a * self.lam), 1)
+                hi = min(floor(b * self.lam), ticks[-1] - 1)
+                out.update(nodes[i] for i in range(1, len(ticks) - 1)
+                           if lo <= ticks[i] <= hi)
+                for s, t, first in zip(ticks, ticks[1:], firsts):
+                    out.update(range(first + max(lo, s + 1) - s - 1,
+                                     first + min(hi, t - 1) - s))
+        return sorted(out)
 
 
 def equivalence_witness(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]:

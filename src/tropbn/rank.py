@@ -10,6 +10,9 @@ set, with |D - E| empty.  That quantity satisfies
 which is explored depth-first with memoization on q-reduced forms and an
 upper-bound cutoff.  The vertex set of a loopless model containing supp(D)
 is rank-determining, so no further points need to be considered.
+Above degree 2g - 2, with g the first Betti number (the model ignores
+weights), Riemann-Roch gives rank = deg - g outright; the search therefore
+only runs for deg <= 2g - 2 and recurses at most 2g deep.
 
 The weighted rank follows the reduction to a minimum over subtractions of
 doubled effective divisors bounded by the vertex weights:
@@ -59,6 +62,7 @@ class _RankEngine:
     def __init__(self, curve: TropicalCurve, marks=()):
         self.curve = curve
         self.model = IntegerModel(curve, marks)
+        self.genus = curve.betti()   # the model ignores vertex weights
         self.q = 0
         self.rds = sorted(self.model.split_indices)
         self.memo: Dict[tuple, Tuple[int, bool]] = {}
@@ -70,6 +74,8 @@ class _RankEngine:
         d = sum(vec)
         if d < 0:
             return -1
+        if d > 2 * self.genus - 2:   # Riemann-Roch
+            return d - self.genus
         red, _ = self.model.reduce_vector(vec, self.q)
         return self._minfail(tuple(red), d + 2) - 1
 
@@ -77,8 +83,11 @@ class _RankEngine:
         """Decide rank(vec) >= r without computing the exact value."""
         if r < 0:
             return True
-        if sum(vec) < r:
+        d = sum(vec)
+        if d < r:
             return False
+        if d > 2 * self.genus - 2:   # Riemann-Roch
+            return d - self.genus >= r
         red, _ = self.model.reduce_vector(list(vec), self.q)
         return self._minfail(tuple(red), r + 1) >= r + 1
 

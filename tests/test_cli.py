@@ -344,3 +344,15 @@ def test_module_entry_point(files, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"rank": 1, "method": "weighted"}
+
+
+def test_rank_far_above_canonical_degree(files):
+    c = circle()
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [("a", 1200)])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropbn.cli", "rank", "--curve", cf,
+         "--divisor", df, "--pure"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"rank": 1199, "method": "pure"}

@@ -1,0 +1,166 @@
+"""The arithmetic lattice model against the subdivided-curve construction.
+
+The reference model below is built the long way, with the public curve
+operations: promote the marks to vertices (`subdivide`), split the loops
+(`loopless_model`), subdivide every piece into unit steps, and chain the
+three point maps.  `IntegerModel` must number, connect and convert lattice
+points exactly as that construction does.
+"""
+
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+from tropbn import (PLFunction, Point, Subcurve, TropicalCurve, loopless_model,
+                    subdivide)
+from tropbn.models import IntegerModel
+
+
+class ReferenceModel:
+    """Lattice model as three subdivided curves and a composed point map."""
+
+    def __init__(self, curve, marks=(), scale=1):
+        c1, m1 = subdivide(curve, marks)
+        c2, m2 = loopless_model(c1)
+        self.lam = scale * lcm(*(c2.length(e).denominator for e in c2.edges()))
+        lattice = [Point(edge=e, offset=F(j, self.lam)) for e in c2.edges()
+                   for j in range(1, int(c2.length(e) * self.lam))]
+        unit, m3 = subdivide(c2, lattice)
+        self.to_unit = m1.then(m2).then(m3)
+        self.order = unit.vertices()
+        self.index = {v: i for i, v in enumerate(self.order)}
+        self.n = len(self.order)
+        self.split_indices = [self.index[v] for v in c2.vertices()]
+        self.indptr = [0]
+        self.nbrs = []
+        for v in self.order:
+            self.nbrs.extend(self.index[w] for _, w in unit.incident(v))
+            self.indptr.append(len(self.nbrs))
+
+    def point_of_index(self, i):
+        return self.to_unit.inverse(Point(vertex=self.order[i]))
+
+    def pl_from_unit_values(self, curve, vals):
+        """Every lattice point a knot; PLFunction prunes the straight ones."""
+        vv, knots = {}, {}
+        for i, val in enumerate(vals):
+            p = self.point_of_index(i)
+            if p.is_vertex:
+                vv[p.vertex] = val
+            else:
+                knots.setdefault(p.edge, []).append((p.offset, val))
+        return PLFunction(curve, vv, knots)
+
+
+def random_curve(rng):
+    n = rng.randint(1, 4)
+    names = [f"v{i}" for i in range(n)]
+    lengths = [F(1), F(2), F(1, 2), F(3, 4), F(5, 3)]
+    edges = [(f"t{i}", (names[rng.randrange(i)], names[i]), rng.choice(lengths))
+             for i in range(1, n)]
+    for j in range(rng.randint(0, 3)):
+        u = rng.choice(names)
+        v = u if rng.random() < 0.4 else rng.choice(names)   # loops, parallels
+        edges.append((f"x{j}", (u, v), rng.choice(lengths)))
+    return TropicalCurve({v: 0 for v in names}, edges)
+
+
+def random_marks(rng, c):
+    """Interior marks (some repeated), endpoint marks and vertex names."""
+    marks = []
+    for _ in range(rng.randint(0, 4)):
+        if not c.edges() or rng.random() < 0.2:
+            marks.append(rng.choice(c.vertices()))
+            continue
+        e = rng.choice(c.edges())
+        ell = c.length(e)
+        off = rng.choice([F(0), ell, ell / 2, ell / 3, ell * F(3, 4)])
+        marks.append(Point(edge=e, offset=off) if off in (0, ell)
+                     else c.point(e, off))
+        if rng.random() < 0.3:
+            marks.append(Point(edge=e, offset=off))   # duplicate
+    return marks
+
+
+def random_subcurve(rng, c):
+    if not c.edges():
+        return Subcurve(c, c.vertices())
+    e = rng.choice(c.edges())
+    ell = c.length(e)
+    a = ell * F(rng.randint(0, 6), 6)
+    b = ell * F(rng.randint(0, 6), 6)
+    return Subcurve(c, segments={e: [(a, b)]})
+
+
+def cases(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        c = random_curve(rng)
+        yield rng, c, random_marks(rng, c), 1 + k % 3
+
+
+def test_fixed_shapes_cover_every_layout_case():
+    """Unmarked and marked loops, duplicate and endpoint marks, scale 1-3."""
+    c = TropicalCurve({"a": 0, "b": 0},
+                      [("l1", ("a", "a"), F(3, 2)), ("l2", ("b", "b"), 1),
+                       ("p", ("a", "b"), F(2, 3)), ("q", ("b", "a"), 2)])
+    marks = [c.point("l2", F(1, 4)), c.point("l2", F(1, 4)),
+             Point(edge="p", offset=F(0)), Point(edge="q", offset=F(2)),
+             c.point("q", F(1, 2)), "b"]
+    for scale in (1, 2, 3):
+        new, ref = IntegerModel(c, marks, scale), ReferenceModel(c, marks, scale)
+        assert (new.n, new.lam) == (ref.n, ref.lam)
+        assert (new.indptr, new.nbrs) == (ref.indptr, ref.nbrs)
+        assert new.split_indices == ref.split_indices == list(range(5))
+
+
+def test_model_matches_subdivided_construction():
+    for rng, c, marks, scale in cases(31, 100):
+        new, ref = IntegerModel(c, marks, scale), ReferenceModel(c, marks, scale)
+        assert (new.n, new.lam) == (ref.n, ref.lam)
+        assert new.indptr == ref.indptr
+        assert new.nbrs == ref.nbrs
+        assert new.split_indices == ref.split_indices
+        for i in range(new.n):
+            p = ref.point_of_index(i)
+            assert new.point_of_index(i) == p
+            assert new.vertex_index(p) == i
+        for _ in range(3):
+            sub = random_subcurve(rng, c)
+            assert new.indices_in(sub) == [
+                i for i in range(ref.n) if sub.contains_point(ref.point_of_index(i))]
+        sigma = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(new.n)]
+        assert new.sigma_to_pl(sigma) == ref.pl_from_unit_values(
+            c, [F(-s, ref.lam) for s in sigma])
+
+
+def test_marks_are_lattice_points():
+    for _, c, marks, scale in cases(32, 60):
+        model = IntegerModel(c, marks, scale)
+        idx = [model.vertex_index(m) for m in marks]
+        assert all(i in model.split_indices for i in idx)
+
+
+def test_off_lattice_point_raises():
+    c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 1), ("f", ("a", "b"), 1)])
+    model = IntegerModel(c, [c.point("e", F(1, 2))])
+    assert model.lam == 2
+    assert model.point_of_index(model.vertex_index(c.point("f", F(1, 2)))) \
+        == c.point("f", F(1, 2))
+    with pytest.raises(ValueError):
+        model.vertex_index(c.point("e", F(1, 3)))
+    with pytest.raises(ValueError):
+        model.vertex_index(c.point("f", F(1, 4)))
+
+
+def test_witness_from_sigma_keeps_only_slope_changes():
+    c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 4), ("f", ("a", "b"), 4)])
+    model = IntegerModel(c)
+    sigma = [0] * model.n
+    sigma[model.vertex_index(c.point("e", 2))] = 1
+    f = model.sigma_to_pl(sigma)
+    assert f.vertex_values() == {"a": 0, "b": 0}
+    assert f.knots("e") == ((F(1), F(0)), (F(2), F(-1)), (F(3), F(0)))
+    assert f.knots("f") == ()

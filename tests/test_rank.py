@@ -18,7 +18,7 @@ from tropbn import (
     weighted_A_rank,
 )
 
-from oracles import GraphRankOracle
+from oracles import GraphRankOracle, small_multigraphs
 
 
 def triangle():
@@ -226,3 +226,27 @@ def test_rank_matches_oracle_spot_checks():
                     vec[i] += 1
                 D = Divisor(c, {names[i]: m for i, m in enumerate(vec) if m})
                 assert rank_pure(c, D) == oracle.rank(vec)
+
+
+def test_rank_far_above_canonical_degree():
+    """deg 1200 on the banana: a search would recurse once per chip."""
+    c = circle()
+    D = Divisor(c, [("a", 1200)])
+    assert rank_pure(c, D) == rank_weighted(c, D) == 1199
+
+
+def test_rank_above_canonical_degree_matches_oracle():
+    """Degrees 2g - 1 .. 2g + 1, where Riemann-Roch answers without a search."""
+    rng = random.Random(11)
+    for n, edges in small_multigraphs(max_vertices=4, max_edges=4):
+        g = len(edges) - n + 1
+        names = [f"v{i}" for i in range(n)]
+        c = TropicalCurve({v: 0 for v in names},
+                          [(f"e{k}", (names[u], names[v]), 1)
+                           for k, (u, v) in enumerate(edges)])
+        oracle = GraphRankOracle(n, edges, max_degree=0)
+        for d in (2 * g - 1, 2 * g, 2 * g + 1):
+            vec = [rng.randint(-1, 2) for _ in range(n)]
+            vec[rng.randrange(n)] += d - sum(vec)
+            D = Divisor(c, {names[i]: m for i, m in enumerate(vec) if m})
+            assert rank_pure(c, D) == oracle.rank(vec)
