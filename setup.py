@@ -1,50 +1,16 @@
-"""Build script: compiles the chip-firing kernel extension when Cython and a
-C toolchain are available, and falls back to a pure-Python install otherwise.
+"""Build script: compiles the chip-firing kernel from the committed C source.
 
-The package works identically either way; `tropbn.kernel` picks the backend
-at import time.
+`src/tropbn/_kernel.c` is generated by Cython from `src/tropbn/_kernel.pyx`
+and is the only build input, so the build needs a C compiler but not
+Cython.  Make changes in the .pyx, then regenerate the C with
+
+    cython -3 src/tropbn/_kernel.pyx
+
+The extension is optional: without a working compiler the build warns and
+installs the package alone, and `tropbn.kernel` uses the pure-Python kernel.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/tropbn/_kernel.pyx"],
-        language_level="3",
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "initializedcheck": False,
-        },
-    )
-except Exception:
-    pass
-
-
-class _OptionalBuildExt:
-    """Marker so a failed compile does not break the install."""
-
-
-if ext_modules:
-    from setuptools.command.build_ext import build_ext
-
-    class build_ext_optional(build_ext):  # noqa: N801 - setuptools naming
-        def run(self):
-            try:
-                super().run()
-            except Exception:
-                print("warning: C extension build failed; using pure-Python kernel")
-
-        def build_extension(self, ext):
-            try:
-                super().build_extension(ext)
-            except Exception:
-                print(f"warning: skipping {ext.name}; using pure-Python kernel")
-
-    setup(ext_modules=ext_modules, cmdclass={"build_ext": build_ext_optional})
-else:
-    setup()
+setup(ext_modules=[Extension("tropbn._kernel", ["src/tropbn/_kernel.c"],
+                             optional=True)])

@@ -19,8 +19,6 @@ Brill-Noether ranks along the way.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,24 +35,6 @@ from .curve import (
 )
 from .divisor import Divisor, pushforward
 from .rank import _RankEngine, rank_weighted
-
-
-def _threads() -> int:
-    try:
-        k = int(os.environ.get("TROPBN_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, k)
-
-
-def _pmap(fn, items):
-    """Map preserving order; parallel when TROPBN_THREADS > 1."""
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -138,20 +118,10 @@ class _BNEngine:
         """First E of degree r + rho (lex order) with no extension."""
         combos = itertools.combinations_with_replacement(self.lattice,
                                                          self.r + rho)
-        n = _threads()
-        if n <= 1:
-            for c in combos:
-                if not self.extendable(c):
-                    return c
-            return None
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            while True:
-                chunk = list(itertools.islice(combos, 8 * n))
-                if not chunk:
-                    return None
-                for c, ok in zip(chunk, pool.map(self.extendable, chunk)):
-                    if not ok:
-                        return c
+        for c in combos:
+            if not self.extendable(c):
+                return c
+        return None
 
     def divisor_of(self, combo: Tuple[int, ...]) -> Divisor:
         model = self.engine.model
@@ -292,7 +262,7 @@ def run_closedness_experiment(spec: DegenerationSpec, d: int, r: int) -> dict:
             "rank": rank_weighted(curve, Di),
         }
 
-    steps = _pmap(step, range(1, spec.steps + 1))
+    steps = [step(i) for i in range(1, spec.steps + 1)]
     premise = all(s["rank"] >= r for s in steps)
     limit_curve, beta = spec.limit()
     Dlim = pushforward(beta, D0)
@@ -329,7 +299,7 @@ def run_usc_experiment(spec: DegenerationSpec, d: int, r: int, rho: int,
             "bn_rank": bn_rank(curve, query),
         }
 
-    steps = _pmap(step, range(1, spec.steps + 1))
+    steps = [step(i) for i in range(1, spec.steps + 1)]
     limit_curve, _ = spec.limit()
     limit_rho = bn_rank(limit_curve, query)
     premise = all(s["bn_rank"] >= rho for s in steps)

@@ -1,25 +1,14 @@
-"""Chip-firing kernel backend selection.
+"""Chip-firing kernel backend.
 
-Prefers the compiled extension `_kernel`, falling back to the pure-Python
-`_kernel_py`.  Set TROPBN_KERNEL=python (or =c) to force a backend; both
-expose the identical `reduce_divisor` interface.
+Uses the compiled extension `_kernel` when it imports, and the pure-Python
+`_kernel_py` otherwise.  Both expose the identical `reduce_divisor`
+interface; `BACKEND` names the one in use.
 """
 
-import os
-
-_choice = os.environ.get("TROPBN_KERNEL", "auto").strip().lower()
-
-if _choice in ("auto", ""):
-    try:
-        from . import _kernel as _impl
-    except ImportError:
-        from . import _kernel_py as _impl
-elif _choice in ("c", "compiled", "ext"):
+try:
     from . import _kernel as _impl
-elif _choice in ("py", "python", "pure"):
+except ImportError:
     from . import _kernel_py as _impl
-else:
-    raise RuntimeError(f"unknown TROPBN_KERNEL value: {_choice!r}")
 
 reduce_divisor = _impl.reduce_divisor
-BACKEND = getattr(_impl, "BACKEND", "compiled")
+BACKEND = _impl.BACKEND

@@ -25,6 +25,10 @@ from . import kernel
 from .curve import Point, Subcurve, TropicalCurve
 from .divisor import Divisor, PLFunction
 
+# Largest lattice a model may have.  A lattice point costs about 200 bytes
+# (adjacency lists, CSR arrays, kernel vectors), so this is about 400 MB.
+MAX_LATTICE_POINTS = 2_000_000
+
 
 class IntegerModel:
     """Unit-step model of a curve on the lattice (1/λ)ℤ of each edge.
@@ -49,7 +53,8 @@ class IntegerModel:
     the loopless model.  The graph joins points 1/λ apart along an edge; the
     CSR arrays ``indptr``/``nbrs`` list each point's neighbours in the order
     in which a walk over the edges (curve order, each from its first end to
-    its second) meets the unit steps.
+    its second) meets the unit steps.  A model of more than
+    ``MAX_LATTICE_POINTS`` points raises ``ValueError`` before it allocates.
     """
 
     def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
@@ -105,6 +110,9 @@ class IntegerModel:
                     self._piece_at.append((e, s))
                     n += t - s - 1
             self._edge[e] = (ticks, nodes, firsts)
+        if n > MAX_LATTICE_POINTS:
+            raise ValueError(f"integer model needs {n} lattice points, more "
+                             f"than the limit of {MAX_LATTICE_POINTS}")
         self.n = n
 
         adj: List[List[int]] = [[] for _ in range(n)]

@@ -12,7 +12,9 @@ upper-bound cutoff.  The vertex set of a loopless model containing supp(D)
 is rank-determining, so no further points need to be considered.
 Above degree 2g - 2, with g the first Betti number (the model ignores
 weights), Riemann-Roch gives rank = deg - g outright; the search therefore
-only runs for deg <= 2g - 2 and recurses at most 2g deep.
+only runs for deg <= 2g - 2 and recurses at most 2g deep.  `rank_pure` and
+`rank_weighted` apply the same bound before building a model, the latter
+in the weighted genus g = b1 + Σ w(v) (Amini–Caporaso, arXiv:1112.5134).
 
 The weighted rank follows the reduction to a minimum over subtractions of
 doubled effective divisors bounded by the vertex weights:
@@ -144,15 +146,21 @@ class _RankEngine:
 
 def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the underlying pure curve (weights ignored)."""
-    if D.degree() < 0:
+    d, g = D.degree(), curve.betti()
+    if d < 0:
         return -1
+    if d > 2 * g - 2:   # Riemann-Roch
+        return d - g
     return _RankEngine(curve, marks=D.support()).rank(D)
 
 
 def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the weighted curve."""
-    if D.degree() < 0:
+    d, g = D.degree(), curve.betti() + curve.total_weight()
+    if d < 0:
         return -1
+    if d > 2 * g - 2:   # Riemann-Roch in the weighted genus
+        return d - g
     return _RankEngine(curve, marks=D.support()).weighted_rank(D)
 
 

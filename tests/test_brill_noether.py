@@ -180,15 +180,3 @@ def test_usc_two_loops_to_genus_two_point():
     # the limit is a weight-2 point where 2v has rank 1: the rank jumps up
     assert report["limit"]["weights"] == {"x": 2}
     assert report["limit"]["bn_rank"] == 1
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    ct = dumbbell_type()
-    spec = DegenerationSpec(ct, contracted=("l1",), steps=2)
-    base = run_usc_experiment(spec, d=2, r=1, rho=0, resolution=2)
-    single = bn_rank(k4(), BNQuery(d=3, r=1, resolution=2))
-    monkeypatch.setenv("TROPBN_THREADS", "3")
-    assert run_usc_experiment(spec, d=2, r=1, rho=0, resolution=2) == base
-    assert bn_rank(k4(), BNQuery(d=3, r=1, resolution=2)) == single
-    monkeypatch.setenv("TROPBN_THREADS", "not-a-number")
-    assert bn_rank(k4(), BNQuery(d=3, r=1, resolution=2)) == single

@@ -1,6 +1,7 @@
 """Command line interface: payloads, exit codes, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -356,3 +357,23 @@ def test_rank_far_above_canonical_degree(files):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"rank": 1199, "method": "pure"}
+
+
+def test_reduce_on_oversized_lattice_is_a_domain_error(files):
+    """An edge of length 10^12 needs 10^12 lattice points: refused, not built."""
+    c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 10 ** 12)])
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [("a", 1)])))
+
+    def limit():
+        # 1 GB of address space: a build that ignores the cap fails at
+        # once instead of filling the machine's memory
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropbn.cli", "reduce", "--curve", cf,
+         "--divisor", df, "--basepoint", "b"],
+        capture_output=True, text=True, timeout=30, preexec_fn=limit)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "lattice points" in proc.stderr

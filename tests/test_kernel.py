@@ -1,6 +1,8 @@
 """The chip-firing kernel: backend agreement and q-reduction invariants."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -107,18 +109,24 @@ def test_backends_agree():
         assert list(sig_c) == list(sig_p)
 
 
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_compiled_kernel_invariants_on_corridor():
-    """Long degree-2 corridors exercise the bridge-sliding fast path."""
-    rng = random.Random(103)
-    for trial in range(12):
+def corridor_cases(seed=103, trials=12):
+    """Two cycles joined by a long path, with chips on both cycles.
+
+    Long degree-2 corridors between cycles are the guard cases of the
+    bridge-sliding fast path; the degree-2 runs along a cycle of length
+    four or more reach the corridor from both sides, which the slides
+    must refuse.  Yields (indptr, nbrs, div, q).
+    """
+    rng = random.Random(seed)
+    for _ in range(trials):
         seg = rng.randint(50, 400)
-        # two cycles joined by a long path: loops force slide guards
-        n = seg + 5
-        edges = [(0, 1), (1, 2), (2, 0)]
-        edges += [(i, i + 1) for i in range(2, 2 + seg)]
-        far = 2 + seg
-        edges += [(far, far + 1), (far + 1, far + 2), (far + 2, far)]
+        near, far_len = rng.randint(3, 8), rng.randint(3, 8)
+        # near cycle 0..near-1, corridor near-1..far, far cycle from far on
+        far = near - 1 + seg
+        n = far + far_len
+        edges = [(i, (i + 1) % near) for i in range(near)]
+        edges += [(i, i + 1) for i in range(near - 1, far)]
+        edges += [(far + i, far + (i + 1) % far_len) for i in range(far_len)]
         adj = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
@@ -130,8 +138,21 @@ def test_compiled_kernel_invariants_on_corridor():
             indptr.append(len(nbrs))
         div = [0] * n
         div[far] = rng.randint(1, 5)
-        div[1] = rng.randint(-2, 3)
-        q = rng.choice([0, 2 + seg // 2, far + 1])
+        div[rng.randrange(near)] += rng.randint(-2, 3)
+        div[far + rng.randrange(far_len)] += rng.randint(0, 2)
+        q = rng.choice([0, near - 1 + seg // 2, far + 1])
+        yield indptr, nbrs, div, q
+
+
+def test_pure_kernel_invariants_on_corridor():
+    for indptr, nbrs, div, q in corridor_cases():
+        red, sigma = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
+        check_reduction(indptr, nbrs, div, q, red, sigma)
+
+
+@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
+def test_compiled_kernel_invariants_on_corridor():
+    for indptr, nbrs, div, q in corridor_cases():
         red_c, sig_c = _kernel.reduce_divisor(indptr, nbrs, div, q)
         check_reduction(indptr, nbrs, div, q, red_c, sig_c)
         red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
@@ -157,3 +178,38 @@ def test_disconnected_rejected():
     if _kernel is not None:
         with pytest.raises(ValueError, match="connected"):
             _kernel.reduce_divisor(indptr, [], [1, 1], 0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tropbn"
+C_TYPES = {"Py_ssize_t": "Py_ssize_t", "i64": "__pyx_t_6tropbn_7_kernel_i64",
+           "bint": "int"}
+
+
+def test_generated_c_matches_pyx():
+    """_kernel.c is the build input; it must be regenerated from the .pyx
+    (cython -3 src/tropbn/_kernel.pyx) whenever the .pyx changes.
+
+    Cython quotes the source around every statement it translates: a
+    marker line naming the .pyx line N, a few lines of context, and line N
+    itself flagged with '# <<<<'.  Plain declarations are not quoted, so
+    each declared name is looked up as a C variable of the mapped type.
+    """
+    pyx = (SRC / "_kernel.pyx").read_text().split("\n")
+    c = (SRC / "_kernel.c").read_text()
+    flag = "             # <<<<<<<<<<<<<<"
+    blocks = re.findall(r'/\* "tropbn/_kernel\.pyx":(\d+)\n(.*?)\n\*/', c,
+                        re.S)
+    assert blocks
+    for num, body in blocks:
+        quoted = [line[3:] for line in body.split("\n")]
+        at = [i for i, line in enumerate(quoted) if line.endswith(flag)]
+        assert len(at) == 1, num
+        quoted[at[0]] = quoted[at[0]][:-len(flag)]
+        first = int(num) - at[0]
+        assert quoted == pyx[first - 1:first - 1 + len(quoted)], num
+    for line in pyx:
+        m = re.fullmatch(r"\s*cdef (\w+) ([\w\s,*]+)", line)
+        if m and m.group(1) in C_TYPES:
+            for name in m.group(2).split(","):
+                ptr, name = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", name).groups()
+                assert f"{C_TYPES[m.group(1)]} {ptr}__pyx_v_{name};" in c, line

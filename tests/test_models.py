@@ -15,6 +15,7 @@ import pytest
 
 from tropbn import (PLFunction, Point, Subcurve, TropicalCurve, loopless_model,
                     subdivide)
+from tropbn import models
 from tropbn.models import IntegerModel
 
 
@@ -164,3 +165,16 @@ def test_witness_from_sigma_keeps_only_slope_changes():
     assert f.vertex_values() == {"a": 0, "b": 0}
     assert f.knots("e") == ((F(1), F(0)), (F(2), F(-1)), (F(3), F(0)))
     assert f.knots("f") == ()
+
+
+def test_lattice_size_is_capped_before_allocating(monkeypatch):
+    """One edge of length 10^12 would need 10^12 lattice points."""
+    c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 10 ** 12)])
+    with pytest.raises(ValueError, match="lattice points"):
+        IntegerModel(c, marks=["a", "b"])
+    # the bound is inclusive; a small cap keeps the boundary check cheap
+    monkeypatch.setattr(models, "MAX_LATTICE_POINTS", 100)
+    short = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 99)])
+    assert IntegerModel(short).n == 100
+    with pytest.raises(ValueError, match="lattice points"):
+        IntegerModel(short, scale=2)

@@ -17,6 +17,7 @@ from tropbn import (
     rose_rank,
     weighted_A_rank,
 )
+from tropbn.rank import _RankEngine
 
 from oracles import GraphRankOracle, small_multigraphs
 
@@ -250,3 +251,29 @@ def test_rank_above_canonical_degree_matches_oracle():
             vec[rng.randrange(n)] += d - sum(vec)
             D = Divisor(c, {names[i]: m for i, m in enumerate(vec) if m})
             assert rank_pure(c, D) == oracle.rank(vec)
+
+
+def test_weighted_rank_above_canonical_degree_matches_search():
+    """rank_weighted answers deg > 2g_w - 2 by weighted Riemann-Roch
+    (g_w = b1 + Σ w) without building a model; the engine still searches."""
+    rng = random.Random(12)
+    for n, edges in small_multigraphs(max_vertices=3, max_edges=3):
+        names = [f"v{i}" for i in range(n)]
+        for weights in itertools.product(range(3), repeat=n):
+            if sum(weights) > 2:
+                continue
+            c = TropicalCurve(dict(zip(names, weights)),
+                              [(f"e{k}", (names[u], names[v]), 1)
+                               for k, (u, v) in enumerate(edges)])
+            g = c.betti() + c.total_weight()
+            # degree 2g - 2 still searches; K is where rank g - 1 shows
+            assert rank_weighted(c, canonical(c)) == g - 1
+            for d in (2 * g - 1, 2 * g, 2 * g + 1):
+                chips = [(rng.choice(names), rng.choice([-1, 1, 2]))
+                         for _ in range(rng.randint(0, 3))]
+                if edges:
+                    chips.append((c.point("e0", F(1, 2)), rng.randint(-1, 1)))
+                D = Divisor(c, chips)
+                D = D + Divisor(c, [(names[0], d - D.degree())])
+                engine = _RankEngine(c, marks=D.support())
+                assert rank_weighted(c, D) == engine.weighted_rank(D) == d - g
