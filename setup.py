@@ -1,10 +1,7 @@
-"""Build script: compiles the chip-firing kernel from the committed C source.
+"""Build script: compiles the chip-firing kernel `tropbn._kernel`.
 
-`src/tropbn/_kernel.c` is generated by Cython from `src/tropbn/_kernel.pyx`
-and is the only build input, so the build needs a C compiler but not
-Cython.  Make changes in the .pyx, then regenerate the C with
-
-    cython -3 src/tropbn/_kernel.pyx
+`src/tropbn/_kernel.c` is hand-written C against the CPython API and is the
+source; no code generator runs, so the build needs only a C compiler.
 
 The extension is optional: without a working compiler the build warns and
 installs the package alone, and `tropbn.kernel` uses the pure-Python kernel.

@@ -1,9 +1,12 @@
 """Pure-Python chip-firing kernel.
 
-Same interface as the compiled extension `_kernel`; used as a fallback when
-the extension is unavailable (see `kernel`).  Graphs arrive in CSR form:
-`indptr[v]:indptr[v+1]` slices `nbrs` to the neighbours of v, with parallel
-edges repeated.  Loops are not allowed here — callers split them first.
+Same interface as the compiled extension `_kernel` (built from `_kernel.c`,
+which mirrors this module step by step).  `kernel` uses this module when the
+extension is not built, and reruns an input here when the extension's int64
+arithmetic would overflow: Python integers are exact.  Graphs arrive in CSR
+form: `indptr[v]:indptr[v+1]` slices `nbrs` to the neighbours of v, with
+parallel edges repeated.  Loops are not allowed here — callers split them
+first.
 """
 
 from collections import deque

@@ -1017,128 +1017,30 @@ def neighborhood(curve: TropicalCurve, lam: Subcurve, delta: RatLike) -> Subcurv
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
 
-    vset = {v for v, d in dist.items() if d <= delta}
-    whole = set()
+    # the constructor merges the grown intervals and promotes full covers
     segs: Dict[str, list] = {}
     for e in curve.edges():
         u, v = curve.ends(e)
         ell = curve.length(e)
-        ivs = list(lam.covered_intervals(e))
-        grown = [(max(Fraction(0), a - delta), min(ell, b + delta)) for a, b in ivs]
+        grown = [(max(Fraction(0), a - delta), min(ell, b + delta))
+                 for a, b in lam.covered_intervals(e)]
         du, dv = dist.get(u), dist.get(v)
         if du is not None and delta - du >= 0:
             grown.append((Fraction(0), min(ell, delta - du)))
         if dv is not None and delta - dv >= 0:
             grown.append((max(Fraction(0), ell - (delta - dv)), ell))
-        if not grown:
-            continue
-        grown.sort()
-        merged = [grown[0]]
-        for a, b in grown[1:]:
-            la, lb = merged[-1]
-            if a <= lb:
-                merged[-1] = (la, max(lb, b))
-            else:
-                merged.append((a, b))
-        if merged == [(Fraction(0), ell)]:
-            whole.add(e)
-        else:
-            segs[e] = merged
-    return Subcurve(curve, vset, whole, segs)
+        if grown:
+            segs[e] = grown
+    vset = {v for v, d in dist.items() if d <= delta}
+    return Subcurve(curve, vset, segments=segs)
 
 
 def deformation_retracts(n: Subcurve, lam: Subcurve) -> bool:
     """True iff n deformation-retracts onto lam.
 
-    Decided combinatorially: every connected component of n minus lam's
-    interior must be a tree meeting lam in exactly one point.
+    Both subcurves are connected, so each component C of the closure of
+    n minus lam meets lam in k >= 1 points and adds b1(C) + k - 1 >= 0 to
+    b1(n).  The Betti numbers are therefore equal exactly when every such
+    component is a tree meeting lam in one point, which is the retraction.
     """
-    curve = n.parent
-    if not n.contains_subcurve(lam):
-        return False
-
-    # atoms: maximal closed pieces of n not interior to lam
-    atoms = []  # (endpoint key a, endpoint key b) with a point key per end
-    def end_key(e, off):
-        u, v = curve.ends(e)
-        ell = curve.length(e)
-        if off == 0:
-            return ("v", u)
-        if off == ell:
-            return ("v", v)
-        return ("p", e, off)
-
-    for e in curve.edges():
-        cover = n.covered_intervals(e)
-        if not cover:
-            continue
-        inside = lam.covered_intervals(e)
-        for a, b in cover:
-            cuts = {a, b}
-            for x, y in inside:
-                if a < x < b:
-                    cuts.add(x)
-                if a < y < b:
-                    cuts.add(y)
-            pts = sorted(cuts)
-            for i in range(len(pts) - 1):
-                lo, hi = pts[i], pts[i + 1]
-                mid_in_lam = any(x <= lo and hi <= y for x, y in inside)
-                if not mid_in_lam:
-                    atoms.append((end_key(e, lo), end_key(e, hi), (e, lo, hi)))
-
-    in_lam_key = {}
-
-    def key_in_lam(k):
-        if k not in in_lam_key:
-            if k[0] == "v":
-                p = Point(vertex=k[1])
-            else:
-                p = Point(edge=k[1], offset=k[2])
-            in_lam_key[k] = lam.contains_point(p)
-        return in_lam_key[k]
-
-    if not atoms:
-        return True
-
-    # components of the atom graph, glued only at points outside lam
-    par: Dict[int, int] = {i: i for i in range(len(atoms))}
-
-    def find(i):
-        while par[i] != i:
-            par[i] = par[par[i]]
-            i = par[i]
-        return i
-
-    by_key: Dict[tuple, List[int]] = {}
-    for i, (ka, kb, _) in enumerate(atoms):
-        for k in (ka, kb):
-            if not key_in_lam(k):
-                by_key.setdefault(k, []).append(i)
-    for ids in by_key.values():
-        for j in ids[1:]:
-            ri, rj = find(ids[0]), find(j)
-            if ri != rj:
-                par[ri] = rj
-
-    comps: Dict[int, List[int]] = {}
-    for i in range(len(atoms)):
-        comps.setdefault(find(i), []).append(i)
-
-    for members in comps.values():
-        nodes = set()
-        contacts = set()
-        for i in members:
-            ka, kb, _ = atoms[i]
-            for k in (ka, kb):
-                nodes.add(k)
-                if key_in_lam(k):
-                    contacts.add(k)
-        edges = len(members)
-        # tree check: one component by construction once contacts are
-        # identified as distinct nodes; a cycle shows up as edges >= nodes
-        if edges - len(nodes) + 1 > 0:
-            return False
-        if len(contacts) != 1:
-            return False
-    return True
+    return n.contains_subcurve(lam) and n.betti() == lam.betti()

@@ -1,14 +1,34 @@
 """Chip-firing kernel backend.
 
-Uses the compiled extension `_kernel` when it imports, and the pure-Python
-`_kernel_py` otherwise.  Both expose the identical `reduce_divisor`
-interface; `BACKEND` names the one in use.
+Uses the compiled extension `_kernel` (built from `_kernel.c`) when it
+imports, and the pure-Python `_kernel_py` otherwise.  Both expose the same
+`reduce_divisor` interface; `BACKEND` names the one in use.
+
+The compiled kernel counts chips in int64 and raises `OverflowError` rather
+than wrap; `reduce_divisor` then reruns the input on `_kernel_py`, whose
+integers are exact, so callers always get the exact answer.  Without the
+extension, `reduce_divisor` is `_kernel_py.reduce_divisor` itself.
 """
 
-try:
-    from . import _kernel as _impl
-except ImportError:
-    from . import _kernel_py as _impl
+from . import _kernel_py
 
-reduce_divisor = _impl.reduce_divisor
-BACKEND = _impl.BACKEND
+try:
+    from . import _kernel
+except ImportError:
+    _kernel = None
+
+
+def _compiled_or_exact(indptr, nbrs, div, q):
+    """The compiled kernel's answer, or the pure kernel's on int64 overflow."""
+    try:
+        return _kernel.reduce_divisor(indptr, nbrs, div, q)
+    except OverflowError:
+        return _kernel_py.reduce_divisor(indptr, nbrs, div, q)
+
+
+if _kernel is None:
+    reduce_divisor = _kernel_py.reduce_divisor
+    BACKEND = _kernel_py.BACKEND
+else:
+    reduce_divisor = _compiled_or_exact
+    BACKEND = _kernel.BACKEND

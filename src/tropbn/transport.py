@@ -92,12 +92,6 @@ def _pull_to_subcurve(lam: Subcurve, divisors: Sequence[Divisor]):
     return sc, moved
 
 
-def _class_effective_on(lam: Subcurve, D: Divisor) -> bool:
-    """Is D (chips all on Λ) equivalent to an effective divisor on Λ itself?"""
-    sc, (Ds,) = _pull_to_subcurve(lam, [D])
-    return rank_weighted(sc, Ds) >= 0
-
-
 def _restriction_dominates(lam: Subcurve, D: Divisor, E: Divisor) -> bool:
     """restrict(D, Λ) - star(E) ~ effective as divisors on Λ."""
     sc, (Ds, Es) = _pull_to_subcurve(lam, [restrict(D, lam), E])

@@ -191,6 +191,13 @@ def test_neighborhood_star_and_retract():
     assert whole.is_whole_curve()
     assert not deformation_retracts(whole, v)
     assert neighborhood(c, v, 0) == v
+    # the rest of the triangle is a tree touching the arc ab at both ends
+    arc = Subcurve(c, whole_edges=["ab"])
+    assert not deformation_retracts(whole, arc)
+    assert deformation_retracts(path, arc)
+    # n must contain lam
+    assert not deformation_retracts(near, Subcurve.single_point(c, "b"))
+    assert not deformation_retracts(v, near)
 
 
 def test_combinatorial_type_roundtrip():

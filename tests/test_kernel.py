@@ -1,18 +1,61 @@
 """The chip-firing kernel: backend agreement and q-reduction invariants."""
 
+import importlib.util
 import random
-import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import (event, example, given, reject, settings,
+                        strategies as st)
 
 from tropbn import _kernel_py
 from tropbn import kernel
 
-try:
-    from tropbn import _kernel
-except ImportError:
-    _kernel = None
+SRC = Path(__file__).resolve().parents[1] / "src" / "tropbn"
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """`_kernel.c` built in-process into a temporary directory and loaded.
+
+    Nothing is written into the tree and the module is not put in
+    `sys.modules`, so `tropbn.kernel` keeps whatever backend it imported.
+    Skips the test when no C compiler (or no Python headers) can build it.
+    """
+    from setuptools import Distribution, Extension
+    from setuptools.errors import BaseError, CCompilerError
+
+    tmp = tmp_path_factory.mktemp("kernel_build")
+    ext = Extension("tropbn._kernel", [str(SRC / "_kernel.c")])
+    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    cmd.build_lib = str(tmp / "lib")
+    cmd.build_temp = str(tmp / "temp")
+    try:
+        cmd.ensure_finalized()
+        cmd.run()
+    except (CCompilerError, BaseError) as exc:
+        pytest.skip(f"compiled kernel does not build here: {exc}")
+    path = cmd.get_ext_fullpath("tropbn._kernel")
+    spec = importlib.util.spec_from_file_location("tropbn._kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
+
+
+def csr(n, edges):
+    """CSR form of an undirected multigraph on vertices 0..n-1."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    indptr = [0]
+    nbrs = []
+    for u in range(n):
+        nbrs.extend(adj[u])
+        indptr.append(len(nbrs))
+    return indptr, nbrs
 
 
 def random_csr(rng, max_v=12, max_extra=15):
@@ -24,16 +67,7 @@ def random_csr(rng, max_v=12, max_extra=15):
         v = rng.randrange(n)
         if u != v:
             edges.append((u, v))
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    indptr = [0]
-    nbrs = []
-    for u in range(n):
-        nbrs.extend(adj[u])
-        indptr.append(len(nbrs))
-    return n, indptr, nbrs
+    return (n, *csr(n, edges))
 
 
 def laplacian_apply(indptr, nbrs, sigma):
@@ -96,14 +130,13 @@ def test_pure_kernel_idempotent():
         assert all(x == 0 for x in sigma)
 
 
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_backends_agree():
+def test_backends_agree(compiled):
     rng = random.Random(102)
     for _ in range(300):
         n, indptr, nbrs = random_csr(rng)
         div = [rng.randint(-6, 7) for _ in range(n)]
         q = rng.randrange(n)
-        red_c, sig_c = _kernel.reduce_divisor(indptr, nbrs, div, q)
+        red_c, sig_c = compiled.reduce_divisor(indptr, nbrs, div, q)
         red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
         assert list(red_c) == list(red_p)
         assert list(sig_c) == list(sig_p)
@@ -127,15 +160,7 @@ def corridor_cases(seed=103, trials=12):
         edges = [(i, (i + 1) % near) for i in range(near)]
         edges += [(i, i + 1) for i in range(near - 1, far)]
         edges += [(far + i, far + (i + 1) % far_len) for i in range(far_len)]
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        indptr = [0]
-        nbrs = []
-        for u in range(n):
-            nbrs.extend(adj[u])
-            indptr.append(len(nbrs))
+        indptr, nbrs = csr(n, edges)
         div = [0] * n
         div[far] = rng.randint(1, 5)
         div[rng.randrange(near)] += rng.randint(-2, 3)
@@ -150,10 +175,9 @@ def test_pure_kernel_invariants_on_corridor():
         check_reduction(indptr, nbrs, div, q, red, sigma)
 
 
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_compiled_kernel_invariants_on_corridor():
+def test_compiled_kernel_invariants_on_corridor(compiled):
     for indptr, nbrs, div, q in corridor_cases():
-        red_c, sig_c = _kernel.reduce_divisor(indptr, nbrs, div, q)
+        red_c, sig_c = compiled.reduce_divisor(indptr, nbrs, div, q)
         check_reduction(indptr, nbrs, div, q, red_c, sig_c)
         red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
         assert list(red_c) == list(red_p)
@@ -172,44 +196,135 @@ def test_q_out_of_range():
 
 def test_disconnected_rejected():
     # two vertices, no edges: burning from q can never finish
-    indptr = [0, 0, 0]
     with pytest.raises(ValueError, match="connected"):
-        _kernel_py.reduce_divisor(indptr, [], [1, 1], 0)
-    if _kernel is not None:
-        with pytest.raises(ValueError, match="connected"):
-            _kernel.reduce_divisor(indptr, [], [1, 1], 0)
+        _kernel_py.reduce_divisor([0, 0, 0], [], [1, 1], 0)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tropbn"
-C_TYPES = {"Py_ssize_t": "Py_ssize_t", "i64": "__pyx_t_6tropbn_7_kernel_i64",
-           "bint": "int"}
+def test_compiled_kernel_rejects_bad_input(compiled):
+    path = ([0, 1, 2], [1, 0])
+    for q in (-1, 2, 5):
+        with pytest.raises(ValueError, match="q out of range"):
+            compiled.reduce_divisor(*path, [0, 0], q)
+    with pytest.raises(ValueError, match="connected"):
+        compiled.reduce_divisor([0, 0, 0], [], [1, 1], 0)
+    # indices that point outside the CSR arrays
+    for indptr, nbrs in (([0, 1, 3], [1, 0]), ([0, 1, -1], [1, 0]),
+                         ([0, 1, 2], [1, 2]), ([0, 1, 2], [-1, 0])):
+        with pytest.raises(ValueError, match="CSR"):
+            compiled.reduce_divisor(indptr, nbrs, [0, 0], 0)
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        compiled.reduce_divisor(*path, [0, 0, 0], 0)
 
 
-def test_generated_c_matches_pyx():
-    """_kernel.c is the build input; it must be regenerated from the .pyx
-    (cython -3 src/tropbn/_kernel.pyx) whenever the .pyx changes.
+SMALL = st.integers(-8, 8)
+HUGE = st.integers(-2 ** 62, 2 ** 62)
+BEYOND_INT64 = (st.integers(2 ** 63, 2 ** 64)
+                | st.integers(-2 ** 64, -2 ** 63 - 1))
+# at q, chips right at the int64 bounds overflow as soon as a few arrive
+NEAR_BOUNDS = (st.integers(2 ** 63 - 64, 2 ** 63 - 1)
+               | st.integers(-2 ** 63, -2 ** 63 + 64))
 
-    Cython quotes the source around every statement it translates: a
-    marker line naming the .pyx line N, a few lines of context, and line N
-    itself flagged with '# <<<<'.  Plain declarations are not quoted, so
-    each declared name is looked up as a C variable of the mapped type.
+
+@st.composite
+def huge_divisors(draw):
+    """(indptr, nbrs, div, q) with chip counts up to 2^62 and beyond int64.
+
+    The graph is a random connected multigraph in which every vertex has
+    degree at least 3, so the bridge slides never fire: they move one chip
+    per pass, and a pile of 2^62 chips behind a degree-2 corridor would take
+    2^62 passes in either kernel.
     """
-    pyx = (SRC / "_kernel.pyx").read_text().split("\n")
-    c = (SRC / "_kernel.c").read_text()
-    flag = "             # <<<<<<<<<<<<<<"
-    blocks = re.findall(r'/\* "tropbn/_kernel\.pyx":(\d+)\n(.*?)\n\*/', c,
-                        re.S)
-    assert blocks
-    for num, body in blocks:
-        quoted = [line[3:] for line in body.split("\n")]
-        at = [i for i, line in enumerate(quoted) if line.endswith(flag)]
-        assert len(at) == 1, num
-        quoted[at[0]] = quoted[at[0]][:-len(flag)]
-        first = int(num) - at[0]
-        assert quoted == pyx[first - 1:first - 1 + len(quoted)], num
-    for line in pyx:
-        m = re.fullmatch(r"\s*cdef (\w+) ([\w\s,*]+)", line)
-        if m and m.group(1) in C_TYPES:
-            for name in m.group(2).split(","):
-                ptr, name = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", name).groups()
-                assert f"{C_TYPES[m.group(1)]} {ptr}__pyx_v_{name};" in c, line
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=8)):
+        if u != v:
+            edges.append((u, v))
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for v in range(n):
+        while deg[v] < 3:
+            u = (v + draw(st.integers(1, n - 1))) % n
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    q = draw(st.integers(0, n - 1))
+    off_q = SMALL | HUGE | BEYOND_INT64 if draw(st.booleans()) else SMALL
+    div = draw(st.lists(off_q, min_size=n, max_size=n))
+    div[q] = draw(SMALL | HUGE | BEYOND_INT64 | NEAR_BOUNDS)
+    return (*csr(n, edges), div, q)
+
+
+class _Unfinished(Exception):
+    pass
+
+
+def exact_reduction(case, rounds=2000):
+    """The pure kernel's answer; rejects inputs needing over `rounds` rounds.
+
+    With piles near 2^62 the burning can take about 2^62 rounds, each
+    firing a small multiple of the unburnt set, in either kernel alike.
+    Such inputs never finish, so they cannot show how int64 is handled.
+    """
+    left = iter(range(rounds))
+    slide = _kernel_py._slide_bridges
+
+    def one_round(*args):  # called once after each firing of a Dhar round
+        if next(left, None) is None:
+            raise _Unfinished
+        return slide(*args)
+
+    with mock.patch.object(_kernel_py, "_slide_bridges", one_round):
+        try:
+            return _kernel_py.reduce_divisor(*case)
+        except _Unfinished:
+            reject()
+
+
+# Small inputs that overflow int64 at one given step.  Stage 1 fires q's
+# ball 2^62 times: vertex 2 takes 3 * 2^62 chips on the way to an answer that
+# fits, or, on a star, 2^61 chips on top of nearly 2^63.  A debt of -2^63
+# needs 2^63 firings.  On the path 0-1-2-3, vertex 3 fires 3 * 2^62 times in
+# all.  On the path 0-1-2, vertex 2 fires 2^63 times in Dhar rounds.  A
+# bridge slide moves the last chip onto q, or fires vertex 0 once too often.
+TRIPLE_EDGE = ([0, 4, 5, 8], [1, 2, 2, 2, 0, 0, 0, 0], [0, -2 ** 62, 0], 0)
+STAR_PILE = ([0, 2, 3, 4], [1, 2, 0, 0], [0, -2 ** 61, 2 ** 63 - 2 ** 60], 0)
+INT64_MIN_DEBT = ([0, 1, 2], [1, 0], [0, -2 ** 63], 0)
+FAR_DEBT = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [0, 0, 0, -2 ** 62], 0)
+FAR_PILE = ([0, 1, 3, 4], [1, 0, 2, 1], [0, 0, 2 ** 62], 0)
+SLIDE_ONTO_FULL_Q = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
+                     [2 ** 63 - 1, 0, 0, 1], 0)
+SLIDE_PAST_INT64 = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
+                    [2, 2 ** 63 - 4, -1, -2], 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=huge_divisors())
+@example(case=TRIPLE_EDGE)
+@example(case=STAR_PILE)
+@example(case=INT64_MIN_DEBT)
+@example(case=FAR_DEBT)
+@example(case=FAR_PILE)
+@example(case=SLIDE_ONTO_FULL_Q)
+@example(case=SLIDE_PAST_INT64)
+def test_compiled_kernel_is_exact_or_overflows(compiled, case):
+    """int64 never wraps: the compiled answer is the exact one, or none."""
+    want = exact_reduction(case)
+    try:
+        got = compiled.reduce_divisor(*case)
+    except OverflowError:
+        event("overflow")
+        return
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=huge_divisors())
+@example(case=TRIPLE_EDGE)
+def test_kernel_falls_back_to_exact_integers(compiled, case):
+    """`kernel` answers exactly, rerunning on `_kernel_py` after overflow."""
+    want = exact_reduction(case)
+    with mock.patch.object(kernel, "_kernel", compiled):
+        assert kernel._compiled_or_exact(*case) == want
