@@ -1,9 +1,19 @@
 /* Compiled chip-firing kernel.
 
    Mirrors `_kernel_py.reduce_divisor` step by step (BFS levels from q,
-   stage-1 debt clearing over the levels, Dhar burning with multi-fire,
-   bridge slides); see that module for the algorithm notes.  Same
-   interface: reduce_divisor(indptr, nbrs, div, q) -> (reduced, sigma).
+   stage-1 debt clearing over the levels, Dhar burning that fires the
+   unburnt set along its corridors); see that module for the algorithm
+   notes.  Same interface: reduce_divisor(indptr, nbrs, div, q) ->
+   (reduced, sigma).
+
+   A round of stage 2 fires the nested sets U, U + {c_1}, ...,
+   U + {c_1 .. c_(eps-1)}, k times each, where U is the unburnt set, k the
+   most its boundary allows, and c_1, c_2, ... each corridor of chip-free
+   degree-2 vertices walked from an edge out of U, eps long at the
+   shortest.  Each firing is legal: c_i takes in k chips from the set
+   before it joins it, and passes them on over its other edge.  The round
+   needs no path storage: one walk per edge finds eps, and a second walk
+   steps eps - 1 times along it.
 
    Chip counts and firing multiplicities are C long long.  Every add,
    subtract and multiply on them is checked, and an overflow raises
@@ -92,6 +102,15 @@ read_ints(PyObject *obj, const char *name, Py_ssize_t *len)
     return out;
 }
 
+/* The neighbour of the degree-2 vertex cur that is not prev. */
+static Py_ssize_t
+other(const i64 *ip, const i64 *nb, Py_ssize_t prev, Py_ssize_t cur)
+{
+    Py_ssize_t a = (Py_ssize_t)nb[ip[cur]];
+
+    return a == prev ? (Py_ssize_t)nb[ip[cur] + 1] : a;
+}
+
 static PyObject *
 to_list(const i64 *a, Py_ssize_t n)
 {
@@ -117,14 +136,12 @@ reduce_divisor(PyObject *self, PyObject *args)
     i64 *ip = NULL, *nb = NULL, *d = NULL, *sigma = NULL, *cnt = NULL;
     i64 *down = NULL, *up = NULL, *ms = NULL;
     Py_ssize_t *lvl = NULL, *order = NULL, *lstart = NULL, *queue = NULL;
-    Py_ssize_t *chain = NULL, *reach = NULL;
-    char *burnt = NULL, *seen = NULL, *blocked = NULL;
+    char *burnt = NULL;
     /* loop bounds are read once into locals: stores through the arrays
        may alias ip[], so the compiler would otherwise reload them */
-    Py_ssize_t n, m, nd, i, iend, j, jend, x, u, v, w, head, tail, maxlev;
-    Py_ssize_t a, b, s, end, prev, cur, nxt, nseen;
-    i64 k, kv, t, need, mfire, acc;
-    int moved, wrapped;
+    Py_ssize_t n, m, nd, i, iend, j, x, u, v, head, tail, maxlev;
+    Py_ssize_t s, eps, prev, cur, nxt;
+    i64 k, kv, keps, t, need, mfire, acc;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "OOOL:reduce_divisor",
@@ -155,11 +172,7 @@ reduce_divisor(PyObject *self, PyObject *args)
         || (lvl = alloc(n, sizeof *lvl)) == NULL
         || (order = alloc(n, sizeof *order)) == NULL
         || (queue = alloc(n, sizeof *queue)) == NULL
-        || (chain = alloc(n + 1, sizeof *chain)) == NULL
-        || (reach = alloc(n, sizeof *reach)) == NULL
-        || (burnt = alloc(n, 1)) == NULL
-        || (seen = alloc(n, 1)) == NULL
-        || (blocked = alloc(n, 1)) == NULL)
+        || (burnt = alloc(n, 1)) == NULL)
         goto done;
 
     /* BFS levels from q; Dhar burning diverges on a disconnected graph,
@@ -254,8 +267,8 @@ reduce_divisor(PyObject *self, PyObject *args)
             sigma[v] = ms[lvl[v]];
     }
 
-    /* stage 2: Dhar burning; fire the unburnt set as many times as it
-       allows, then slide chips across bridges */
+    /* stage 2: Dhar burning; fire the unburnt set, then the sets that grow
+       from it along its corridors, as often and as far as they allow */
     for (;;) {
         memset(burnt, 0, (size_t)n);
         memset(cnt, 0, (size_t)n * sizeof *cnt);
@@ -275,7 +288,8 @@ reduce_divisor(PyObject *self, PyObject *args)
         if (tail == n)
             break;
         /* an unburnt v has d[v] >= cnt[v] >= 0, so C division floors here
-           as Python's // does */
+           as Python's // does; the BFS check above leaves some unburnt v
+           with cnt[v] > 0, so k >= 1 */
         k = -1;
         for (v = 0; v < n; v++)
             if (!burnt[v] && cnt[v] > 0) {
@@ -283,95 +297,56 @@ reduce_divisor(PyObject *self, PyObject *args)
                 if (k < 0 || kv < k)
                     k = kv;
             }
-        if (k < 1)
-            k = 1;
+        /* eps: the shortest corridor.  The walks stop at eps, which starts
+           at n, longer than any corridor; it bounds them on a non-symmetric
+           CSR too. */
+        eps = n;
+        for (v = 0; v < n; v++) {
+            if (burnt[v] || cnt[v] == 0)
+                continue;
+            for (i = ip[v], iend = ip[v + 1]; i < iend; i++) {
+                if (!burnt[nb[i]])
+                    continue;
+                prev = v;
+                cur = (Py_ssize_t)nb[i];
+                for (s = 1; s < eps && cur != q && d[cur] == 0
+                            && ip[cur + 1] - ip[cur] == 2; s++) {
+                    nxt = other(ip, nb, prev, cur);
+                    prev = cur;
+                    cur = nxt;
+                }
+                eps = s;
+            }
+        }
+        if (mul64(k, eps, &keps))
+            goto overflow;
         for (v = 0; v < n; v++) {
             if (burnt[v])
                 continue;
-            if (add64(sigma[v], k, &sigma[v]))
+            if (add64(sigma[v], keps, &sigma[v]))
                 goto overflow;
             d[v] -= k * cnt[v];  /* k <= d[v] / cnt[v] by its choice */
-            for (i = ip[v], iend = ip[v + 1]; i < iend; i++)
-                if (burnt[nb[i]] && add64(d[nb[i]], k, &d[nb[i]]))
-                    goto overflow;
         }
-
-        /* _slide_bridges: teleport chips across chip-free degree-2
-           corridors toward q when the corridor is a genuine bridge */
-        moved = 1;
-        while (moved) {
-            moved = 0;
-            for (v = 0; v < n; v++) {
-                if (v == q || d[v] <= 0)
+        /* the same walks again, eps - 1 steps each: the first walks
+           checked that these vertices have degree 2 */
+        for (v = 0; v < n; v++) {
+            if (burnt[v] || cnt[v] == 0)
+                continue;
+            for (i = ip[v], iend = ip[v + 1]; i < iend; i++) {
+                if (!burnt[nb[i]])
                     continue;
-                for (i = ip[v], iend = ip[v + 1]; i < iend; i++) {
-                    w = (Py_ssize_t)nb[i];
-                    if (lvl[w] >= lvl[v])
-                        continue;
-                    chain[0] = v;
-                    chain[1] = w;
-                    s = 1;
-                    prev = v;
-                    cur = w;
-                    /* s < n only stops a walk on a non-symmetric CSR */
-                    while (cur != q && d[cur] == 0
-                           && ip[cur + 1] - ip[cur] == 2 && s < n) {
-                        a = (Py_ssize_t)nb[ip[cur]];
-                        b = (Py_ssize_t)nb[ip[cur] + 1];
-                        nxt = a == prev ? b : a;
-                        if (nxt == prev)
-                            break;
-                        chain[++s] = nxt;
-                        prev = cur;
-                        cur = nxt;
-                    }
-                    end = chain[s];
-                    if (s < 2 || lvl[end] >= lvl[v])
-                        continue;
-                    if (end != q && d[end] == 0
-                        && ip[end + 1] - ip[end] == 2)
-                        continue;
-                    /* the region behind v, avoiding the corridor: does it
-                       reach `end` another way?  The search order does not
-                       matter, only reachability and the reached set. */
-                    for (x = 1; x < s; x++)
-                        blocked[chain[x]] = 1;
-                    seen[v] = 1;
-                    reach[0] = v;
-                    nseen = 1;
-                    wrapped = 0;
-                    for (x = 0; x < nseen && !wrapped; x++) {
-                        u = reach[x];
-                        for (j = ip[u], jend = ip[u + 1]; j < jend; j++) {
-                            nxt = (Py_ssize_t)nb[j];
-                            if (nxt == end) {
-                                wrapped = 1;
-                                break;
-                            }
-                            if (!seen[nxt] && !blocked[nxt]) {
-                                seen[nxt] = 1;
-                                reach[nseen++] = nxt;
-                            }
-                        }
-                    }
-                    for (x = 1; x < s; x++)
-                        blocked[chain[x]] = 0;
-                    for (x = 0; x < nseen; x++)
-                        seen[reach[x]] = 0;
-                    if (wrapped)
-                        continue;
-                    for (x = 0; x < nseen; x++)
-                        if (add64(sigma[reach[x]], s, &sigma[reach[x]]))
-                            goto overflow;
-                    for (x = 1; x < s; x++)
-                        if (add64(sigma[chain[x]], s - x, &sigma[chain[x]]))
-                            goto overflow;
-                    d[v] -= 1;  /* d[v] > 0 */
-                    if (add64(d[end], 1, &d[end]))
+                prev = v;
+                cur = (Py_ssize_t)nb[i];
+                /* t = k * (eps - s) < keps */
+                for (s = 1, t = keps - k; s < eps; s++, t -= k) {
+                    if (add64(sigma[cur], t, &sigma[cur]))
                         goto overflow;
-                    moved = 1;
-                    break;
+                    nxt = other(ip, nb, prev, cur);
+                    prev = cur;
+                    cur = nxt;
                 }
+                if (add64(d[cur], k, &d[cur]))
+                    goto overflow;
             }
         }
     }
@@ -408,11 +383,7 @@ done:
     free(order);
     free(lstart);
     free(queue);
-    free(chain);
-    free(reach);
     free(burnt);
-    free(seen);
-    free(blocked);
     return result;
 }
 

@@ -7,6 +7,29 @@ arithmetic would overflow: Python integers are exact.  Graphs arrive in CSR
 form: `indptr[v]:indptr[v+1]` slices `nbrs` to the neighbours of v, with
 parallel edges repeated.  Loops are not allowed here — callers split them
 first.
+
+`reduce_divisor` first clears the debt outside q by firing balls around q,
+then q-reduces by Dhar's burning algorithm in its metric form (Luo,
+arXiv:0906.2807).  Each round burns from q.  If a set U stays unburnt, every
+v on U's boundary holds d[v] >= cnt[v], its edge count into the burnt set,
+so U can fire k = min d[v] // cnt[v] times.  Each edge from U into the
+burnt set starts a corridor c_1, c_2, ...: the walk goes on through
+vertices of degree 2 that hold no chip and are not q (the fire reached them
+from the far end, so they are burnt), and its length L counts the vertices
+walked, the last one included.  With eps the shortest L, the round fires
+the nested sets
+
+    U,  U + {c_1 of every corridor},  ...,  U + {c_1 .. c_(eps-1) of each}
+
+k times each.  Every firing is legal: after the first, each c_i holds the k
+chips that arrived over its one edge from the set and sends them on over its
+other edge, and U loses nothing more.  So the round moves k chips per edge
+from U to the corridor's vertex c_eps, adds k*eps to sigma on U and
+k*(eps - i) on c_i, and leaves d >= 0 off q.  Chips thus cross a chip-free
+corridor in one round, however long it is.  The loop ends when the fire
+burns everything, which is Dhar's criterion for a q-reduced divisor; that
+divisor, and sigma with sigma[q] == 0, are unique, so the order of the
+firings never changes the answer.
 """
 
 from collections import deque
@@ -14,69 +37,33 @@ from collections import deque
 BACKEND = "python"
 
 
-def _slide_bridges(indptr, nbrs, d, sigma, q, lvl):
-    """Teleport chips across chip-free degree-2 corridors toward q.
+def _burn(indptr, nbrs, d, q):
+    """Dhar's fire from q: (burnt, cnt), one flag and one count per vertex.
 
-    Only fires when the corridor is a genuine bridge (the region behind the
-    chip has no other edge to the corridor's endpoint), in which case the
-    composite move is exactly -1 at the chip and +1 at the endpoint.  Pure
-    accelerator: the caller's final burn still certifies reducedness.
+    A vertex burns once more of its edges lead to burnt vertices than it has
+    chips.  `cnt[v]` counts the edges from an unburnt v into the burnt set.
     """
     n = len(indptr) - 1
-    moved = True
-    while moved:
-        moved = False
-        for v in range(n):
-            if v == q or d[v] <= 0:
-                continue
-            for i in range(indptr[v], indptr[v + 1]):
-                w = nbrs[i]
-                if lvl[w] >= lvl[v]:
-                    continue
-                chain = [v, w]
-                cur, prev = w, v
-                while (cur != q and d[cur] == 0
-                       and indptr[cur + 1] - indptr[cur] == 2):
-                    a = nbrs[indptr[cur]]
-                    b = nbrs[indptr[cur] + 1]
-                    nxt = b if a == prev else a
-                    if nxt == prev:
-                        break
-                    chain.append(nxt)
-                    prev, cur = cur, nxt
-                s = len(chain) - 1
-                end = chain[-1]
-                if s < 2 or lvl[end] >= lvl[v]:
-                    continue
-                if (end != q and d[end] == 0
-                        and indptr[end + 1] - indptr[end] == 2):
-                    continue
-                blocked = set(chain[1:-1])
-                seen = {v}
-                stack = [v]
-                wrapped = False
-                while stack:
-                    u = stack.pop()
-                    for j in range(indptr[u], indptr[u + 1]):
-                        x = nbrs[j]
-                        if x == end:
-                            wrapped = True
-                            break
-                        if x not in seen and x not in blocked:
-                            seen.add(x)
-                            stack.append(x)
-                    if wrapped:
-                        break
-                if wrapped:
-                    continue
-                for u in seen:
-                    sigma[u] += s
-                for idx in range(1, s):
-                    sigma[chain[idx]] += s - idx
-                d[v] -= 1
-                d[end] += 1
-                moved = True
-                break
+    burnt = bytearray(n)
+    burnt[q] = 1
+    cnt = [0] * n
+    queue = deque([q])
+    while queue:
+        u = queue.popleft()
+        for i in range(indptr[u], indptr[u + 1]):
+            v = nbrs[i]
+            if not burnt[v]:
+                cnt[v] += 1
+                if cnt[v] > d[v]:
+                    burnt[v] = 1
+                    queue.append(v)
+    return burnt, cnt
+
+
+def _other(indptr, nbrs, prev, cur):
+    """The neighbour of the degree-2 vertex `cur` that is not `prev`."""
+    a = nbrs[indptr[cur]]
+    return nbrs[indptr[cur] + 1] if a == prev else a
 
 
 def reduce_divisor(indptr, nbrs, div, q):
@@ -147,44 +134,32 @@ def reduce_divisor(indptr, nbrs, div, q):
         for v in range(n):
             sigma[v] += suffix[level[v]]
 
-    lvl = level
-
-    # stage 2: Dhar burning; fire the unburnt set as many times as it allows
+    # stage 2: Dhar burning; fire the unburnt set U, then the sets that
+    # grow from it along its corridors, as often and as far as they allow
     while True:
-        burnt = bytearray(n)
-        burnt[q] = 1
-        cnt = [0] * n    # edges into the burnt set
-        queue = deque([q])
-        nburnt = 1
-        while queue:
-            u = queue.popleft()
-            for i in range(indptr[u], indptr[u + 1]):
-                v = nbrs[i]
-                if not burnt[v]:
-                    cnt[v] += 1
-                    if cnt[v] > d[v]:
-                        burnt[v] = 1
-                        nburnt += 1
-                        queue.append(v)
-        if nburnt == n:
+        burnt, cnt = _burn(indptr, nbrs, d, q)
+        if all(burnt):
             break
-        k = -1
-        for v in range(n):
-            if not burnt[v] and cnt[v] > 0:
-                kv = d[v] // cnt[v]
-                if k < 0 or kv < k:
-                    k = kv
-        if k < 1:
-            k = 1
-        for v in range(n):
-            if not burnt[v]:
-                sigma[v] += k
-                d[v] -= k * cnt[v]
-                for i in range(indptr[v], indptr[v + 1]):
-                    u = nbrs[i]
-                    if burnt[u]:
-                        d[u] += k
-        _slide_bridges(indptr, nbrs, d, sigma, q, lvl)
+        unburnt = [v for v in range(n) if not burnt[v]]
+        k = min(d[v] // cnt[v] for v in unburnt if cnt[v])
+        exits = [(v, nbrs[i]) for v in unburnt if cnt[v]
+                 for i in range(indptr[v], indptr[v + 1]) if burnt[nbrs[i]]]
+        eps = n  # no corridor is longer, so this only bounds the walks
+        for prev, cur in exits:
+            steps = 1
+            while (steps < eps and cur != q and d[cur] == 0
+                   and indptr[cur + 1] - indptr[cur] == 2):
+                prev, cur = cur, _other(indptr, nbrs, prev, cur)
+                steps += 1
+            eps = steps
+        for v in unburnt:
+            sigma[v] += k * eps
+            d[v] -= k * cnt[v]
+        for prev, cur in exits:
+            for i in range(1, eps):
+                sigma[cur] += k * (eps - i)
+                prev, cur = cur, _other(indptr, nbrs, prev, cur)
+            d[cur] += k
     base = sigma[q]
     if base:
         for v in range(n):

@@ -39,6 +39,7 @@ from .io import (
     divisor_from_json,
     divisor_to_json,
     frac_str,
+    parse_int,
     point_to_json,
     read_json,
     subcurve_from_json,
@@ -108,7 +109,7 @@ def _pattern_from_json(entries) -> Tuple[Tuple[object, int], ...]:
     for c in entries:
         at = c["at"]
         spec = at["vertex"] if "vertex" in at else (at["edge"], rat(at["offset"]))
-        out.append((spec, int(c["mult"])))
+        out.append((spec, parse_int(c["mult"], "mult")))
     return tuple(out)
 
 
@@ -545,29 +546,31 @@ def _cmd_bn_rank(args) -> int:
 
 def _spec_from_json(doc: dict) -> DegenerationSpec:
     kwargs: dict = {}
-    if "steps" in doc:
-        kwargs["steps"] = int(doc["steps"])
-    if "rate" in doc:
-        kwargs["rate"] = rat(doc["rate"])
-    if "base" in doc:
-        kwargs["base"] = {e: rat(x) for e, x in doc["base"].items()}
-    return DegenerationSpec(
-        type_from_json(doc["type"]),
-        contracted=tuple(doc.get("contracted", ())),
-        pattern=_pattern_from_json(doc.get("pattern", ())),
-        **kwargs,
-    )
+    try:
+        if "steps" in doc:
+            kwargs["steps"] = parse_int(doc["steps"], "steps")
+        if "rate" in doc:
+            kwargs["rate"] = rat(doc["rate"])
+        if "base" in doc:
+            kwargs["base"] = {e: rat(x) for e, x in doc["base"].items()}
+        contracted = tuple(doc.get("contracted", ()))
+        pattern = _pattern_from_json(doc.get("pattern", ()))
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed spec JSON: {exc}") from exc
+    return DegenerationSpec(type_from_json(doc["type"]), contracted=contracted,
+                            pattern=pattern, **kwargs)
 
 
 def _cmd_experiment(args) -> int:
     doc = _load(args.spec)
     spec = _spec_from_json(doc)
+    d, r = parse_int(doc["d"], "d"), parse_int(doc["r"], "r")
     if args.kind == "closedness":
-        report = run_closedness_experiment(spec, int(doc["d"]), int(doc["r"]))
+        report = run_closedness_experiment(spec, d, r)
     else:
-        report = run_usc_experiment(spec, int(doc["d"]), int(doc["r"]),
-                                    int(doc["rho"]),
-                                    resolution=int(doc.get("resolution", 4)))
+        report = run_usc_experiment(spec, d, r, parse_int(doc["rho"], "rho"),
+                                    resolution=parse_int(
+                                        doc.get("resolution", 4), "resolution"))
     _emit(report, args)
     return 0 if report["pass"] else 2
 

@@ -17,14 +17,20 @@ RatLike = Union[Fraction, int, str]
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to an exact rational."""
+    """Coerce ints, strings like '3/2', and Fractions to an exact rational.
+
+    Anything else, and a string with a zero denominator, is a ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not a rational: {x!r}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not a rational: {x!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .curve import CombinatorialType, Point, Subcurve, TropicalCurve
+from .curve import CombinatorialType, Point, Subcurve, TropicalCurve, rat
 from .divisor import Divisor
 
 
@@ -20,11 +20,17 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
+    """A JSON rational: an integer or a string like "3/2"."""
+    if isinstance(s, (int, str)):
+        return rat(s)
     raise ValueError(f"expected a rational string, got {s!r}")
+
+
+def parse_int(x, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not cut."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def curve_to_json(curve: TropicalCurve) -> dict:
@@ -39,10 +45,11 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 
 def curve_from_json(obj: dict) -> TropicalCurve:
     try:
-        vertices = [(v["id"], int(v.get("weight", 0))) for v in obj["vertices"]]
+        vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
+                    for v in obj["vertices"]]
         edges = [(e["id"], tuple(e["ends"]), parse_frac(e["length"]))
                  for e in obj.get("edges", [])]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed curve JSON: {exc}") from exc
     return TropicalCurve(vertices, edges)
 
@@ -56,9 +63,10 @@ def type_to_json(ctype: CombinatorialType) -> dict:
 
 def type_from_json(obj: dict) -> CombinatorialType:
     try:
-        vertices = [(v["id"], int(v.get("weight", 0))) for v in obj["vertices"]]
+        vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
+                    for v in obj["vertices"]]
         edges = [(e["id"], tuple(e["ends"])) for e in obj.get("edges", [])]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed type JSON: {exc}") from exc
     return CombinatorialType(vertices, edges)
 
@@ -87,8 +95,11 @@ def divisor_to_json(D: Divisor, curve_ref: Optional[str] = None) -> dict:
 
 
 def divisor_from_json(obj: dict, curve: TropicalCurve) -> Divisor:
-    chips = [(point_from_json(c["at"], curve), int(c["mult"]))
-             for c in obj.get("chips", [])]
+    try:
+        chips = [(point_from_json(c["at"], curve), parse_int(c["mult"], "mult"))
+                 for c in obj.get("chips", [])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed divisor JSON: {exc}") from exc
     return Divisor(curve, chips)
 
 
@@ -106,10 +117,14 @@ def subcurve_to_json(sub: Subcurve) -> dict:
 
 def subcurve_from_json(obj: dict, curve: TropicalCurve) -> Subcurve:
     segs = {}
-    for s in obj.get("segments", []):
-        segs.setdefault(s["edge"], []).append(
-            (parse_frac(s["from"]), parse_frac(s["to"])))
-    return Subcurve(curve, obj.get("vertices", []), obj.get("edges", []), segs)
+    try:
+        for s in obj.get("segments", []):
+            segs.setdefault(s["edge"], []).append(
+                (parse_frac(s["from"]), parse_frac(s["to"])))
+        vertices, edges = obj.get("vertices", []), obj.get("edges", [])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed subcurve JSON: {exc}") from exc
+    return Subcurve(curve, vertices, edges, segs)
 
 
 def canonical_dumps(obj) -> str:

@@ -377,3 +377,46 @@ def test_reduce_on_oversized_lattice_is_a_domain_error(files):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "lattice points" in proc.stderr
+
+
+CIRCLE = {"vertices": [{"id": "a"}, {"id": "b"}],
+          "edges": [{"id": "e1", "ends": ["a", "b"], "length": "1"},
+                    {"id": "e2", "ends": ["a", "b"], "length": "1"}]}
+CHIP = {"chips": [{"at": {"vertex": "a"}, "mult": 2}]}
+LOOP_TYPE = {"vertices": [{"id": "x"}],
+             "edges": [{"id": "l", "ends": ["x", "x"]}]}
+
+
+def _with_length(length):
+    return dict(CIRCLE, edges=[dict(CIRCLE["edges"][0], length=length),
+                               CIRCLE["edges"][1]])
+
+
+@pytest.mark.parametrize("docs, argv", [
+    ({"c": _with_length("1/0"), "d": CHIP}, ["rank"]),
+    ({"c": CIRCLE, "d": CHIP}, ["rank", "--loops", "1/0"]),
+    ({"t": LOOP_TYPE, "d": {"chips": []}},
+     ["ucoords", "--type", "{t}", "--s", "1/0"]),
+    ({"c": CIRCLE, "d": []}, ["rank"]),
+    ({"c": CIRCLE, "d": {"chips": [{"at": 5, "mult": 1}]}}, ["rank"]),
+    ({"c": CIRCLE, "d": {"chips": [{"at": "a", "mult": [1]}]}}, ["rank"]),
+    ({"c": CIRCLE, "d": {"chips": [{"at": "a", "mult": 1.9}]}}, ["rank"]),
+    ({"c": dict(CIRCLE, vertices=[{"id": "a", "weight": 1.7}, {"id": "b"}]),
+      "d": CHIP}, ["rank"]),
+    ({"s": "x"}, ["experiment", "usc", "--spec", "{s}"]),
+], ids=["length-1/0", "loops-1/0", "s-1/0", "divisor-list", "at-int",
+        "mult-list", "mult-float", "weight-float", "spec-string"])
+def test_malformed_input_is_a_domain_error(files, docs, argv):
+    """Bad numbers and JSON of the wrong shape end with exit 1, no trace."""
+    paths = {k: files(f"{k}.json", doc) for k, doc in docs.items()}
+    if argv[0] == "rank":
+        argv = argv + ["--curve", "{c}", "--divisor", "{d}"]
+    elif argv[0] == "ucoords":
+        argv = argv + ["--divisor", "{d}"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropbn.cli"]
+        + [a.format(**paths) for a in argv],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

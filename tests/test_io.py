@@ -14,6 +14,7 @@ from tropbn.io import (
     divisor_to_json,
     frac_str,
     parse_frac,
+    parse_int,
     point_from_json,
     point_to_json,
     read_json,
@@ -38,8 +39,16 @@ def test_frac_strings():
     assert parse_frac("3/2") == F(3, 2)
     assert parse_frac("4") == F(4)
     assert parse_frac(4) == F(4)
-    with pytest.raises(ValueError):
-        parse_frac(1.5)
+    for bad in (1.5, "1/0", "x", None):
+        with pytest.raises(ValueError):
+            parse_frac(bad)
+
+
+def test_json_integers_are_not_cut():
+    assert parse_int(-3, "mult") == -3
+    for bad in (1.9, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="mult must be an integer"):
+            parse_int(bad, "mult")
 
 
 def test_curve_round_trip():

@@ -58,16 +58,37 @@ def csr(n, edges):
     return indptr, nbrs
 
 
-def random_csr(rng, max_v=12, max_extra=15):
-    """Connected loopless multigraph in CSR form."""
-    n = rng.randint(2, max_v)
+def random_edges(rng, n, max_extra):
+    """Edges of a connected loopless multigraph on vertices 0..n-1."""
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     for _ in range(rng.randint(0, max_extra)):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
             edges.append((u, v))
-    return (n, *csr(n, edges))
+    return edges
+
+
+def random_csr(rng, max_v=12, max_extra=15):
+    """Connected loopless multigraph in CSR form."""
+    n = rng.randint(2, max_v)
+    return (n, *csr(n, random_edges(rng, n, max_extra)))
+
+
+def as_paths(n, edges, lengths):
+    """Each edge made a path of the given length through new vertices.
+
+    Returns the new vertex count and edge list; the new vertices have degree
+    2, so a chip-free run of them is a corridor of the reduction.
+    """
+    out = []
+    for (u, v), length in zip(edges, lengths):
+        for _ in range(length - 1):
+            out.append((u, n))
+            u = n
+            n += 1
+        out.append((u, v))
+    return n, out
 
 
 def laplacian_apply(indptr, nbrs, sigma):
@@ -130,12 +151,31 @@ def test_pure_kernel_idempotent():
         assert all(x == 0 for x in sigma)
 
 
-def test_backends_agree(compiled):
-    rng = random.Random(102)
-    for _ in range(300):
+def backend_cases(seed=102, trials=300):
+    """Random graphs as in `random_csr`, then the same with long edges.
+
+    The second half makes each edge a path of 1 to 8 edges and leaves most
+    vertices chip-free, so corridors of several lengths meet in one round:
+    the shortest one stops the round, and chips land partway along the
+    others.  Yields (indptr, nbrs, div, q).
+    """
+    rng = random.Random(seed)
+    for _ in range(trials):
         n, indptr, nbrs = random_csr(rng)
-        div = [rng.randint(-6, 7) for _ in range(n)]
-        q = rng.randrange(n)
+        yield indptr, nbrs, [rng.randint(-6, 7) for _ in range(n)], \
+            rng.randrange(n)
+    for _ in range(trials):
+        n = rng.randint(2, 6)
+        edges = random_edges(rng, n, 5)
+        n, edges = as_paths(n, edges,
+                            [rng.choice((1, 2, 3, 5, 8)) for _ in edges])
+        div = [rng.randint(-6, 7) if rng.random() < 0.3 else 0
+               for _ in range(n)]
+        yield (*csr(n, edges), div, rng.randrange(n))
+
+
+def test_backends_agree(compiled):
+    for indptr, nbrs, div, q in backend_cases():
         red_c, sig_c = compiled.reduce_divisor(indptr, nbrs, div, q)
         red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
         assert list(red_c) == list(red_p)
@@ -145,10 +185,13 @@ def test_backends_agree(compiled):
 def corridor_cases(seed=103, trials=12):
     """Two cycles joined by a long path, with chips on both cycles.
 
-    Long degree-2 corridors between cycles are the guard cases of the
-    bridge-sliding fast path; the degree-2 runs along a cycle of length
-    four or more reach the corridor from both sides, which the slides
-    must refuse.  Yields (indptr, nbrs, div, q).
+    The path and the chip-free runs along the cycles are corridors.  A round
+    fires the unburnt set U, then the nested sets U + {c_1}, U + {c_1, c_2},
+    ... that grow along every corridor c_1, c_2, ... from U at once, k times
+    each; each firing is legal because c_i passes on the k chips that it
+    just took in.  So chips cross the path in one round when it is the
+    shortest corridor, and land partway along it when a cycle's run is
+    shorter.  Yields (indptr, nbrs, div, q).
     """
     rng = random.Random(seed)
     for _ in range(trials):
@@ -229,10 +272,9 @@ NEAR_BOUNDS = (st.integers(2 ** 63 - 64, 2 ** 63 - 1)
 def huge_divisors(draw):
     """(indptr, nbrs, div, q) with chip counts up to 2^62 and beyond int64.
 
-    The graph is a random connected multigraph in which every vertex has
-    degree at least 3, so the bridge slides never fire: they move one chip
-    per pass, and a pile of 2^62 chips behind a degree-2 corridor would take
-    2^62 passes in either kernel.
+    The graph is a random connected multigraph whose edges are paths of one
+    to four edges, and many vertices hold no chip, so chips meet degree-2
+    corridors of several lengths.
     """
     n = draw(st.integers(2, 8))
     edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
@@ -240,19 +282,11 @@ def huge_divisors(draw):
                                         st.integers(0, n - 1)), max_size=8)):
         if u != v:
             edges.append((u, v))
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    for v in range(n):
-        while deg[v] < 3:
-            u = (v + draw(st.integers(1, n - 1))) % n
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
+    n, edges = as_paths(n, edges, draw(st.lists(
+        st.integers(1, 4), min_size=len(edges), max_size=len(edges))))
     q = draw(st.integers(0, n - 1))
     off_q = SMALL | HUGE | BEYOND_INT64 if draw(st.booleans()) else SMALL
-    div = draw(st.lists(off_q, min_size=n, max_size=n))
+    div = draw(st.lists(st.just(0) | off_q, min_size=n, max_size=n))
     div[q] = draw(SMALL | HUGE | BEYOND_INT64 | NEAR_BOUNDS)
     return (*csr(n, edges), div, q)
 
@@ -261,43 +295,80 @@ class _Unfinished(Exception):
     pass
 
 
+def counted_reduction(case, rounds):
+    """The pure kernel's answer and its number of burns (one per round).
+
+    Raises `_Unfinished` once the kernel starts burn number `rounds + 1`.
+    """
+    burn = _kernel_py._burn
+    burns = 0
+
+    def counted(*args):
+        nonlocal burns
+        burns += 1
+        if burns > rounds:
+            raise _Unfinished
+        return burn(*args)
+
+    with mock.patch.object(_kernel_py, "_burn", counted):
+        return _kernel_py.reduce_divisor(*case), burns
+
+
 def exact_reduction(case, rounds=2000):
     """The pure kernel's answer; rejects inputs needing over `rounds` rounds.
 
-    With piles near 2^62 the burning can take about 2^62 rounds, each
-    firing a small multiple of the unburnt set, in either kernel alike.
-    Such inputs never finish, so they cannot show how int64 is handled.
+    With piles near 2^62 the burning can still alternate between two
+    unburnt sets, each firing a small multiple per round, for about 2^62
+    rounds in either kernel alike.  Such inputs never finish, so they cannot
+    show how int64 is handled.
     """
-    left = iter(range(rounds))
-    slide = _kernel_py._slide_bridges
-
-    def one_round(*args):  # called once after each firing of a Dhar round
-        if next(left, None) is None:
-            raise _Unfinished
-        return slide(*args)
-
-    with mock.patch.object(_kernel_py, "_slide_bridges", one_round):
-        try:
-            return _kernel_py.reduce_divisor(*case)
-        except _Unfinished:
-            reject()
+    try:
+        return counted_reduction(case, rounds)[0]
+    except _Unfinished:
+        reject()
 
 
 # Small inputs that overflow int64 at one given step.  Stage 1 fires q's
 # ball 2^62 times: vertex 2 takes 3 * 2^62 chips on the way to an answer that
 # fits, or, on a star, 2^61 chips on top of nearly 2^63.  A debt of -2^63
 # needs 2^63 firings.  On the path 0-1-2-3, vertex 3 fires 3 * 2^62 times in
-# all.  On the path 0-1-2, vertex 2 fires 2^63 times in Dhar rounds.  A
-# bridge slide moves the last chip onto q, or fires vertex 0 once too often.
+# all.  The last four overflow at the four checked steps of a round's
+# corridor fire, with q = 0 and the answer itself outside int64:
+# - FAR_PILE, path 0-1-2: {2} fires 2^62 times along the corridor 1, so
+#   k * eps = 2^63;
+# - REFIRE_PAST_INT64, path 0-1-2: {1, 2} fires 2^63 - 3 times onto q, then
+#   {2} fires twice along the corridor 1, and sigma[2] on U passes 2^63 - 1;
+# - BACK_THROUGH_PILE, cycle 0-1-2-3-4: the pile's vertex 3 fires 2^63 - 4
+#   times, then in round 3 vertex 2 fires back along the corridor 3, 4, and
+#   sigma[3] on the corridor passes 2^63 - 1;
+# - LAND_ON_FULL_Q, path 0-1-2-3: {3} fires once along the corridor 2, 1
+#   and lands a chip on q, which holds 2^63 - 1.
 TRIPLE_EDGE = ([0, 4, 5, 8], [1, 2, 2, 2, 0, 0, 0, 0], [0, -2 ** 62, 0], 0)
 STAR_PILE = ([0, 2, 3, 4], [1, 2, 0, 0], [0, -2 ** 61, 2 ** 63 - 2 ** 60], 0)
 INT64_MIN_DEBT = ([0, 1, 2], [1, 0], [0, -2 ** 63], 0)
 FAR_DEBT = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], [0, 0, 0, -2 ** 62], 0)
 FAR_PILE = ([0, 1, 3, 4], [1, 0, 2, 1], [0, 0, 2 ** 62], 0)
-SLIDE_ONTO_FULL_Q = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
-                     [2 ** 63 - 1, 0, 0, 1], 0)
-SLIDE_PAST_INT64 = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
-                    [2, 2 ** 63 - 4, -1, -2], 2)
+REFIRE_PAST_INT64 = ([0, 1, 3, 4], [1, 0, 2, 1], [0, 2 ** 63 - 3, 2], 0)
+BACK_THROUGH_PILE = ([0, 2, 4, 6, 8, 10], [1, 4, 0, 2, 1, 3, 2, 4, 3, 0],
+                     [0, 0, 0, 2 ** 63 - 4, 0], 0)
+LAND_ON_FULL_Q = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
+                  [2 ** 63 - 1, 0, 0, 1], 0)
+# 10^6 chips behind one chip, on the path 0-1-2-3-4
+MILLION_PILE = ([0, 1, 3, 5, 7, 8], [1, 0, 2, 1, 3, 2, 4, 3],
+                [0, 0, 0, 1, 10 ** 6], 0)
+
+
+@pytest.mark.parametrize("case", [FAR_PILE, MILLION_PILE],
+                         ids=["far_pile", "million_pile"])
+def test_pile_behind_corridor_takes_few_rounds(case):
+    """A pile crosses a chip-free corridor in one round, whatever its size.
+
+    The unburnt set fires as often as its boundary allows, and along the
+    corridor as far as it reaches, so the rounds do not grow with the pile.
+    """
+    (red, sigma), burns = counted_reduction(case, rounds=10)
+    check_reduction(*case, red, sigma)
+    assert burns <= 3
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -307,8 +378,9 @@ SLIDE_PAST_INT64 = ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2],
 @example(case=INT64_MIN_DEBT)
 @example(case=FAR_DEBT)
 @example(case=FAR_PILE)
-@example(case=SLIDE_ONTO_FULL_Q)
-@example(case=SLIDE_PAST_INT64)
+@example(case=REFIRE_PAST_INT64)
+@example(case=BACK_THROUGH_PILE)
+@example(case=LAND_ON_FULL_Q)
 def test_compiled_kernel_is_exact_or_overflows(compiled, case):
     """int64 never wraps: the compiled answer is the exact one, or none."""
     want = exact_reduction(case)
