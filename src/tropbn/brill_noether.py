@@ -33,7 +33,7 @@ from .curve import (
     realize,
     rescale,
 )
-from .divisor import Divisor, pushforward
+from .divisor import Divisor, _point_key, pushforward
 from .rank import _RankEngine, rank_weighted
 
 
@@ -59,12 +59,6 @@ def wdr_member(curve: TropicalCurve, D: Divisor, r: int) -> bool:
     return rank_weighted(curve, D) >= r
 
 
-def _point_order(p: Point):
-    if p.is_vertex:
-        return (0, p.vertex, Fraction(0))
-    return (1, p.edge, p.offset)
-
-
 class _BNEngine:
     """Shared rank memo over the lattice of the underlying pure curve.
 
@@ -84,7 +78,7 @@ class _BNEngine:
             ell = curve.length(e)
             for j in range(1, query.resolution):
                 pts.append(Point(edge=e, offset=ell * j / query.resolution))
-        pts.sort(key=_point_order)
+        pts.sort(key=_point_key)
         self.points = pts
         self.engine = _RankEngine(gamma, marks=pts)
         self.lattice = [self.engine.model.vertex_index(p) for p in pts]

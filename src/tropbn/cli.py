@@ -39,6 +39,7 @@ from .io import (
     divisor_from_json,
     divisor_to_json,
     frac_str,
+    parse_ids,
     parse_int,
     point_to_json,
     read_json,
@@ -553,7 +554,7 @@ def _spec_from_json(doc: dict) -> DegenerationSpec:
             kwargs["rate"] = rat(doc["rate"])
         if "base" in doc:
             kwargs["base"] = {e: rat(x) for e, x in doc["base"].items()}
-        contracted = tuple(doc.get("contracted", ()))
+        contracted = tuple(parse_ids(doc.get("contracted", []), "contracted"))
         pattern = _pattern_from_json(doc.get("pattern", ()))
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed spec JSON: {exc}") from exc

@@ -183,10 +183,10 @@ class TropicalCurve:
         if isinstance(spec, Point):
             return self._canon(spec)
         if offset is None:
-            if spec not in self._weights:
+            if not isinstance(spec, str) or spec not in self._weights:
                 raise ValueError(f"unknown vertex {spec!r}")
             return Point(vertex=spec)
-        if spec not in self._edges:
+        if not isinstance(spec, str) or spec not in self._edges:
             raise ValueError(f"unknown edge {spec!r}")
         u, v, ell = self._edges[spec]
         off = rat(offset)
@@ -214,10 +214,16 @@ class TropicalCurve:
 
     def vertex_distances(self, source: str) -> Dict[str, Fraction]:
         """Exact shortest-path distances from a vertex to every vertex."""
-        if source in self._dist_cache:
-            return self._dist_cache[source]
-        dist: Dict[str, Fraction] = {source: Fraction(0)}
-        heap = [(Fraction(0), source)]
+        if source not in self._dist_cache:
+            self._dist_cache[source] = self._dijkstra({source: Fraction(0)})
+        return self._dist_cache[source]
+
+    def _dijkstra(self, sources: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+        """Exact distances to every vertex from sources that start at the
+        given distances (Dijkstra with several sources)."""
+        dist = dict(sources)
+        heap = [(d, v) for v, d in dist.items()]
+        heapq.heapify(heap)
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
@@ -227,7 +233,6 @@ class TropicalCurve:
                 if w not in dist or nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
-        self._dist_cache[source] = dist
         return dist
 
     def _legs(self, p: Point) -> Dict[str, Fraction]:
@@ -613,10 +618,11 @@ def contract(curve: TropicalCurve, edge_ids: Iterable[str]) -> Tuple[TropicalCur
     Returns the contracted curve and the point map from `curve` itself.
     """
     ctype = curve.combinatorial_type()
-    dead = set(edge_ids)
-    for e in dead:
+    dead = set()
+    for e in edge_ids:
         if not curve.has_edge(e):
             raise ValueError(f"unknown edge {e!r}")
+        dead.add(e)
     s = [Fraction(0) if e in dead else curve.length(e) for e in ctype.edge_order]
     target, beta = realize(ctype, s)
     vmap = {v: beta.vertex_images[v] for v in curve.vertices()}
@@ -636,10 +642,15 @@ def contract(curve: TropicalCurve, edge_ids: Iterable[str]) -> Tuple[TropicalCur
 class Subcurve:
     """A closed connected sub-metric-space of a curve.
 
-    Stored as vertices, whole edges, and per-edge closed segments ``[a, b]``
-    (``a == b`` marks an isolated interior point).  The constructor merges
-    overlapping segments, promotes full covers to whole edges, adds endpoint
-    vertices (closure), and verifies connectivity.
+    One encoding: ``vertices``, the curve vertices on the subcurve, and
+    ``intervals``, a dict sorted by edge that maps every edge the subcurve
+    meets to its covered closed intervals ``(a, b)``, merged and ascending.
+    A whole edge is ``((0, ℓ),)``, and ``a == b`` is an isolated interior
+    point.  The constructor takes whole edges and segments ``[a, b]`` alike:
+    it merges overlapping intervals, adds the endpoint of every interval
+    that reaches 0 or ℓ (closure), and verifies connectivity.  The
+    read-only views ``whole_edges`` and ``segments`` split the intervals
+    into entire edges and the rest, for JSON.
     """
 
     def __init__(self, parent: TropicalCurve, vertices: Iterable[str] = (),
@@ -650,77 +661,45 @@ class Subcurve:
             if not parent.has_vertex(v):
                 raise ValueError(f"unknown vertex {v!r}")
             vset.add(v)
-        eset = set()
+        raw: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
         for e in whole_edges:
             if not parent.has_edge(e):
                 raise ValueError(f"unknown edge {e!r}")
-            eset.add(e)
-        segs: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        for e, intervals in (segments or {}).items():
+            raw.setdefault(e, []).append((Fraction(0), parent.length(e)))
+        for e, ivs in (segments or {}).items():
             if not parent.has_edge(e):
                 raise ValueError(f"unknown edge {e!r}")
             ell = parent.length(e)
-            cur = []
-            for a, b in intervals:
+            for a, b in ivs:
                 a, b = rat(a), rat(b)
                 if a > b:
                     a, b = b, a
                 if a < 0 or b > ell:
                     raise ValueError(f"segment [{a},{b}] outside edge {e!r}")
-                cur.append((a, b))
-            if cur:
-                segs.setdefault(e, []).extend(cur)
+                raw.setdefault(e, []).append((a, b))
 
-        # merge touching/overlapping intervals per edge
-        for e in list(segs):
-            if e in eset:
-                del segs[e]
-                continue
-            ivs = sorted(segs[e])
-            merged = [ivs[0]]
-            for a, b in ivs[1:]:
-                la, lb = merged[-1]
-                if a <= lb:
-                    merged[-1] = (la, max(lb, b))
+        self.intervals: Dict[str, Tuple[Tuple[Fraction, Fraction], ...]] = {}
+        for e in sorted(raw):
+            u, v = parent.ends(e)
+            ell = parent.length(e)
+            merged: List[Tuple[Fraction, Fraction]] = []
+            for a, b in sorted(raw[e]):
+                if merged and a <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], b))
                 else:
                     merged.append((a, b))
-            ell = parent.length(e)
-            if merged == [(Fraction(0), ell)]:
-                eset.add(e)
-                del segs[e]
-            else:
-                segs[e] = merged
-
-        # closure: segment endpoints at 0/ell pull in the vertex; drop the
-        # degenerate piece if it became just a vertex
-        for e in list(segs):
-            u, v = parent.ends(e)
-            ell = parent.length(e)
-            kept = []
-            for a, b in segs[e]:
-                if a == 0:
-                    vset.add(u)
-                if b == ell:
-                    vset.add(v)
-                if a == b and (a == 0 or a == ell):
-                    continue
-                kept.append((a, b))
+            # closure: an interval reaching an end pulls in that vertex, and
+            # an interval that is only that vertex goes
+            if merged[0][0] == 0:
+                vset.add(u)
+            if merged[-1][1] == ell:
+                vset.add(v)
+            kept = tuple((a, b) for a, b in merged if a < b or 0 < a < ell)
             if kept:
-                segs[e] = kept
-            else:
-                del segs[e]
-        for e in eset:
-            u, v = parent.ends(e)
-            vset.add(u)
-            vset.add(v)
-
-        if not vset and not segs:
+                self.intervals[e] = kept
+        if not vset and not self.intervals:
             raise ValueError("empty subcurve")
         self.vertices = frozenset(vset)
-        self.whole_edges = frozenset(eset)
-        self.segments: Dict[str, Tuple[Tuple[Fraction, Fraction], ...]] = {
-            e: tuple(ivs) for e, ivs in sorted(segs.items())
-        }
         self._check_connected()
 
     @classmethod
@@ -734,54 +713,48 @@ class Subcurve:
             return cls(parent, [p.vertex])
         return cls(parent, segments={p.edge: [(p.offset, p.offset)]})
 
-    def _nodes(self):
-        """Connectivity atoms: vertices and segment pieces."""
-        nodes = [("v", v) for v in sorted(self.vertices)]
-        for e, ivs in self.segments.items():
-            for iv in ivs:
-                nodes.append(("s", e, iv))
-        return nodes
-
     def _check_connected(self):
-        nodes = self._nodes()
-        if len(nodes) <= 1:
-            return
-        index = {n: i for i, n in enumerate(nodes)}
-        par = list(range(len(nodes)))
+        """Join each interval to the vertices it reaches; one class must remain."""
+        par: Dict[object, object] = {v: v for v in self.vertices}
 
-        def find(i):
-            while par[i] != i:
-                par[i] = par[par[i]]
-                i = par[i]
-            return i
+        def find(x):
+            while par[x] != x:
+                par[x] = par[par[x]]
+                x = par[x]
+            return x
 
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                par[ri] = rj
-
-        for e in self.whole_edges:
-            u, v = self.parent.ends(e)
-            union(index[("v", u)], index[("v", v)])
-        for e, ivs in self.segments.items():
+        for e, ivs in self.intervals.items():
             u, v = self.parent.ends(e)
             ell = self.parent.length(e)
-            for iv in ivs:
-                i = index[("s", e, iv)]
-                if iv[0] == 0 and ("v", u) in index:
-                    union(i, index[("v", u)])
-                if iv[1] == ell and ("v", v) in index:
-                    union(i, index[("v", v)])
-        roots = {find(i) for i in range(len(nodes))}
-        if len(roots) != 1:
+            for a, b in ivs:
+                piece = (e, a)
+                par[piece] = piece
+                if a == 0:
+                    par[find(piece)] = find(u)
+                if b == ell:
+                    par[find(piece)] = find(v)
+        if len({find(x) for x in list(par)}) != 1:
             raise ValueError("subcurve is not connected")
+
+    # -- views for JSON --------------------------------------------------
+
+    def _is_whole(self, e: str) -> bool:
+        return self.intervals.get(e) == ((0, self.parent.length(e)),)
+
+    @property
+    def whole_edges(self) -> frozenset:
+        """Edges covered entirely."""
+        return frozenset(e for e in self.intervals if self._is_whole(e))
+
+    @property
+    def segments(self) -> Dict[str, Tuple[Tuple[Fraction, Fraction], ...]]:
+        """Intervals of the edges not covered entirely, sorted by edge."""
+        return {e: ivs for e, ivs in self.intervals.items() if not self._is_whole(e)}
 
     # -- membership ------------------------------------------------------
 
     def covered_intervals(self, e: str) -> List[Tuple[Fraction, Fraction]]:
-        if e in self.whole_edges:
-            return [(Fraction(0), self.parent.length(e))]
-        return list(self.segments.get(e, []))
+        return list(self.intervals.get(e, ()))
 
     def contains_point(self, p) -> bool:
         p = self.parent.point(p)
@@ -795,90 +768,75 @@ class Subcurve:
     def contains_subcurve(self, other: "Subcurve") -> bool:
         if other.parent is not self.parent and other.parent != self.parent:
             return False
-        if not other.vertices <= self.vertices:
-            return False
-        for e in other.whole_edges:
-            if (Fraction(0), self.parent.length(e)) not in self.covered_intervals(e):
-                return False
-        for e, ivs in other.segments.items():
-            mine = self.covered_intervals(e)
-            for a, b in ivs:
-                if not any(x <= a and b <= y for x, y in mine):
-                    return False
-        return True
+        return other.vertices <= self.vertices and all(
+            any(x <= a and b <= y for x, y in self.intervals.get(e, ()))
+            for e, ivs in other.intervals.items() for a, b in ivs)
+
+    def exits(self) -> List[Tuple[str, Fraction, int]]:
+        """Directions that leave the subcurve, as (edge, offset, ±1).
+
+        The base is the point at that offset of the edge (a vertex at 0 or
+        ℓ), and +1 points toward larger offsets.  Bases come vertices first,
+        sorted, each with its edges sorted; then interval ends, edge by edge.
+        """
+        cands = []
+        for v in sorted(self.vertices):
+            for e in sorted({e for e, _ in self.parent.incident(v)}):
+                u, w = self.parent.ends(e)
+                if u == v:
+                    cands.append((e, Fraction(0), 1))
+                if w == v:
+                    cands.append((e, self.parent.length(e), -1))
+        for e, ivs in self.intervals.items():
+            ell = self.parent.length(e)
+            for t in dict.fromkeys(t for iv in ivs for t in iv if 0 < t < ell):
+                cands += [(e, t, 1), (e, t, -1)]
+
+        def leaves(e, t, d):
+            ivs = self.intervals.get(e, ())
+            if d > 0:
+                return not any(a <= t < b for a, b in ivs)
+            return not any(a < t <= b for a, b in ivs)
+
+        return [x for x in cands if leaves(*x)]
 
     def boundary_points(self) -> List[Point]:
         """Points of the subcurve with a curve-direction leaving it."""
-        out = []
-        for v in sorted(self.vertices):
-            leaves = False
-            for e, _ in self.parent.incident(v):
-                u, w = self.parent.ends(e)
-                ell = self.parent.length(e)
-                here = self.covered_intervals(e)
-                # direction from v into e's interior: covered iff an interval
-                # starts at the matching end with positive length
-                if u == v and not any(a == 0 and b > 0 for a, b in here):
-                    leaves = True
-                if w == v and not any(b == ell and a < ell for a, b in here):
-                    leaves = True
-            if leaves:
-                out.append(Point(vertex=v))
-        for e, ivs in sorted(self.segments.items()):
-            ell = self.parent.length(e)
-            for a, b in ivs:
-                if a > 0:
-                    out.append(Point(edge=e, offset=a))
-                if b < ell and b != a:
-                    out.append(Point(edge=e, offset=b))
-        return out
+        return list(dict.fromkeys(self.parent.point(e, t) for e, t, _ in self.exits()))
 
     def betti(self) -> int:
         """First Betti number of the subcurve as a topological graph."""
-        nodes = set()
+        nodes = set(self.vertices)
         edges = 0
-        for e in self.whole_edges:
-            u, v = self.parent.ends(e)
-            nodes.add(("v", u))
-            nodes.add(("v", v))
-            edges += 1
-        for v in self.vertices:
-            nodes.add(("v", v))
-        for e, ivs in self.segments.items():
+        for e, ivs in self.intervals.items():
             u, v = self.parent.ends(e)
             ell = self.parent.length(e)
             for a, b in ivs:
-                if a == b:
-                    nodes.add(("p", e, a))
-                    continue
-                ka = ("v", u) if a == 0 else ("p", e, a)
-                kb = ("v", v) if b == ell else ("p", e, b)
-                nodes.add(ka)
-                nodes.add(kb)
-                edges += 1
+                nodes.add(u if a == 0 else (e, a))
+                nodes.add(v if b == ell else (e, b))
+                if a < b:
+                    edges += 1
         return edges - len(nodes) + 1
 
     def genus(self) -> int:
         """Weighted genus: Betti number plus weights of contained vertices."""
         return self.betti() + sum(self.parent.weight(v) for v in self.vertices)
 
+    def grown(self, intervals: Mapping, vertices: Iterable[str] = ()) -> "Subcurve":
+        """The subcurve plus the given vertices and per-edge intervals."""
+        segs: Dict[str, list] = {e: list(ivs) for e, ivs in self.intervals.items()}
+        for e, ivs in intervals.items():
+            segs.setdefault(e, []).extend(ivs)
+        return Subcurve(self.parent, self.vertices | set(vertices), segments=segs)
+
     def union(self, other: "Subcurve") -> "Subcurve":
         if other.parent is not self.parent and other.parent != self.parent:
             raise ValueError("subcurves of different curves")
-        segs: Dict[str, list] = {}
-        for src in (self.segments, other.segments):
-            for e, ivs in src.items():
-                segs.setdefault(e, []).extend(ivs)
-        return Subcurve(
-            self.parent,
-            set(self.vertices) | set(other.vertices),
-            set(self.whole_edges) | set(other.whole_edges),
-            segs,
-        )
+        return self.grown(other.intervals, other.vertices)
 
     def is_whole_curve(self) -> bool:
         return (self.vertices == frozenset(self.parent.vertices())
-                and self.whole_edges == frozenset(self.parent.edges()))
+                and all(self._is_whole(e) for e in self.parent.edges()))
 
     # -- extraction ------------------------------------------------------
 
@@ -887,62 +845,54 @@ class Subcurve:
 
         Returns (curve, to_parent) where to_parent embeds the extracted curve
         back into the parent; to_parent.inverse maps covered parent points to
-        the extracted curve.
+        the extracted curve.  Whole edges come first and keep their ids; an
+        interval [a, b] of edge e that is not all of it becomes ``e[a..b]``.
         """
-        vertices: List[Tuple[str, int]] = []
-        vnames = {}
-        for v in self.parent.vertices():
-            if v in self.vertices:
-                vertices.append((v, self.parent.weight(v)))
-                vnames[("v", v)] = v
+        vertices: List[Tuple[str, int]] = [
+            (v, self.parent.weight(v)) for v in self.parent.vertices()
+            if v in self.vertices]
         taken = {v for v, _ in vertices}
+        sub_images: Dict[str, Point] = {v: Point(vertex=v) for v, _ in vertices}
+        names: Dict[Tuple[str, Fraction], str] = {}
+
+        def node(e, off):
+            u, v = self.parent.ends(e)
+            if off == 0:
+                return u
+            if off == self.parent.length(e):
+                return v
+            if (e, off) not in names:
+                nid = f"{e}@{off}"
+                while nid in taken:
+                    nid += "'"
+                taken.add(nid)
+                names[(e, off)] = nid
+                vertices.append((nid, 0))
+                sub_images[nid] = Point(edge=e, offset=off)
+            return names[(e, off)]
+
         edges = []
+        used = set()
         to_rules: Dict[str, List[tuple]] = {}
         back_rules: Dict[str, List[tuple]] = {}
-        sub_images: Dict[str, Point] = {v: Point(vertex=v) for v, _ in vertices}
-
-        def interior_name(e, off):
-            key = ("p", e, off)
-            if key in vnames:
-                return vnames[key]
-            nid = f"{e}@{off}"
-            while nid in taken:
-                nid += "'"
-            taken.add(nid)
-            vnames[key] = nid
-            vertices.append((nid, 0))
-            sub_images[nid] = Point(edge=e, offset=off)
-            return nid
-
-        for e in sorted(self.whole_edges):
-            u, v = self.parent.ends(e)
-            ell = self.parent.length(e)
-            edges.append((e, (u, v), ell))
-            to_rules[e] = [(Fraction(0), ell, e, Fraction(0), ell)]
-            back_rules[e] = [(Fraction(0), ell, e, Fraction(0), ell)]
-        for e, ivs in self.segments.items():
-            u, v = self.parent.ends(e)
-            ell = self.parent.length(e)
+        for e, ivs in sorted(self.intervals.items(),
+                             key=lambda item: not self._is_whole(item[0])):
             rules = []
             for a, b in ivs:
                 if a == b:
-                    nid = interior_name(e, a)
-                    rules.append((a, a, None, Point(vertex=nid), None))
+                    rules.append((a, a, None, Point(vertex=node(e, a)), None))
                     continue
-                na = u if a == 0 else interior_name(e, a)
-                nb = v if b == ell else interior_name(e, b)
-                eid = f"{e}[{a}..{b}]"
-                while any(eid == x[0] for x in edges):
+                eid = e if self._is_whole(e) else f"{e}[{a}..{b}]"
+                while eid in used:
                     eid += "'"
-                edges.append((eid, (na, nb), b - a))
+                used.add(eid)
+                edges.append((eid, (node(e, a), node(e, b)), b - a))
                 to_rules[eid] = [(Fraction(0), b - a, e, a, b)]
                 rules.append((a, b, eid, Fraction(0), b - a))
-            if rules:
-                back_rules[e] = rules
+            back_rules[e] = rules
 
         sub = TropicalCurve(vertices, edges)
-        to_vmap = {vid: sub_images[vid] for vid, _ in vertices}
-        to_parent = PointMap(sub, self.parent, to_vmap, to_rules)
+        to_parent = PointMap(sub, self.parent, sub_images, to_rules)
         back_vimages = {v: Point(vertex=v) for v in self.vertices}
         back = _PartialBack(self.parent, sub, self, back_vimages, back_rules)
         to_parent.inverse = back
@@ -959,8 +909,7 @@ class Subcurve:
         if not isinstance(other, Subcurve):
             return NotImplemented
         return (self.parent == other.parent and self.vertices == other.vertices
-                and self.whole_edges == other.whole_edges
-                and self.segments == other.segments)
+                and self.intervals == other.intervals)
 
     def __repr__(self):
         nseg = sum(len(v) for v in self.segments.values())
@@ -998,30 +947,14 @@ def neighborhood(curve: TropicalCurve, lam: Subcurve, delta: RatLike) -> Subcurv
     if lam.parent is not curve and lam.parent != curve:
         raise ValueError("subcurve belongs to a different curve")
 
-    # distance from every vertex to Λ (multi-source Dijkstra)
-    dist: Dict[str, Fraction] = {}
-    heap = []
-    for v in lam.vertices:
-        dist[v] = Fraction(0)
-        heapq.heappush(heap, (Fraction(0), v))
-    for e, ivs in lam.segments.items():
+    # distance from every vertex to Λ
+    sources: Dict[str, Fraction] = {v: Fraction(0) for v in lam.vertices}
+    for e, ivs in lam.intervals.items():
         u, v = curve.ends(e)
-        ell = curve.length(e)
-        a0 = min(a for a, _ in ivs)
-        b1 = max(b for _, b in ivs)
-        for vtx, d0 in ((u, a0), (v, ell - b1)):
-            if vtx not in dist or d0 < dist[vtx]:
-                dist[vtx] = d0
-                heapq.heappush(heap, (d0, vtx))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for eid, w in curve._adj[v]:
-            nd = d + curve.length(eid)
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
+        for vtx, d0 in ((u, ivs[0][0]), (v, curve.length(e) - ivs[-1][1])):
+            if vtx not in sources or d0 < sources[vtx]:
+                sources[vtx] = d0
+    dist = curve._dijkstra(sources)
 
     # the constructor merges the grown intervals and promotes full covers
     segs: Dict[str, list] = {}

@@ -366,10 +366,8 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
     if region.parent != f.curve:
         raise ValueError("region on a different curve")
     g = f.min_const(mu)
-    degenerate = (not region.whole_edges
-                  and all(a == b for ivs in region.segments.values() for a, b in ivs)
-                  and len(region.vertices) + sum(len(v) for v in region.segments.values()) <= 1)
-    if degenerate:
+    # a connected region without an interval of positive length is a point
+    if all(a == b for ivs in region.intervals.values() for a, b in ivs):
         return g
     for bp in region.boundary_points():
         if f.value(bp) < mu:

@@ -33,6 +33,13 @@ def parse_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def parse_ids(x, what: str) -> list:
+    """A JSON list of string ids; anything else is refused."""
+    if isinstance(x, list) and all(isinstance(i, str) for i in x):
+        return x
+    raise ValueError(f"{what} must be a list of ids, got {x!r}")
+
+
 def curve_to_json(curve: TropicalCurve) -> dict:
     return {
         "vertices": [{"id": v, "weight": curve.weight(v)} for v in curve.vertices()],
@@ -47,7 +54,8 @@ def curve_from_json(obj: dict) -> TropicalCurve:
     try:
         vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
                     for v in obj["vertices"]]
-        edges = [(e["id"], tuple(e["ends"]), parse_frac(e["length"]))
+        edges = [(e["id"], tuple(parse_ids(e["ends"], "edge ends")),
+                  parse_frac(e["length"]))
                  for e in obj.get("edges", [])]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed curve JSON: {exc}") from exc
@@ -65,7 +73,8 @@ def type_from_json(obj: dict) -> CombinatorialType:
     try:
         vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
                     for v in obj["vertices"]]
-        edges = [(e["id"], tuple(e["ends"])) for e in obj.get("edges", [])]
+        edges = [(e["id"], tuple(parse_ids(e["ends"], "edge ends")))
+                 for e in obj.get("edges", [])]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed type JSON: {exc}") from exc
     return CombinatorialType(vertices, edges)
@@ -121,7 +130,8 @@ def subcurve_from_json(obj: dict, curve: TropicalCurve) -> Subcurve:
         for s in obj.get("segments", []):
             segs.setdefault(s["edge"], []).append(
                 (parse_frac(s["from"]), parse_frac(s["to"])))
-        vertices, edges = obj.get("vertices", []), obj.get("edges", [])
+        vertices = parse_ids(obj.get("vertices", []), "subcurve vertices")
+        edges = parse_ids(obj.get("edges", []), "subcurve edges")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed subcurve JSON: {exc}") from exc
     return Subcurve(curve, vertices, edges, segs)

@@ -171,24 +171,19 @@ class IntegerModel:
         chips = [(self.point_of_index(i), int(m)) for i, m in enumerate(vec) if m]
         return Divisor(self.curve, chips)
 
-    def pl_from_unit_values(self, vals: Sequence[Fraction]) -> PLFunction:
-        """PL function on the original curve from one value per lattice vertex."""
-        return self._pl(vals, 1)
-
     def sigma_to_pl(self, sigma: Sequence[int]) -> PLFunction:
-        """f with div(f) = -L·σ, i.e. f = -σ/λ; reduction yields D + div(f)."""
-        return self._pl(sigma, Fraction(-1, self.lam))
+        """f with div(f) = -L·σ, i.e. f = -σ/λ; reduction yields D + div(f).
 
-    def _pl(self, vals, factor) -> PLFunction:
-        """PL function worth factor·vals[i] at lattice point i, affine on
-        each unit step; a knot goes only where the slope changes."""
-        vv = {v: factor * vals[i] for v, i in self._vindex.items()}
+        f is affine on each unit step; a knot goes only where the slope
+        changes."""
+        factor = Fraction(-1, self.lam)
+        vv = {v: factor * sigma[i] for v, i in self._vindex.items()}
         knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
         for e in self._edge:
             path = self._path(e)
             ks = []
             for t in range(1, len(path) - 1):
-                a, b, c = vals[path[t - 1]], vals[path[t]], vals[path[t + 1]]
+                a, b, c = sigma[path[t - 1]], sigma[path[t]], sigma[path[t + 1]]
                 if b - a != c - b:
                     ks.append((Fraction(t, self.lam), factor * b))
             if ks:
@@ -234,15 +229,13 @@ def equivalence_witness(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunc
     red, sigma = model.reduce_vector(z, 0)
     if any(red):
         return False, None
-    f = model.pl_from_unit_values([Fraction(s, model.lam) for s in sigma])
-    return True, f
+    return True, -model.sigma_to_pl(sigma)
 
 
-def reduced_divisor(curve: TropicalCurve, D: Divisor, q,
-                    extra_marks=()) -> Tuple[Divisor, PLFunction]:
+def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
     """q-reduced form of D and witness f with reduced = D + div(f)."""
     q = curve.point(q) if not isinstance(q, Point) else q
-    model = IntegerModel(curve, marks=list(D.support()) + [q] + list(extra_marks))
+    model = IntegerModel(curve, marks=list(D.support()) + [q])
     return model.reduce(D, q)
 
 
@@ -253,14 +246,7 @@ def subcurve_diameter(sub: Subcurve) -> Fraction:
     a product of segments is attained at half-lattice points, so an
     exhaustive scan of the scale-2 model lattice is exact.
     """
-    curve = sub.parent
-    marks = []
-    for e, ivs in sub.segments.items():
-        for a, b in ivs:
-            marks.append(Point(edge=e, offset=a))
-            if b != a:
-                marks.append(Point(edge=e, offset=b))
-    model = IntegerModel(curve, marks=marks, scale=2)
+    model = IntegerModel(sub.parent, marks=sub.boundary_points(), scale=2)
     cands = model.indices_in(sub)
     best = 0
     indptr, nbrs, n = model.indptr, model.nbrs, model.n

@@ -51,22 +51,6 @@ def r_lambda(r: int, lam: Subcurve) -> int:
 # -- small geometric helpers -------------------------------------------------
 
 
-def _merged_segments(lam: Subcurve, extra: Dict[str, List[Tuple[Fraction, Fraction]]]):
-    segs: Dict[str, List[Tuple[Fraction, Fraction]]] = {
-        e: list(ivs) for e, ivs in lam.segments.items()}
-    for e, ivs in extra.items():
-        segs.setdefault(e, []).extend(ivs)
-    return segs
-
-
-def _grow(lam: Subcurve, extra) -> Subcurve:
-    if not extra:
-        return lam
-    return Subcurve(lam.parent, vertices=lam.vertices,
-                    whole_edges=lam.whole_edges,
-                    segments=_merged_segments(lam, extra))
-
-
 def subcurves_disjoint(a: Subcurve, b: Subcurve) -> bool:
     """No common point (both subcurves are closed)."""
     for v in a.vertices:
@@ -180,7 +164,7 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
     extra: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
     for e, i in included:
         extra.setdefault(e, []).append((cuts[e][i], cuts[e][i + 1]))
-    return _grow(lam, extra)
+    return lam.grown(extra)
 
 
 def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
@@ -239,6 +223,8 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if not D.is_effective():
+        raise ValueError("concentrate needs an effective divisor")
     zero = PLFunction.constant(curve)
     if r == 0:
         return TransportResult(D, lam, zero)
@@ -307,26 +293,7 @@ def _emanating(curve: TropicalCurve, lam: Subcurve, f: PLFunction,
         assert s.denominator == 1
         return _Germ(e, t0, direction, fp, int(s), avail)
 
-    germs = []
-    for bp in lam.boundary_points():
-        if bp.vertex is not None:
-            v = bp.vertex
-            for e in sorted({ed for ed, _ in curve.incident(v)}):
-                ivs = lam.covered_intervals(e)
-                ell = curve.length(e)
-                u, w = curve.ends(e)
-                if u == v and not any(a == 0 and b > 0 for a, b in ivs):
-                    germs.append(germ(e, Fraction(0), +1))
-                if w == v and not any(b == ell and a < ell for a, b in ivs):
-                    germs.append(germ(e, ell, -1))
-        else:
-            e, t = bp.edge, bp.offset
-            ivs = lam.covered_intervals(e)
-            if not any(a <= t < b for a, b in ivs):
-                germs.append(germ(e, t, +1))
-            if not any(a < t <= b for a, b in ivs):
-                germs.append(germ(e, t, -1))
-    return germs
+    return [germ(e, t0, direction) for e, t0, direction in lam.exits()]
 
 
 def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
@@ -412,7 +379,7 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
     for g in germs[alpha + 1:]:
         far = g.t0 + g.direction * length
         stubs.setdefault(g.edge, []).append((min(g.t0, far), max(g.t0, far)))
-    lamp = _grow(lam, stubs)
+    lamp = lam.grown(stubs)
 
     E2 = E + fbar.divisor()
     assert E2.is_effective()
@@ -460,13 +427,7 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
         return ConfinementResult(Divisor.zero(curve),
                                  ({"candidate": [], "falsified_by": None},),
                                  resolution, max_extra, budget)
-    marks: List[Point] = []
-    for e, ivs in lam.segments.items():
-        for a, b in ivs:
-            marks.append(Point(edge=e, offset=a))
-            if b != a:
-                marks.append(Point(edge=e, offset=b))
-    model = IntegerModel(curve, marks=marks, scale=resolution)
+    model = IntegerModel(curve, marks=lam.boundary_points(), scale=resolution)
     lam_idx = set(model.indices_in(lam))
     inside = sorted(lam_idx)
     outside = [i for i in range(model.n) if i not in lam_idx]

@@ -1,12 +1,18 @@
 """Command line interface: payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropbn import Divisor, Subcurve, TropicalCurve
 from tropbn.cli import main
@@ -404,8 +410,23 @@ def _with_length(length):
     ({"c": dict(CIRCLE, vertices=[{"id": "a", "weight": 1.7}, {"id": "b"}]),
       "d": CHIP}, ["rank"]),
     ({"s": "x"}, ["experiment", "usc", "--spec", "{s}"]),
+    ({"c": dict(CIRCLE, edges=[dict(CIRCLE["edges"][0], ends=[{}, "a"])]),
+      "d": CHIP}, ["rank"]),
+    ({"c": CIRCLE, "d": CHIP, "s": {"vertices": 5}},
+     ["transport", "concentrate", "--curve", "{c}", "--divisor", "{d}",
+      "--subcurve", "{s}"]),
+    ({"c": CIRCLE, "d": CHIP, "s": {"edges": [["e1"]]}},
+     ["transport", "push", "--curve", "{c}", "--divisor", "{d}",
+      "--subcurve", "{s}", "--aim", "{d}"]),
+    ({"s": {"type": LOOP_TYPE, "d": 1, "r": 0, "contracted": [{}]}},
+     ["experiment", "closedness", "--spec", "{s}"]),
+    ({"s": {"type": LOOP_TYPE, "d": 1, "r": 0,
+            "pattern": [{"at": {"vertex": {}}, "mult": 1}]}},
+     ["experiment", "closedness", "--spec", "{s}"]),
 ], ids=["length-1/0", "loops-1/0", "s-1/0", "divisor-list", "at-int",
-        "mult-list", "mult-float", "weight-float", "spec-string"])
+        "mult-list", "mult-float", "weight-float", "spec-string", "ends-dict",
+        "subcurve-vertices-int", "subcurve-edge-list", "contracted-dict",
+        "pattern-vertex-dict"])
 def test_malformed_input_is_a_domain_error(files, docs, argv):
     """Bad numbers and JSON of the wrong shape end with exit 1, no trace."""
     paths = {k: files(f"{k}.json", doc) for k, doc in docs.items()}
@@ -420,3 +441,217 @@ def test_malformed_input_is_a_domain_error(files, docs, argv):
     assert proc.returncode == 1, (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+SEGMENT = {"vertices": [{"id": "a"}, {"id": "b"}],
+           "edges": [{"id": "e", "ends": ["a", "b"], "length": "1"}]}
+
+
+@pytest.mark.parametrize("chips, r", [
+    ([("a", 2), ("b", -1)], "0"),
+    ([("a", 2), ("b", -1)], "1"),
+    ([("a", -1)], "0"),
+], ids=["debt-r0", "debt-r1", "negative-r0"])
+def test_concentrate_rejects_a_divisor_that_is_not_effective(files, chips, r):
+    """Like push and arrange, concentrate refuses D that is not effective."""
+    cf = files("c.json", SEGMENT)
+    df = files("d.json", {"chips": [{"at": {"vertex": v}, "mult": m}
+                                    for v, m in chips]})
+    sf = files("s.json", {"vertices": ["a"]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropbn.cli", "transport", "concentrate",
+         "--curve", cf, "--divisor", df, "--subcurve", sf, "-r", r],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_contract_names_the_first_unknown_edge(files):
+    """The error names the first unknown edge given, whatever the hash seed."""
+    cf = files("c.json", CIRCLE)
+    errs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropbn.cli", "contract", "--curve", cf,
+             "--edges", "e,f"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert errs == {"error: unknown edge 'e'\n"}
+
+
+# -- fuzz: every subcommand, valid and malformed input -----------------------
+
+ODD_VALUES = st.sampled_from(
+    ["0", "-1", "1/0", "x", 1.5, None, [], {}, True, "1000000000000"])
+
+
+def _odd(good):
+    """Mostly a valid value; now and then one of wrong type or range."""
+    return st.integers(0, 15).flatmap(lambda k: ODD_VALUES if k == 7 else good)
+
+
+VERTEX_IDS = _odd(st.sampled_from(["v0", "v1", "v2"]))
+EDGE_IDS = _odd(st.sampled_from(["e0", "e1", "e2"]))
+OFFSETS = st.sampled_from(["0", "1/3", "1/2", "1", "5"])
+
+
+@st.composite
+def curve_docs(draw):
+    n = draw(st.integers(1, 3))
+    ends = [[f"v{draw(st.integers(0, i - 1))}", f"v{i}"] for i in range(1, n)]
+    ends += draw(st.lists(st.lists(st.sampled_from([f"v{i}" for i in range(n)]),
+                                   min_size=2, max_size=2),
+                          min_size=0 if n > 1 else 1, max_size=2))
+    lengths = st.sampled_from(["1", "2", "1/2", "3/2", "2/3"])
+    return {"vertices": [{"id": f"v{i}", "weight": draw(_odd(st.integers(0, 1)))}
+                         for i in range(n)],
+            "edges": [{"id": f"e{i}", "ends": draw(_odd(st.just(uv))),
+                       "length": draw(_odd(lengths))}
+                      for i, uv in enumerate(ends)]}
+
+
+def point_docs():
+    return _odd(st.one_of(
+        st.builds(lambda v: {"vertex": v}, VERTEX_IDS),
+        st.builds(lambda e, o: {"edge": e, "offset": o}, EDGE_IDS, OFFSETS)))
+
+
+def divisor_docs(mults=st.integers(-2, 3)):
+    chip = st.builds(lambda p, m: {"at": p, "mult": m}, point_docs(), _odd(mults))
+    return _odd(st.builds(lambda cs: {"chips": cs},
+                          st.lists(chip, max_size=4)))
+
+
+def subcurve_docs():
+    """Mostly connected subcurves of the curve (v0 and e0 always exist)."""
+    segment = st.builds(lambda e, a, b: {"edge": e, "from": a, "to": b},
+                        EDGE_IDS, OFFSETS, OFFSETS)
+    connected = st.sampled_from([
+        {"vertices": ["v0"]}, {"edges": ["e0"]}, {"vertices": ["v0"], "edges": ["e0"]},
+        {"segments": [{"edge": "e0", "from": "0", "to": "1/2"}]},
+        {"segments": [{"edge": "e0", "from": "1/3", "to": "1/3"}]}])
+    anything = st.builds(
+        lambda vs, es, ss: {"vertices": vs, "edges": es, "segments": ss},
+        st.lists(VERTEX_IDS, max_size=2), st.lists(EDGE_IDS, max_size=2),
+        st.lists(segment, max_size=2))
+    return _odd(st.one_of(connected, anything))
+
+
+def spec_docs():
+    ctype = st.builds(
+        lambda c: {"vertices": c["vertices"],
+                   "edges": [{"id": e["id"], "ends": e["ends"]}
+                             for e in c["edges"]]}, curve_docs())
+    return _odd(st.fixed_dictionaries(
+        {"type": ctype, "d": _odd(st.integers(0, 3)), "r": _odd(st.integers(0, 2)),
+         "rho": st.integers(-1, 2)},
+        optional={"contracted": st.lists(EDGE_IDS, max_size=2),
+                  "steps": _odd(st.integers(1, 2)),
+                  "pattern": st.lists(st.fixed_dictionaries(
+                      {"at": st.builds(lambda v: {"vertex": v}, VERTEX_IDS),
+                       "mult": st.integers(0, 2)}), max_size=2),
+                  "resolution": _odd(st.integers(1, 2))}))
+
+
+POINT_ARGS = _odd(st.sampled_from(["v0", "v1", "e0@1/2"])).map(str)
+SMALL_INTS = st.integers(-1, 3).map(str)
+
+
+@st.composite
+def cli_calls(draw):
+    """(documents to write, argv with {name} for each document's path)."""
+    docs = {"c": draw(curve_docs()), "d": draw(divisor_docs())}
+    cmd = draw(st.sampled_from(
+        ["rank", "reduce", "equiv", "star", "aj", "ucoords", "contract",
+         "transport", "bn-rank", "experiment", "selftest"]))
+    common = ["--curve", "{c}", "--divisor", "{d}"]
+    if cmd == "rank":
+        argv = ["rank", *common] + draw(st.sampled_from(
+            [[], ["--pure"], ["--weighted"], ["--loops"], ["--loops", "1/2"],
+             ["--loops", "0"]]))
+    elif cmd in ("reduce", "aj"):
+        argv = [cmd, *common, "--basepoint", draw(POINT_ARGS)]
+    elif cmd == "equiv":
+        docs["d2"] = draw(divisor_docs())
+        argv = ["equiv", "--curve", "{c}", "--d1", "{d}", "--d2", "{d2}"]
+    elif cmd == "star":
+        argv = ["star", *common]
+    elif cmd == "ucoords":
+        docs["t"] = {"vertices": docs["c"]["vertices"],
+                     "edges": [{"id": e["id"], "ends": e["ends"]}
+                               for e in docs["c"]["edges"]]}
+        m = len(docs["c"]["edges"]) + draw(st.sampled_from([0, 0, 0, 1]))
+        s = ",".join(map(str, draw(st.lists(
+            _odd(st.sampled_from(["0", "1", "1/2"])), min_size=m, max_size=m))))
+        argv = ["ucoords", "--type", "{t}", "--s", s, "--divisor", "{d}"]
+        argv += draw(st.sampled_from([[], ["--basepoint", "v0"],
+                                      ["--basepoint", "zz"]]))
+    elif cmd == "contract":
+        edges = ",".join(map(str, draw(st.lists(EDGE_IDS, max_size=3))))
+        argv = ["contract", "--curve", "{c}", "--edges", edges]
+    elif cmd == "transport":
+        op = draw(st.sampled_from(["push", "concentrate", "dilute", "arrange"]))
+        docs["d"] = draw(divisor_docs(
+            st.integers(0, 15).map(lambda k: -1 if k == 7 else k % 4)))
+        argv = ["transport", op, *common, "--budget", "40"]
+        if op == "arrange":
+            docs["s1"], docs["s2"] = draw(subcurve_docs()), draw(subcurve_docs())
+            argv += ["--subcurves", "{s1},{s2}", "--targets",
+                     f"{draw(SMALL_INTS)},{draw(SMALL_INTS)}"]
+        else:
+            docs["s"] = draw(subcurve_docs())
+            argv += ["--subcurve", "{s}"]
+        if op == "push":
+            docs["a"] = draw(divisor_docs(st.integers(0, 1)))
+            argv += ["--aim", "{a}"]
+        elif op == "concentrate":
+            argv += ["-r", draw(SMALL_INTS)]
+        elif op == "dilute":
+            argv += ["-k", draw(SMALL_INTS)]
+            argv += draw(st.sampled_from([[], ["--radius", "1/8"],
+                                          ["--radius", "0"]]))
+    elif cmd == "bn-rank":
+        argv = ["bn-rank", "--curve", "{c}", "-d", draw(SMALL_INTS),
+                "-r", draw(SMALL_INTS), "-N", draw(st.sampled_from(["1", "2", "0"]))]
+    elif cmd == "experiment":
+        docs["s"] = draw(spec_docs())
+        argv = ["experiment", draw(st.sampled_from(["closedness", "usc"])),
+                "--spec", "{s}"]
+    else:
+        argv = ["selftest", "--seed", draw(SMALL_INTS)]
+        argv += draw(st.sampled_from(
+            [[], ["--filter", "rose"], ["--filter", "abel"],
+             ["--inject-fault", "table"], ["--inject-fault", "length"]]))
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--format", "csv"]
+    return docs, argv
+
+
+def _fill(arg, paths):
+    for name, path in paths.items():
+        arg = arg.replace("{" + name + "}", path)
+    return arg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(call=cli_calls())
+def test_cli_fuzz_exit_contract(call):
+    """Every outcome is 0, 1 with an error line, or 2 where 2 is a verdict."""
+    docs, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([_fill(a, paths) for a in argv])
+    assert code in (0, 1, 2), code
+    if code == 1:
+        assert err.getvalue().startswith(("error: ", "usage error: "))
+    if code == 2:
+        assert argv[0] in ("experiment", "selftest"), (argv, out.getvalue())
