@@ -9,6 +9,12 @@ vertices plus N - 1 equispaced interior points per edge — so every result
 is tagged with its resolution N.  Whether the lattice value stabilises to
 the metric one is recorded as an observation, never asserted.
 
+One case needs no lattice.  Weighted Riemann-Roch (Amini-Caporaso,
+arXiv:1112.5134) gives rank(D) >= deg D - g for every class, with
+g = b1 + Σ w(v) the weighted genus.  So when d - g >= r every effective
+divisor of degree d already has rank at least r, every E extends, and
+rho = d - r exactly, at every resolution N.
+
 Two experiment drivers walk one-parameter families Gamma_{s_i} -> Gamma_s
 in which the lengths on a fixed edge set shrink geometrically to zero:
 the closedness driver tracks the rank of a fixed divisor pattern into the
@@ -129,7 +135,6 @@ class BNResult:
     rho: int
     resolution: int
     counterexample: Optional[Divisor]   # first non-extendable E, degree r+rho+1
-    presentation: Optional[TropicalCurve] = None
 
 
 def bn_rank_detail(curve: TropicalCurve, query: BNQuery) -> BNResult:
@@ -140,6 +145,10 @@ def bn_rank_detail(curve: TropicalCurve, query: BNQuery) -> BNResult:
     if r == 0:
         # every effective divisor of degree d contains itself
         return BNResult(d, query.resolution, None)
+    g = curve.betti() + curve.total_weight()
+    if d - g >= r:
+        # Riemann-Roch: every E of degree d already has rank >= d - g >= r
+        return BNResult(d - r, query.resolution, None)
     eng = _BNEngine(curve, query)
     rho = -1
     counter = None
@@ -149,13 +158,22 @@ def bn_rank_detail(curve: TropicalCurve, query: BNQuery) -> BNResult:
             counter = eng.divisor_of(bad)
             break
         rho = level
-    return BNResult(rho, query.resolution, counter, eng.gamma)
+    return BNResult(rho, query.resolution, counter)
 
 
 def bn_rank(curve: TropicalCurve, query: BNQuery) -> int:
     """Largest rho such that every effective lattice divisor of degree
     r + rho extends to an effective lattice divisor of degree d and rank
-    at least r; -1 when none of degree d has rank r at all."""
+    at least r; -1 when some lattice divisor of degree r has no such
+    extension on the lattice.
+
+    This is the lattice value, not always the metric one.  Sampling E on
+    the grid can only raise it (fewer E to extend).  F is searched on the
+    same grid only, so it can fall below the metric value: with mixed edge
+    lengths the extension that exists may sit off the grid, and -1 can come
+    back although some class of degree d has rank r.  The Riemann-Roch
+    case of the module docstring, d - g >= r, is exact at every N.
+    """
     return bn_rank_detail(curve, query).rho
 
 

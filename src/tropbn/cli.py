@@ -564,6 +564,11 @@ def _spec_from_json(doc: dict) -> DegenerationSpec:
 
 def _cmd_experiment(args) -> int:
     doc = _load(args.spec)
+    if not isinstance(doc, dict):
+        raise ValueError("spec must be a JSON object")
+    for key in ("type", "d", "r") + (("rho",) if args.kind == "usc" else ()):
+        if key not in doc:
+            raise ValueError(f'{args.kind} spec needs "{key}"')
     spec = _spec_from_json(doc)
     d, r = parse_int(doc["d"], "d"), parse_int(doc["r"], "r")
     if args.kind == "closedness":

@@ -655,6 +655,10 @@ class Subcurve:
 
     def __init__(self, parent: TropicalCurve, vertices: Iterable[str] = (),
                  whole_edges: Iterable[str] = (), segments: Optional[Mapping] = None):
+        for name, ids in (("vertices", vertices), ("whole_edges", whole_edges)):
+            if isinstance(ids, str):
+                raise TypeError(f"{name} must be a collection of ids, "
+                                f"not the string {ids!r}")
         self.parent = parent
         vset = set()
         for v in vertices:

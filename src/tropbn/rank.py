@@ -113,7 +113,11 @@ class _RankEngine:
                 break
             child = list(red)
             child[a] -= 1
-            sub, _ = self.model.reduce_vector(child, self.q)
+            if a == self.q or red[a] >= 1:
+                # taking a chip away makes no firing legal: still q-reduced
+                sub = child
+            else:
+                sub, _ = self.model.reduce_vector(child, self.q)
             v = 1 + self._minfail(tuple(sub), best - 1)
             if v < best:
                 best = v

@@ -1,8 +1,11 @@
 """Brill-Noether rank on the lattice and the degeneration experiments."""
 
 import itertools
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from tropbn import (
     BNQuery,
@@ -15,7 +18,7 @@ from tropbn import (
     run_usc_experiment,
     wdr_member,
 )
-from tropbn.brill_noether import bn_rank_detail
+from tropbn.brill_noether import _BNEngine, bn_rank_detail
 
 
 def rose(g):
@@ -92,6 +95,44 @@ def test_k4_degree_three():
     assert bn_rank(c, BNQuery(d=3, r=0, resolution=2)) == 3
     assert bn_rank(c, BNQuery(d=3, r=1, resolution=2)) == 1
     assert bn_rank(c, BNQuery(d=3, r=2, resolution=2)) == -1
+
+
+@st.composite
+def small_curves(draw):
+    """1-3 vertices on a path, 0-2 extra edges (loops allowed), mixed
+    lengths, some vertices of weight 1."""
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    ends = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+    ends += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          max_size=2))
+    lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])
+    edges = [(f"e{i}", uv, draw(lengths)) for i, uv in enumerate(ends)]
+    weights = {v: draw(st.integers(0, 1)) for v in vs}
+    return TropicalCurve(weights, edges)
+
+
+def enumerated(curve, query):
+    """The lattice enumeration, run without the Riemann-Roch answers."""
+    eng = _BNEngine(curve, query)
+    for level in range(query.d - query.r + 1):
+        bad = eng.first_failure(level)
+        if bad is not None:
+            return level - 1, eng.divisor_of(bad)
+    return query.d - query.r, None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(curve=small_curves(), d=st.integers(1, 5), r=st.integers(1, 3),
+       resolution=st.integers(1, 2))
+def test_riemann_roch_answer_matches_enumeration(curve, d, r, resolution):
+    """Where d - g >= r, the closed form d - r is the enumeration."""
+    assume(d - (curve.betti() + curve.total_weight()) >= r)
+    query = BNQuery(d=d, r=r, resolution=resolution)
+    res = bn_rank_detail(curve, query)
+    assert (res.rho, res.counterexample) == enumerated(curve, query)
+    assert (res.rho, res.counterexample) == (d - r, None)
+    event(f"weighted={bool(curve.total_weight())}")
 
 
 def test_monotone_in_r():

@@ -220,6 +220,18 @@ def test_bn_rank_cli(files, capsys):
     assert payload["rho"] == -1 and "counterexample_E" in payload
 
 
+def test_bn_rank_cli_huge_degree_by_riemann_roch(files, capsys):
+    """d - g >= r is answered without enumerating, whatever d is."""
+    k4 = TropicalCurve({v: 0 for v in "abcd"},
+                       [(u + v, (u, v), 1) for u, v in
+                        ["ab", "ac", "ad", "bc", "bd", "cd"]])
+    cf = files("k4.json", curve_to_json(k4))
+    code, out, _ = run(capsys, "bn-rank", "--curve", cf, "-d", "1000000",
+                       "-r", "1")
+    assert code == 0
+    assert json.loads(out)["rho"] == 999999
+
+
 def closedness_spec(files):
     doc = {
         "type": {"vertices": [{"id": "x", "weight": 0},
@@ -270,6 +282,18 @@ def test_experiment_usc(files, capsys):
     lines = out.splitlines()
     assert lines[0] == "step,s,bn_rank"
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+@pytest.mark.parametrize("kind, missing", [
+    ("usc", "rho"), ("usc", "d"), ("closedness", "r"), ("closedness", "type"),
+])
+def test_experiment_names_a_missing_spec_field(files, capsys, kind, missing):
+    doc = {"type": LOOP_TYPE, "d": 1, "r": 0, "rho": 0, "steps": 1}
+    del doc[missing]
+    sf = files("spec.json", doc)
+    code, _, err = run(capsys, "experiment", kind, "--spec", sf)
+    assert code == 1
+    assert err == f'error: {kind} spec needs "{missing}"\n'
 
 
 def test_selftest_and_fault_injection(files, capsys):

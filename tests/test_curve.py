@@ -159,6 +159,16 @@ def test_subcurve_merging_and_closure():
         Subcurve(c, vertices=["a", "c"], segments={"ab": [(F(1, 4), F(1, 2))]})
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"vertices": "ab"}, "vertices"),
+    ({"whole_edges": "ab"}, "whole_edges"),
+])
+def test_subcurve_refuses_a_string_of_ids(kwargs, name):
+    """A string is not read character by character as a list of ids."""
+    with pytest.raises(TypeError, match=name):
+        Subcurve(triangle(), **kwargs)
+
+
 def test_subcurve_whole_and_point():
     c = triangle()
     assert Subcurve.whole(c).is_whole_curve()
