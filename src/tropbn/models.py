@@ -11,13 +11,15 @@ witnesses on the original curve.
 
 The model is never built as a curve: lattice points are numbered by a fixed
 layout (see `IntegerModel`), and index ↔ point conversions are integer
-arithmetic on per-edge tick lists.
+arithmetic on per-edge tick lists.  Subcurve diameters need no lattice:
+`subcurve_diameter` takes them in closed form from vertex distances.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, floor, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,8 +36,8 @@ class IntegerModel:
     """Unit-step model of a curve on the lattice (1/λ)ℤ of each edge.
 
     marks: points of the curve that must become lattice vertices.
-    scale: multiplies λ, refining the lattice (scale=2 gives the half-step
-    lattice used for diameters).
+    scale: a positive integer that multiplies λ, refining the lattice; it
+    serves the ``resolution`` of `transport.confinement_search`.
 
     The stops of an edge are its interior marks, merged and ascending, or
     its midpoint when it is a loop without interior marks.  A piece runs
@@ -58,6 +60,8 @@ class IntegerModel:
     """
 
     def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
+        if not isinstance(scale, int) or scale < 1:
+            raise ValueError("scale must be a positive integer")
         self.curve = curve
         cuts: Dict[str, set] = {}
         for m in marks:
@@ -242,29 +246,97 @@ def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFun
 def subcurve_diameter(sub: Subcurve) -> Fraction:
     """Largest ambient distance between two points of the subcurve.
 
-    The maximum of the (piecewise-affine, slope ±1) distance function over
-    a product of segments is attained at half-lattice points, so an
-    exhaustive scan of the scale-2 model lattice is exact.
+    Closed form from the distances D between curve vertices
+    (`TropicalCurve.vertex_distances`, Dijkstra on |V| points, cached per
+    curve); no lattice is built.  A connected subcurve is a single vertex,
+    of diameter 0, or the union of its covered intervals, so its pieces are
+    those intervals: [a, b] on an edge, whose point at offset s has legs s
+    and ℓ − s to the edge's ends.  For a point at s on one piece and t on
+    another, the distance is the least of the terms leg(s) + D(w, w') +
+    leg(t), one per pair of ends w, w', and of |s − t| when both pieces lie
+    on one edge.  Every term is affine in (s, t) with coefficients in
+    {−1, 0, 1}.
+
+    Writing |s − t| = max(s − t, t − s) turns the maximum over the box
+    [a, b] × [c, d] into two linear programs in (s, t, z): maximise z with
+    z at most each term.  Their feasible sets contain no line, so each
+    optimum sits at a vertex, where three independent constraints are
+    tight: a corner of the box, a point on a side where two terms are
+    equal, or an interior point where three are equal.  Each candidate
+    solves a linear system with integer coefficients in {−2, …, 2}, so it
+    is rational.  The largest distance among the candidates, over every
+    pair of pieces (a piece with itself included), is the diameter.  The
+    arithmetic is exact and done in integers: every length is scaled by the
+    common denominator m of the edge lengths and the interval ends, and a
+    candidate is kept as integer numerators over one positive denominator.
     """
-    model = IntegerModel(sub.parent, marks=sub.boundary_points(), scale=2)
-    cands = model.indices_in(sub)
-    best = 0
-    indptr, nbrs, n = model.indptr, model.nbrs, model.n
-    for s in cands:
-        dist = [-1] * n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u] + 1
-                for i in range(indptr[u], indptr[u + 1]):
-                    v = nbrs[i]
-                    if dist[v] < 0:
-                        dist[v] = du
-                        nxt.append(v)
-            frontier = nxt
-        for t in cands:
-            if dist[t] > best:
-                best = dist[t]
-    return Fraction(best, model.lam)
+    curve = sub.parent
+    m = lcm(*(curve.length(e).denominator for e in curve.edges()),
+            *(x.denominator for ivs in sub.intervals.values()
+              for iv in ivs for x in iv))
+
+    def dist(u, v):
+        return (curve.vertex_distances(u)[v] * m).numerator
+
+    # (edge, ends as (vertex, sign, c) with leg c + sign·s, lo, hi), all
+    # scaled by m
+    pieces = []
+    for e, ivs in sub.intervals.items():
+        u, v = curve.ends(e)
+        ends = ((u, 1, 0), (v, -1, (curve.length(e) * m).numerator))
+        pieces += [(e, ends, (a * m).numerator, (b * m).numerator)
+                   for a, b in ivs]
+    best, best_q = 0, 1
+    for i, (e, ends_p, a, b) in enumerate(pieces):
+        for f, ends_q, c, d in pieces[i:]:
+            terms = [(sp, sq, kp + dist(wp, wq) + kq)
+                     for wp, sp, kp in ends_p for wq, sq, kq in ends_q]
+            same = e == f
+            split = terms + [(1, -1, 0), (-1, 1, 0)] if same else terms
+            for s, t, q in set(_lp_vertices(split, a, b, c, d)):
+                val = min(cs * s + ct * t + k * q for cs, ct, k in terms)
+                if same:
+                    val = min(val, abs(s - t))
+                if val * best_q > best * q:
+                    best, best_q = val, q
+    return Fraction(best, best_q * m)
+
+
+def _lp_vertices(terms, a, b, c, d):
+    """Candidate optima of max min(terms) over the box [a, b] × [c, d].
+
+    A term (cs, ct, k) is cs·s + ct·t + k, with integers throughout.
+    Yields (S, T, q) with q > 0 for the point (S/q, T/q): the box's
+    corners, the points of its sides where two terms are equal, and the
+    interior points where three are equal.  Negating an equation keeps its
+    solutions, so each is turned to give a positive q.
+    """
+    for s in (a, b):
+        for t in (c, d):
+            yield s, t, 1
+    for (s1, t1, k1), (s2, t2, k2) in combinations(terms, 2):
+        # the two terms are equal on ds·s + dt·t + dk = 0
+        ds, dt, dk = s1 - s2, t1 - t2, k1 - k2
+        if dt < 0:
+            ds, dt, dk = -ds, -dt, -dk
+        for s in ((a, b) if dt else ()):
+            t = -(ds * s + dk)
+            if c * dt <= t <= d * dt:
+                yield s * dt, t, dt
+        if ds < 0:
+            ds, dt, dk = -ds, -dt, -dk
+        for t in ((c, d) if ds else ()):
+            s = -(dt * t + dk)
+            if a * ds <= s <= b * ds:
+                yield s, t * ds, ds
+    for (s1, t1, k1), (s2, t2, k2), (s3, t3, k3) in combinations(terms, 3):
+        # the first term equal to the other two: Cramer's rule
+        a1, b1, c1 = s1 - s2, t1 - t2, k1 - k2
+        a2, b2, c2 = s1 - s3, t1 - t3, k1 - k3
+        det = a1 * b2 - a2 * b1
+        if det < 0:
+            a1, b1, c1, det = -a1, -b1, -c1, -det
+        if det:
+            s, t = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            if a * det <= s <= b * det and c * det <= t <= d * det:
+                yield s, t, det

@@ -420,6 +420,8 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
     outside chips) at every lattice basepoint and checking whether the
     restriction drops below k.  The first survivor is returned.
     """
+    if not isinstance(resolution, int) or resolution < 1:
+        raise ValueError("resolution must be a positive integer")
     h = lam.betti()
     if not (0 <= k <= h):
         raise ValueError(f"k = {k} out of range 0..{h}")

@@ -10,12 +10,19 @@ lengths, so the combinatorial answer equals the metric one.
 
 sympy is allowed in this file only; the current oracle needs just exact
 integer arithmetic, so it sticks to the stdlib.
+
+`lattice_diameter` is the exhaustive reference for subcurve diameters: a
+breadth-first search over a half-step lattice model of the curve.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from tropbn.curve import Subcurve
+from tropbn.models import IntegerModel
 
 
 # -- integer lattice helpers -------------------------------------------------
@@ -200,3 +207,39 @@ def small_multigraphs(max_vertices: int = 4, max_edges: int = 5):
                     continue
                 seen.add(key)
                 yield n, list(multi)
+
+
+# -- subcurve diameter by lattice search -------------------------------------
+
+
+def lattice_diameter(sub: Subcurve) -> Fraction:
+    """Largest ambient distance between two points of the subcurve.
+
+    The distance between two points of a product of segments is
+    piecewise affine with slopes ±1, so its maximum is at half-lattice
+    points of a lattice that has the subcurve's boundary on it: a
+    breadth-first search from every lattice point of the subcurve over the
+    scale-2 model is exact.  It costs O(candidates · n).
+    """
+    model = IntegerModel(sub.parent, marks=sub.boundary_points(), scale=2)
+    cands = model.indices_in(sub)
+    best = 0
+    indptr, nbrs, n = model.indptr, model.nbrs, model.n
+    for s in cands:
+        dist = [-1] * n
+        dist[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                du = dist[u] + 1
+                for i in range(indptr[u], indptr[u + 1]):
+                    v = nbrs[i]
+                    if dist[v] < 0:
+                        dist[v] = du
+                        nxt.append(v)
+            frontier = nxt
+        for t in cands:
+            if dist[t] > best:
+                best = dist[t]
+    return Fraction(best, model.lam)

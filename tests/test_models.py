@@ -178,3 +178,11 @@ def test_lattice_size_is_capped_before_allocating(monkeypatch):
     assert IntegerModel(short).n == 100
     with pytest.raises(ValueError, match="lattice points"):
         IntegerModel(short, scale=2)
+
+
+@pytest.mark.parametrize("scale", [0, -1])
+def test_scale_must_be_positive(scale):
+    """A scale of 0 would give λ = 0 and put e@1/2 on vertex b."""
+    c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 2)])
+    with pytest.raises(ValueError, match="scale must be a positive integer"):
+        IntegerModel(c, marks=[c.point("e", F(1, 2))], scale=scale)
