@@ -178,11 +178,16 @@ class TropicalCurve:
     # -- points ----------------------------------------------------------
 
     def point(self, spec, offset: Optional[RatLike] = None) -> Point:
-        """Canonical point: vertex id, or (edge id, offset) with endpoint
-        offsets collapsed to the corresponding vertex."""
+        """Canonical point: a `Point`, a vertex id, or (edge id, offset), with
+        endpoint offsets collapsed to the corresponding vertex.  This is the
+        one place that canonicalizes points."""
         if isinstance(spec, Point):
-            return self._canon(spec)
-        if offset is None:
+            if spec.is_vertex:
+                if spec.vertex not in self._weights:
+                    raise ValueError(f"unknown vertex {spec.vertex!r}")
+                return spec
+            spec, offset = spec.edge, spec.offset
+        elif offset is None:
             if not isinstance(spec, str) or spec not in self._weights:
                 raise ValueError(f"unknown vertex {spec!r}")
             return Point(vertex=spec)
@@ -198,16 +203,9 @@ class TropicalCurve:
             return Point(vertex=v)
         return Point(edge=spec, offset=off)
 
-    def _canon(self, p: Point) -> Point:
-        if p.is_vertex:
-            if p.vertex not in self._weights:
-                raise ValueError(f"unknown vertex {p.vertex!r}")
-            return p
-        return self.point(p.edge, p.offset)
-
     def point_weight(self, p: Point) -> int:
         """Vertex weight at p; interior points weigh 0."""
-        p = self._canon(p)
+        p = self.point(p)
         return self._weights[p.vertex] if p.is_vertex else 0
 
     # -- metric ----------------------------------------------------------
@@ -247,8 +245,7 @@ class TropicalCurve:
 
     def distance(self, p, q) -> Fraction:
         """Exact shortest-path distance between two points."""
-        p = self.point(p) if not isinstance(p, Point) else self._canon(p)
-        q = self.point(q) if not isinstance(q, Point) else self._canon(q)
+        p, q = self.point(p), self.point(q)
         best: Optional[Fraction] = None
         if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
             best = abs(p.offset - q.offset)
@@ -336,27 +333,17 @@ class PointMap:
         self.edge_rules = edge_rules
         self.inverse = inverse
 
-    @classmethod
-    def identity(cls, curve: TropicalCurve) -> "PointMap":
-        vmap = {v: Point(vertex=v) for v in curve.vertices()}
-        rules = {
-            e: [(Fraction(0), curve.length(e), e, Fraction(0), curve.length(e))]
-            for e in curve.edges()
-        }
-        m = cls(curve, curve, vmap, rules)
-        m.inverse = m
-        return m
-
     def __call__(self, p) -> Point:
-        p = self.source.point(p) if not isinstance(p, Point) else self.source._canon(p)
+        return self._image(self.source.point(p))
+
+    def _image(self, p: Point) -> Point:
+        """Image of a canonical source point: the rule loop of every map."""
         if p.is_vertex:
             return self.vertex_images[p.vertex]
         for a, b, te, ta, tb in self.edge_rules[p.edge]:
             if a <= p.offset <= b:
                 if te is None:
-                    return ta if isinstance(ta, Point) else Point(vertex=ta)
-                if b == a:
-                    return self.target.point(te, ta)
+                    return ta
                 t = ta + (tb - ta) * (p.offset - a) / (b - a)
                 return self.target.point(te, t)
         raise ValueError(f"offset {p.offset} not covered by rules of edge {p.edge!r}")
@@ -391,7 +378,7 @@ def subdivide(curve: TropicalCurve, marks: Iterable) -> Tuple[TropicalCurve, Poi
     """
     by_edge: Dict[str, set] = {}
     for m in marks:
-        p = curve.point(m) if not isinstance(m, Point) else curve._canon(m)
+        p = curve.point(m)
         if p.is_vertex:
             continue
         by_edge.setdefault(p.edge, set()).add(p.offset)
@@ -456,47 +443,49 @@ def loopless_model(curve: TropicalCurve) -> Tuple[TropicalCurve, PointMap]:
 
 
 class CombinatorialType:
-    """(G, w): a weighted multigraph with a fixed edge order, no lengths."""
+    """(G, w): a weighted multigraph with a fixed edge order, no lengths.
+
+    The type is held as its reference realization Γ_(1,…,1), so curve
+    validation is its only validation and the type reads everything else
+    from that curve.
+    """
 
     def __init__(self, vertices: Iterable[Tuple[str, int]],
                  edges: Iterable[Tuple[str, Tuple[str, str]]]):
-        self.weights: Dict[str, int] = {}
-        for vid, w in vertices:
-            if vid in self.weights:
-                raise ValueError(f"duplicate vertex id {vid!r}")
-            if not isinstance(w, int) or w < 0:
-                raise ValueError("weights must be non-negative integers")
-            self.weights[vid] = w
-        self.edge_ends: Dict[str, Tuple[str, str]] = {}
-        for eid, (u, v) in edges:
-            if eid in self.edge_ends:
-                raise ValueError(f"duplicate edge id {eid!r}")
-            if u not in self.weights or v not in self.weights:
-                raise ValueError(f"edge {eid!r} has unknown endpoint")
-            self.edge_ends[eid] = (u, v)
-        # validity check: connected when all edges present
-        TropicalCurve({v: 0 for v in self.weights},
-                      [(e, uv, 1) for e, uv in self.edge_ends.items()])
+        self._ones = TropicalCurve(vertices, [(e, uv, 1) for e, uv in edges])
+
+    @property
+    def weights(self) -> Dict[str, int]:
+        return self._ones.weights()
+
+    @property
+    def edge_ends(self) -> Dict[str, Tuple[str, str]]:
+        return {e: self._ones.ends(e) for e in self._ones.edges()}
 
     @property
     def edge_order(self) -> List[str]:
-        return list(self.edge_ends)
+        return self._ones.edges()
 
     def vertices(self) -> List[str]:
-        return list(self.weights)
+        return self._ones.vertices()
 
     def genus(self) -> int:
-        b1 = len(self.edge_ends) - len(self.weights) + 1
-        return b1 + sum(self.weights.values())
+        return genus(self._ones)
 
     def ones(self) -> TropicalCurve:
         """The reference realization with every edge of length 1."""
-        return rescale(self, [1] * len(self.edge_ends))[0]
+        return self._ones
 
     def cone_vector(self, s) -> List[Fraction]:
         """Validate and order a length assignment (sequence or mapping)."""
         order = self.edge_order
         if isinstance(s, Mapping):
+            for e in s:
+                if not self._ones.has_edge(e):
+                    raise ValueError(f"unknown edge {e!r} in cone vector")
+            for e in order:
+                if e not in s:
+                    raise ValueError(f"cone vector has no length for edge {e!r}")
             vals = [rat(s[e]) for e in order]
         else:
             vals = [rat(x) for x in s]
@@ -510,106 +499,81 @@ class CombinatorialType:
     def __eq__(self, other):
         if not isinstance(other, CombinatorialType):
             return NotImplemented
-        return self.weights == other.weights and self.edge_ends == other.edge_ends
+        return self._ones == other._ones
 
     def __repr__(self):
-        return (f"CombinatorialType({len(self.weights)} vertices, "
-                f"{len(self.edge_ends)} edges, genus {self.genus()})")
+        return (f"CombinatorialType({len(self._ones.vertices())} vertices, "
+                f"{len(self._ones.edges())} edges, genus {self.genus()})")
 
 
-def rescale(ctype: CombinatorialType, s) -> Tuple[TropicalCurve, PointMap]:
-    """Curve of the given type with lengths s (all positive), and the scaling
-    map from the all-ones realization."""
-    vals = ctype.cone_vector(s)
-    if any(x == 0 for x in vals):
-        raise ValueError("rescale needs strictly positive lengths; use realize")
-    order = ctype.edge_order
-    target = TropicalCurve(
-        list(ctype.weights.items()),
-        [(e, ctype.edge_ends[e], vals[i]) for i, e in enumerate(order)],
-    )
-    if all(x == 1 for x in vals):
-        return target, PointMap.identity(target)
-    source = TropicalCurve(
-        list(ctype.weights.items()),
-        [(e, ctype.edge_ends[e], 1) for e in order],
-    )
-    vmap = {v: Point(vertex=v) for v in ctype.weights}
-    rules = {
-        e: [(Fraction(0), Fraction(1), e, Fraction(0), vals[i])]
-        for i, e in enumerate(order)
-    }
-    bwd_rules = {
-        e: [(Fraction(0), vals[i], e, Fraction(0), Fraction(1))]
-        for i, e in enumerate(order)
-    }
-    alpha = PointMap(source, target, vmap, rules)
-    alpha.inverse = PointMap(target, source, dict(vmap), bwd_rules, inverse=alpha)
-    return target, alpha
+def _collapse(source: TropicalCurve,
+              vals: Sequence[Fraction]) -> Tuple[TropicalCurve, PointMap]:
+    """Give the edges of `source` the lengths `vals` (in edge order),
+    contracting the zero ones, and return the curve with the map from
+    `source`; the one builder behind `realize`, `rescale` and `contract`.
+
+    Each contracted component collapses to its lexicographically smallest
+    vertex id, whose weight becomes the sum of the collapsed weights plus the
+    first Betti number of the collapsed subgraph (so genus is preserved).
+    Every point of a contracted edge goes to the image of its first end; a
+    point at offset t of a kept edge of length ℓ and new length x goes to
+    offset t·x/ℓ.
+    """
+    order = source.edges()
+    zero = [e for e, x in zip(order, vals) if x == 0]
+
+    # union by smallest id, so every root is the smallest id of its component
+    rep: Dict[str, str] = {v: v for v in source.vertices()}
+
+    def find(v):
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
+    for e in zero:
+        ru, rv = (find(v) for v in source.ends(e))
+        rep[max(ru, rv)] = min(ru, rv)
+    for v in rep:
+        rep[v] = find(v)
+
+    # a component of k vertices and z contracted edges has b1 = z − k + 1
+    weights = {v: 1 for v in rep if rep[v] == v}
+    for v in rep:
+        weights[rep[v]] += source.weight(v) - 1
+    for e in zero:
+        weights[rep[source.ends(e)[0]]] += 1
+
+    target = TropicalCurve(weights, [
+        (e, (rep[source.ends(e)[0]], rep[source.ends(e)[1]]), x)
+        for e, x in zip(order, vals) if x != 0])
+    vmap = {v: Point(vertex=rep[v]) for v in rep}
+    rules: Dict[str, List[tuple]] = {}
+    for e, x in zip(order, vals):
+        ell = source.length(e)
+        if x == 0:
+            rules[e] = [(Fraction(0), ell, None, vmap[source.ends(e)[0]], None)]
+        else:
+            rules[e] = [(Fraction(0), ell, e, Fraction(0), x)]
+    return target, PointMap(source, target, vmap, rules)
 
 
 def realize(ctype: CombinatorialType, s) -> Tuple[TropicalCurve, PointMap]:
     """Assign lengths s to the type's edges, contracting the zero ones.
 
-    Each contracted component collapses to its lexicographically smallest
-    vertex id, whose weight becomes the sum of the collapsed weights plus the
-    first Betti number of the collapsed subgraph (so genus is preserved).
-    Returns the curve and the map β from the all-ones realization.
+    Returns the curve Γ_s and the map β from the all-ones realization
+    ``ctype.ones()``; see `_collapse` for the contraction.
     """
+    return _collapse(ctype.ones(), ctype.cone_vector(s))
+
+
+def rescale(ctype: CombinatorialType, s) -> Tuple[TropicalCurve, PointMap]:
+    """`realize` for lengths s that are all positive: the curve of the given
+    type with lengths s, and the scaling map from the all-ones realization."""
     vals = ctype.cone_vector(s)
-    order = ctype.edge_order
-    zero = {e for i, e in enumerate(order) if vals[i] == 0}
-
-    parent: Dict[str, str] = {v: v for v in ctype.weights}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in zero:
-        u, v = ctype.edge_ends[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    comp: Dict[str, List[str]] = {}
-    for v in ctype.weights:
-        comp.setdefault(find(v), []).append(v)
-    rep = {v: min(comp[find(v)]) for v in ctype.weights}
-
-    new_weights: Dict[str, int] = {}
-    for root, members in sorted(comp.items(), key=lambda kv: min(kv[1])):
-        rid = min(members)
-        wsum = sum(ctype.weights[m] for m in members)
-        internal = sum(
-            1 for e in zero
-            if rep[ctype.edge_ends[e][0]] == rid and rep[ctype.edge_ends[e][1]] == rid
-        )
-        b1 = internal - (len(members) - 1)
-        new_weights[rid] = wsum + b1
-
-    # preserve original vertex order among representatives
-    ordered = [(v, new_weights[v]) for v in ctype.weights if rep[v] == v and v in new_weights]
-    kept = [
-        (e, (rep[ctype.edge_ends[e][0]], rep[ctype.edge_ends[e][1]]), vals[i])
-        for i, e in enumerate(order)
-        if e not in zero
-    ]
-    target = TropicalCurve(ordered, kept)
-
-    source = ctype.ones()
-    vmap = {v: Point(vertex=rep[v]) for v in ctype.weights}
-    rules: Dict[str, List[tuple]] = {}
-    for i, e in enumerate(order):
-        if e in zero:
-            rules[e] = [(Fraction(0), Fraction(1), None,
-                         Point(vertex=rep[ctype.edge_ends[e][0]]), None)]
-        else:
-            rules[e] = [(Fraction(0), Fraction(1), e, Fraction(0), vals[i])]
-    beta = PointMap(source, target, vmap, rules)
-    return target, beta
+    if any(x == 0 for x in vals):
+        raise ValueError("rescale needs strictly positive lengths; use realize")
+    return realize(ctype, vals)
 
 
 def contract(curve: TropicalCurve, edge_ids: Iterable[str]) -> Tuple[TropicalCurve, PointMap]:
@@ -617,23 +581,13 @@ def contract(curve: TropicalCurve, edge_ids: Iterable[str]) -> Tuple[TropicalCur
 
     Returns the contracted curve and the point map from `curve` itself.
     """
-    ctype = curve.combinatorial_type()
     dead = set()
     for e in edge_ids:
         if not curve.has_edge(e):
             raise ValueError(f"unknown edge {e!r}")
         dead.add(e)
-    s = [Fraction(0) if e in dead else curve.length(e) for e in ctype.edge_order]
-    target, beta = realize(ctype, s)
-    vmap = {v: beta.vertex_images[v] for v in curve.vertices()}
-    rules: Dict[str, List[tuple]] = {}
-    for e in curve.edges():
-        ell = curve.length(e)
-        if e in dead:
-            rules[e] = [(Fraction(0), ell, None, vmap[curve.ends(e)[0]], None)]
-        else:
-            rules[e] = [(Fraction(0), ell, e, Fraction(0), ell)]
-    return target, PointMap(curve, target, vmap, rules)
+    return _collapse(curve, [Fraction(0) if e in dead else curve.length(e)
+                             for e in curve.edges()])
 
 
 # -- subcurves ---------------------------------------------------------------
@@ -929,18 +883,10 @@ class _PartialBack(PointMap):
         self._subcurve = subcurve
 
     def __call__(self, p) -> Point:
-        p = self.source.point(p) if not isinstance(p, Point) else self.source._canon(p)
+        p = self.source.point(p)
         if not self._subcurve.contains_point(p):
             raise ValueError(f"{p} lies outside the subcurve")
-        if p.is_vertex:
-            return self.vertex_images[p.vertex]
-        for a, b, te, ta, tb in self.edge_rules.get(p.edge, ()):
-            if a <= p.offset <= b:
-                if te is None:
-                    return ta
-                t = ta + (tb - ta) * (p.offset - a) / (b - a)
-                return self.target.point(te, t)
-        raise ValueError(f"{p} not covered by the extraction rules")
+        return self._image(p)
 
 
 def neighborhood(curve: TropicalCurve, lam: Subcurve, delta: RatLike) -> Subcurve:

@@ -26,7 +26,7 @@ class Divisor:
         data: Dict[Point, int] = {}
         items = chips.items() if isinstance(chips, Mapping) else chips
         for p, m in items:
-            p = curve.point(p) if not isinstance(p, Point) else curve._canon(p)
+            p = curve.point(p)
             if not isinstance(m, int):
                 raise ValueError(f"multiplicity at {p} must be an integer")
             data[p] = data.get(p, 0) + m
@@ -43,7 +43,7 @@ class Divisor:
         return [p for p, _ in self.items()]
 
     def multiplicity(self, p) -> int:
-        p = self.curve.point(p) if not isinstance(p, Point) else self.curve._canon(p)
+        p = self.curve.point(p)
         return self._chips.get(p, 0)
 
     __getitem__ = multiplicity
@@ -162,7 +162,7 @@ class PLFunction:
                 + [(ell, self._vv[v])])
 
     def value(self, p) -> Fraction:
-        p = self.curve.point(p) if not isinstance(p, Point) else self.curve._canon(p)
+        p = self.curve.point(p)
         if p.is_vertex:
             return self._vv[p.vertex]
         prof = self._profile(p.edge)
@@ -173,7 +173,7 @@ class PLFunction:
 
     def outgoing_slopes(self, p) -> List[Fraction]:
         """One-sided derivatives in every direction leaving p."""
-        p = self.curve.point(p) if not isinstance(p, Point) else self.curve._canon(p)
+        p = self.curve.point(p)
         out = []
         if p.is_vertex:
             for e in dict.fromkeys(e for e, _ in self.curve.incident(p.vertex)):

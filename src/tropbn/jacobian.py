@@ -213,8 +213,7 @@ def abel_jacobi(curve: TropicalCurve, D: Divisor, basepoint) -> TorusPoint:
         raise ValueError("divisor on a different curve")
     if D.degree() != 0:
         raise ValueError("abel_jacobi needs a degree-0 divisor")
-    basepoint = curve.point(basepoint) if not isinstance(basepoint, Point) \
-        else curve._canon(basepoint)
+    basepoint = curve.point(basepoint)
     basis = CycleBasis(curve)
     if basis.genus == 0:
         return TorusPoint(())
@@ -252,8 +251,7 @@ def universal_coords(ctype: CombinatorialType, s, D: Divisor,
     if D.curve != realized and D.curve != pure:
         raise ValueError("divisor does not live on the realized curve")
     ones = beta.source
-    basepoint = ones.point(basepoint) if not isinstance(basepoint, Point) \
-        else ones._canon(basepoint)
+    basepoint = ones.point(basepoint)
     p_img = beta(basepoint)
     d = D.degree()
     Z = Divisor(pure, list(D.items()) + [(p_img, -d)])

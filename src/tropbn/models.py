@@ -36,8 +36,8 @@ class IntegerModel:
     """Unit-step model of a curve on the lattice (1/λ)ℤ of each edge.
 
     marks: points of the curve that must become lattice vertices.
-    scale: a positive integer that multiplies λ, refining the lattice; it
-    serves the ``resolution`` of `transport.confinement_search`.
+    scale: a positive integer that multiplies λ, refining the lattice;
+    `transport.confinement_search` searches the lattice at scale 2.
 
     The stops of an edge are its interior marks, merged and ascending, or
     its midpoint when it is a loop without interior marks.  A piece runs
@@ -65,7 +65,7 @@ class IntegerModel:
         self.curve = curve
         cuts: Dict[str, set] = {}
         for m in marks:
-            p = curve.point(m) if not isinstance(m, Point) else curve._canon(m)
+            p = curve.point(m)
             if not p.is_vertex:
                 cuts.setdefault(p.edge, set()).add(p.offset)
         verts = curve.vertices()
@@ -144,7 +144,7 @@ class IntegerModel:
 
     def vertex_index(self, p) -> int:
         """Lattice index of a curve point; the point must be on the lattice."""
-        p = self.curve.point(p) if not isinstance(p, Point) else self.curve._canon(p)
+        p = self.curve.point(p)
         if p.is_vertex:
             return self._vindex[p.vertex]
         t = p.offset * self.lam
@@ -238,7 +238,7 @@ def equivalence_witness(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunc
 
 def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
     """q-reduced form of D and witness f with reduced = D + div(f)."""
-    q = curve.point(q) if not isinstance(q, Point) else q
+    q = curve.point(q)
     model = IntegerModel(curve, marks=list(D.support()) + [q])
     return model.reduce(D, q)
 

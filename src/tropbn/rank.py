@@ -44,7 +44,7 @@ class ReducedForm:
 
 def dhar_reduce(curve: TropicalCurve, D: Divisor, q) -> ReducedForm:
     """The q-reduced divisor equivalent to D (Dhar's burning algorithm)."""
-    q = curve.point(q) if not isinstance(q, Point) else curve._canon(q)
+    q = curve.point(q)
     red, f = reduced_divisor(curve, D, q)
     return ReducedForm(red, f, q)
 
@@ -182,7 +182,7 @@ def weighted_A_rank(curve: TropicalCurve, D: Divisor, A: Iterable) -> int:
     supported on A (and -1 when D itself has no effective representative)."""
     pts = []
     for p in A:
-        p = curve.point(p) if not isinstance(p, Point) else curve._canon(p)
+        p = curve.point(p)
         if p not in pts:
             pts.append(p)
     model = IntegerModel(curve, marks=list(D.support()) + pts)

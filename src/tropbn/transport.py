@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .curve import (Point, Subcurve, TropicalCurve, loopless_model,
-                    neighborhood, deformation_retracts, rat)
+from .curve import (Point, Subcurve, TropicalCurve, neighborhood,
+                    deformation_retracts, rat)
 from .divisor import (Divisor, PLFunction, clamp, is_equivalent, restrict,
                       star)
 from .models import IntegerModel, reduced_divisor
@@ -83,12 +83,17 @@ def _restriction_dominates(lam: Subcurve, D: Divisor, E: Divisor) -> bool:
 
 
 def _subcurve_rds(lam: Subcurve) -> List[Point]:
-    """Vertices of the loopless model of Λ, as points of the parent curve."""
-    sc, to_parent = lam.as_curve()
-    ll, fwd = loopless_model(sc)
-    pts = [to_parent(fwd.inverse(Point(vertex=v))) for v in ll.vertices()]
-    return sorted(set(pts), key=lambda p: (p.vertex is None, p.vertex or "",
-                                           p.edge or "", p.offset or 0))
+    """Vertices of the loopless model of Λ, as points of the parent curve:
+    Λ's vertices, the ends of its intervals, and the midpoint of each loop
+    that Λ covers whole."""
+    curve = lam.parent
+    pts = {Point(vertex=v) for v in lam.vertices}
+    for e, ivs in lam.intervals.items():
+        pts.update(curve.point(e, t) for iv in ivs for t in iv)
+        if curve.is_loop(e) and ivs == ((0, curve.length(e)),):
+            pts.add(curve.point(e, curve.length(e) / 2))
+    return sorted(pts, key=lambda p: (p.vertex is None, p.vertex or "",
+                                      p.edge or "", p.offset or 0))
 
 
 # -- pushing a single divisor ------------------------------------------------
@@ -297,15 +302,14 @@ def _emanating(curve: TropicalCurve, lam: Subcurve, f: PLFunction,
 
 
 def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
-           F: Optional[Divisor] = None, witness: Optional[PLFunction] = None,
-           radius=None) -> TransportResult:
+           F: Optional[Divisor] = None, radius=None) -> TransportResult:
     """Lower the degree of E on a small enlargement of Λ to exactly k.
 
-    Needs evidence that the class can drop below k on Λ: either an effective
-    F ~ E with deg(F|Λ) < k or the witness f with E + div(f) = F.  Sorts the
-    germs leaving Λ by (f at base, outgoing slope), lets the flow through the
-    first germs pass, installs a partial-slope ramp on the threshold germ,
-    and blocks the rest by absorbing their stubs into the region.
+    Needs evidence that the class can drop below k on Λ: an effective
+    F ~ E with deg(F|Λ) < k.  Sorts the germs leaving Λ by (f at base,
+    outgoing slope), lets the flow through the first germs pass, installs a
+    partial-slope ramp on the threshold germ, and blocks the rest by
+    absorbing their stubs into the region.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -318,17 +322,11 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
         return TransportResult(E, lam, PLFunction.constant(curve))
     if degl < k:
         raise ValueError("restriction of E is already below k")
-    if witness is not None:
-        f = witness
-        F = E + f.divisor()
-        if not F.is_effective():
-            raise ValueError("witness does not lead to an effective divisor")
-    elif F is not None:
-        ok, f = is_equivalent(F, E)
-        if not ok:
-            raise ValueError("F is not equivalent to E")
-    else:
-        raise ValueError("dilute needs F or its witness")
+    if F is None:
+        raise ValueError("dilute needs F")
+    ok, f = is_equivalent(F, E)
+    if not ok:
+        raise ValueError("F is not equivalent to E")
     if restrict(F, lam).degree() >= k:
         raise ValueError("F does not drop below k on the subcurve")
 
@@ -395,15 +393,12 @@ class ConfinementResult:
     """First confined configuration found, with the falsification log.
 
     ``divisor`` is None when the search exhausted its budget without a
-    surviving candidate (not a refutation: the certificate is bounded by
-    ``resolution``/``max_extra``/``budget``).
+    surviving candidate (not a refutation: the certificate is bounded by the
+    lattice, the extra chips and the budget of `confinement_search`).
     """
 
     divisor: Optional[Divisor]
     log: Tuple[dict, ...]
-    resolution: int
-    max_extra: int
-    budget: int
 
     @property
     def found(self) -> bool:
@@ -411,25 +406,22 @@ class ConfinementResult:
 
 
 def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
-                       budget: int = 4000, resolution: int = 2,
-                       max_extra: int = 1) -> ConfinementResult:
+                       budget: int = 4000) -> ConfinementResult:
     """Search for k points of Λ that no equivalent divisor can evacuate.
 
-    Candidates are degree-k lattice configurations on Λ; each is attacked by
-    reducing every effective extension E (candidate plus up to ``max_extra``
-    outside chips) at every lattice basepoint and checking whether the
-    restriction drops below k.  The first survivor is returned.
+    Candidates are degree-k configurations on the half-step lattice of Λ
+    (the model at scale 2); each is attacked by reducing every effective
+    extension E (candidate plus at most one outside chip) at every lattice
+    basepoint and checking whether the restriction drops below k.  The
+    first survivor is returned.
     """
-    if not isinstance(resolution, int) or resolution < 1:
-        raise ValueError("resolution must be a positive integer")
     h = lam.betti()
     if not (0 <= k <= h):
         raise ValueError(f"k = {k} out of range 0..{h}")
     if k == 0:
         return ConfinementResult(Divisor.zero(curve),
-                                 ({"candidate": [], "falsified_by": None},),
-                                 resolution, max_extra, budget)
-    model = IntegerModel(curve, marks=lam.boundary_points(), scale=resolution)
+                                 ({"candidate": [], "falsified_by": None},))
+    model = IntegerModel(curve, marks=lam.boundary_points(), scale=2)
     lam_idx = set(model.indices_in(lam))
     inside = sorted(lam_idx)
     outside = [i for i in range(model.n) if i not in lam_idx]
@@ -448,7 +440,7 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
         for i in combo:
             candidate[i] += 1
         verdict = None
-        for extra_deg in range(max_extra + 1):
+        for extra_deg in (0, 1):
             for extra in itertools.combinations_with_replacement(extra_sites,
                                                                  extra_deg):
                 vec = list(candidate)
@@ -458,8 +450,7 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
                     if trials >= budget:
                         log.append({"candidate": combo, "falsified_by": None,
                                     "status": "budget exhausted"})
-                        return ConfinementResult(None, tuple(log), resolution,
-                                                 max_extra, budget)
+                        return ConfinementResult(None, tuple(log))
                     trials += 1
                     red, _ = model.reduce_vector(vec, qi)
                     if sum(red[i] for i in lam_idx) < k:
@@ -473,8 +464,8 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
         log.append({"candidate": pts, "falsified_by": verdict})
         if verdict is None:
             return ConfinementResult(Divisor(curve, [(p, 1) for p in pts]),
-                                     tuple(log), resolution, max_extra, budget)
-    return ConfinementResult(None, tuple(log), resolution, max_extra, budget)
+                                     tuple(log))
+    return ConfinementResult(None, tuple(log))
 
 
 # -- arrangement -------------------------------------------------------------

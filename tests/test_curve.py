@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropbn import (
     CombinatorialType,
@@ -215,3 +217,113 @@ def test_combinatorial_type_roundtrip():
     ct = c.combinatorial_type()
     again, _ = rescale(ct, [1, 1, 1])
     assert again == c
+
+
+def test_combinatorial_type_rejects_bad_input():
+    with pytest.raises(ValueError, match="duplicate vertex id 'a'"):
+        CombinatorialType([("a", 0), ("a", 1)], [])
+    with pytest.raises(ValueError, match="duplicate edge id 'e'"):
+        CombinatorialType([("a", 0)], [("e", ("a", "a")), ("e", ("a", "a"))])
+    with pytest.raises(ValueError, match="weight of 'b' must be a non-negative"):
+        CombinatorialType([("a", 0), ("b", -1)], [("e", ("a", "b"))])
+    with pytest.raises(ValueError, match="edge 'e' has unknown endpoint"):
+        CombinatorialType([("a", 0)], [("e", ("a", "z"))])
+    with pytest.raises(ValueError, match="must be connected"):
+        CombinatorialType([("a", 0), ("b", 0)], [("e", ("a", "a"))])
+
+
+def test_cone_vector_mapping_needs_every_edge():
+    ct = theta().combinatorial_type()
+    with pytest.raises(ValueError, match="no length for edge 'e2'"):
+        realize(ct, {"e1": 1, "e3": 2})
+
+
+def test_cone_vector_mapping_refuses_unknown_edge():
+    ct = theta().combinatorial_type()
+    with pytest.raises(ValueError, match="unknown edge 'typo'"):
+        realize(ct, {"e1": 1, "e2": 2, "e3": 1, "typo": 0})
+    assert realize(ct, {"e3": 3, "e1": 1, "e2": 2})[0] == theta(lengths=(1, 2, 3))
+
+
+def test_subcurve_inverse_refuses_points_off_it():
+    c = triangle()
+    _, to_parent = Subcurve(c, whole_edges=["ab"]).as_curve()
+    assert to_parent.inverse(c.point("ab", F(1, 3))) == Point(edge="ab",
+                                                              offset=F(1, 3))
+    for p in ("c", c.point("bc", F(1, 2))):
+        with pytest.raises(ValueError, match="lies outside the subcurve"):
+            to_parent.inverse(p)
+
+
+@st.composite
+def types_and_lengths(draw):
+    """Connected types of 1-4 vertices (loops, parallel edges, shuffled ids)
+    and a cone vector that is often zero on some edges."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    ends = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          min_size=0 if n > 1 else 1, max_size=3))
+    ends = [uv if draw(st.booleans()) else uv[::-1] for uv in ends + extra]
+    ct = CombinatorialType([(v, draw(st.integers(0, 2))) for v in names],
+                           [(f"e{i}", uv) for i, uv in enumerate(ends)])
+    s = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(2), F(5, 3)]))
+         for _ in ends]
+    return ct, s
+
+
+def _components(ct, s):
+    """Smallest vertex id of each vertex's component of zero-length edges."""
+    comp = {v: {v} for v in ct.vertices()}
+    for e, x in zip(ct.edge_order, s):
+        u, v = ct.edge_ends[e]
+        if x == 0 and comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            for w in merged:
+                comp[w] = merged
+    return {v: min(c) for v, c in comp.items()}
+
+
+OFFSETS = [F(1, 4), F(1, 3), F(1, 2), F(5, 6)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=types_and_lengths())
+def test_realize_rescale_contract_agree(case):
+    ct, s = case
+    ones = ct.ones()
+    curve, beta = realize(ct, s)
+    assert genus(curve) == ct.genus()
+    rep = _components(ct, s)
+    for v in ct.vertices():
+        assert beta(v) == Point(vertex=rep[v])
+    for e, x in zip(ct.edge_order, s):
+        for t in OFFSETS:
+            if x == 0:
+                assert beta(ones.point(e, t)) == beta(ct.edge_ends[e][0])
+            else:
+                assert beta(ones.point(e, t)) == Point(edge=e, offset=t * x)
+
+    # contract: the same collapse, with the map from the curve itself
+    positive = [x or F(7, 4) for x in s]
+    full, alpha = rescale(ct, positive)
+    dead = [e for e, x in zip(ct.edge_order, s) if x == 0]
+    small, gamma = contract(full, dead)
+    again, beta2 = realize(full.combinatorial_type(),
+                           [0 if e in dead else full.length(e) for e in full.edges()])
+    assert small == again
+    for v in full.vertices():
+        assert gamma(v) == beta2(v)
+    for e in full.edges():
+        for t in OFFSETS:
+            assert gamma(full.point(e, t * full.length(e))) == beta2(ones.point(e, t))
+
+    # rescale is realize for positive lengths and refuses a zero
+    same, beta3 = realize(ct, positive)
+    assert full == same
+    for e in ct.edge_order:
+        for t in OFFSETS:
+            assert alpha(ones.point(e, t)) == beta3(ones.point(e, t))
+    if dead:
+        with pytest.raises(ValueError, match="strictly positive"):
+            rescale(ct, s)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_diameter
-from tropbn import Subcurve, TropicalCurve, neighborhood
+from tropbn import Point, Subcurve, TropicalCurve, loopless_model, neighborhood
 from tropbn.io import subcurve_from_json, subcurve_to_json
 from tropbn.models import subcurve_diameter
-from tropbn.transport import subcurves_disjoint
+from tropbn.transport import _subcurve_rds, subcurves_disjoint
 
 LENGTHS = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3)])
 FRACTIONS = st.sampled_from([F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2),
@@ -92,9 +92,15 @@ def test_subcurve_properties(data):
         assert a.contains_point(c.point(e, t))
         assert not a.contains_point(c.point(e, t + d * step))
 
-    extracted, _ = a.as_curve()
+    extracted, to_parent = a.as_curve()
     assert extracted.betti() == a.betti()
     assert Subcurve.whole(c).betti() == c.betti()
+
+    # the points concentration aims at are the vertices of the loopless
+    # model of the extracted subcurve
+    model, fwd = loopless_model(extracted)
+    assert set(_subcurve_rds(a)) == {to_parent(fwd.inverse(Point(vertex=v)))
+                                     for v in model.vertices()}
 
 
 # -- diameter ----------------------------------------------------------------

@@ -223,9 +223,6 @@ def test_confinement_k0_and_range():
     assert confinement_search(c, lam, 0).found
     with pytest.raises(ValueError, match="out of range"):
         confinement_search(c, lam, 2)
-    for resolution in (0, -1):
-        with pytest.raises(ValueError, match="resolution must be a positive"):
-            confinement_search(c, lam, 1, resolution=resolution)
 
 
 def test_confinement_pair_on_theta():
