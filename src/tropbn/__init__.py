@@ -28,16 +28,14 @@ from .divisor import (
     PLFunction,
     clamp,
     degree,
-    is_equivalent,
     principal_divisor,
     pushforward,
     restrict,
     star,
 )
+from .models import is_equivalent, reduced_divisor
 from .rank import (
-    ReducedForm,
     canonical,
-    dhar_reduce,
     rank_pure,
     rank_weighted,
     rank_weighted_loops,
@@ -94,14 +92,13 @@ __all__ = [
     "PLFunction",
     "clamp",
     "degree",
-    "is_equivalent",
     "principal_divisor",
     "pushforward",
     "restrict",
     "star",
-    "ReducedForm",
+    "is_equivalent",
+    "reduced_divisor",
     "canonical",
-    "dhar_reduce",
     "rank_pure",
     "rank_weighted",
     "rank_weighted_loops",

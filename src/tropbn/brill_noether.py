@@ -35,6 +35,7 @@ from .curve import (
     PointMap,
     TropicalCurve,
     attach_loops,
+    genus,
     rat,
     realize,
     rescale,
@@ -145,7 +146,7 @@ def bn_rank_detail(curve: TropicalCurve, query: BNQuery) -> BNResult:
     if r == 0:
         # every effective divisor of degree d contains itself
         return BNResult(d, query.resolution, None)
-    g = curve.betti() + curve.total_weight()
+    g = genus(curve)
     if d - g >= r:
         # Riemann-Roch: every E of degree d already has rank >= d - g >= r
         return BNResult(d - r, query.resolution, None)

@@ -16,7 +16,6 @@ import itertools
 import json
 import random
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from io import StringIO
@@ -32,7 +31,7 @@ from .curve import (
     realize,
     underlying_pure,
 )
-from .divisor import Divisor, PLFunction, is_equivalent, restrict, star
+from .divisor import Divisor, PLFunction, restrict, star
 from .io import (
     curve_from_json,
     curve_to_json,
@@ -48,7 +47,7 @@ from .io import (
     type_from_json,
 )
 from .jacobian import abel_jacobi, universal_coords
-from .models import reduced_divisor
+from .models import is_equivalent, reduced_divisor
 from .rank import canonical, rank_pure, rank_weighted, rank_weighted_loops, rose_rank
 from .brill_noether import BNQuery, DegenerationSpec, bn_rank_detail
 from .brill_noether import run_closedness_experiment, run_usc_experiment
@@ -173,16 +172,12 @@ def _emit(payload: dict, args) -> None:
 
 @dataclass
 class RunReport:
-    """Self-contained record of one CLI run.
-
-    Timing is kept on the object but not serialized, so that equal inputs
-    produce byte-identical output.
-    """
+    """Self-contained record of one CLI run; equal inputs produce
+    byte-identical output."""
 
     command: str
     inputs: Dict[str, str]
     results: dict
-    timing: float = 0.0
     version: str = __version__
     parameters: Dict[str, object] = field(default_factory=dict)
 
@@ -375,7 +370,6 @@ _CHECKS = [
 def selftest(filter: Optional[str] = None, inject_fault: Optional[str] = None,
              seed: int = 0) -> RunReport:
     """Run the embedded consistency suite and report per-check results."""
-    t0 = time.monotonic()
     checks = []
     for name, fn in _CHECKS:
         if filter and filter not in name:
@@ -399,7 +393,7 @@ def selftest(filter: Optional[str] = None, inject_fault: Optional[str] = None,
     if inject_fault:
         params["inject_fault"] = inject_fault
     return RunReport(command="selftest", inputs={}, results=results,
-                     timing=time.monotonic() - t0, parameters=params)
+                     parameters=params)
 
 
 # -- subcommands -------------------------------------------------------------

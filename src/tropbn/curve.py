@@ -19,11 +19,12 @@ RatLike = Union[Fraction, int, str]
 def rat(x: RatLike) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to an exact rational.
 
-    Anything else, and a string with a zero denominator, is a ValueError.
+    Anything else (booleans included), and a string with a zero
+    denominator, is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -581,6 +582,9 @@ def contract(curve: TropicalCurve, edge_ids: Iterable[str]) -> Tuple[TropicalCur
 
     Returns the contracted curve and the point map from `curve` itself.
     """
+    if isinstance(edge_ids, str):
+        raise TypeError(f"edge_ids must be a collection of ids, "
+                        f"not the string {edge_ids!r}")
     dead = set()
     for e in edge_ids:
         if not curve.has_edge(e):

@@ -6,8 +6,9 @@ local maximum of a tent function carries positive multiplicity.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import Point, PointMap, Subcurve, TropicalCurve, rat
 
@@ -161,15 +162,32 @@ class PLFunction:
         return ([(Fraction(0), self._vv[u])] + list(self._knots.get(e, ()))
                 + [(ell, self._vv[v])])
 
+    def _at(self, e: str, offsets: Sequence[Fraction]) -> List[Fraction]:
+        """Values at ascending offsets of edge e, in one walk along it."""
+        prof = self._profile(e)
+        out = []
+        i = 0
+        for o in offsets:
+            while prof[i + 1][0] < o:
+                i += 1
+            (o0, v0), (o1, v1) = prof[i], prof[i + 1]
+            out.append(v1 if o == o1 else v0 + (v1 - v0) * (o - o0) / (o1 - o0))
+        return out
+
     def value(self, p) -> Fraction:
         p = self.curve.point(p)
         if p.is_vertex:
             return self._vv[p.vertex]
-        prof = self._profile(p.edge)
-        for (o0, v0), (o1, v1) in zip(prof, prof[1:]):
-            if o0 <= p.offset <= o1:
-                return v0 + (v1 - v0) * (p.offset - o0) / (o1 - o0)
-        raise AssertionError("unreachable")
+        return self._at(p.edge, [p.offset])[0]
+
+    def crossings(self, e: str, level) -> List[Fraction]:
+        """Ascending offsets inside edge e where f crosses the level: points
+        of a linear piece whose ends lie strictly on either side of it."""
+        c = rat(level)
+        prof = self._profile(e)
+        return [o0 + (c - v0) * (o1 - o0) / (v1 - v0)
+                for (o0, v0), (o1, v1) in zip(prof, prof[1:])
+                if (v0 - c) * (v1 - c) < 0]
 
     def outgoing_slopes(self, p) -> List[Fraction]:
         """One-sided derivatives in every direction leaving p."""
@@ -229,91 +247,58 @@ class PLFunction:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _binary(self, other, op) -> "PLFunction":
-        if isinstance(other, PLFunction):
-            if other.curve != self.curve:
+    def _pointwise(self, op, *others, cuts=None) -> "PLFunction":
+        """op(f, *others) pointwise; a constant among the others is lifted.
+
+        The result is affine between the knots of its inputs and the
+        offsets ``cuts(e)`` on edge e, where op may switch branches (a min
+        switches where its arguments cross), so it is sampled there."""
+        fs = [self]
+        for g in others:
+            if not isinstance(g, PLFunction):
+                g = PLFunction.constant(self.curve, g)
+            elif g.curve != self.curve:
                 raise ValueError("functions on different curves")
-            vv = {v: op(self._vv[v], other._vv[v]) for v in self._vv}
-            knots = {}
-            for e in self.curve.edges():
-                offs = sorted({o for o, _ in self._knots.get(e, ())}
-                              | {o for o, _ in other._knots.get(e, ())})
-                if offs:
-                    knots[e] = [
-                        (o, op(self.value(Point(edge=e, offset=o)),
-                               other.value(Point(edge=e, offset=o))))
-                        for o in offs
-                    ]
-            return PLFunction(self.curve, vv, knots)
-        c = rat(other)
-        vv = {v: op(x, c) for v, x in self._vv.items()}
-        knots = {e: [(o, op(val, c)) for o, val in ks]
-                 for e, ks in self._knots.items()}
+            fs.append(g)
+        vv = {v: op(*(g._vv[v] for g in fs)) for v in self._vv}
+        knots = {}
+        for e in self.curve.edges():
+            # ascending runs, so the sort merges them in linear time
+            offs = sorted([o for g in fs for o, _ in g._knots.get(e, ())]
+                          + (cuts(e) if cuts else []))
+            offs = [o for k, o in enumerate(offs) if not k or o != offs[k - 1]]
+            if offs:
+                knots[e] = list(zip(offs, map(op, *(g._at(e, offs) for g in fs))))
         return PLFunction(self.curve, vv, knots)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._pointwise(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._pointwise(operator.sub, other)
 
     def __neg__(self):
-        vv = {v: -x for v, x in self._vv.items()}
-        knots = {e: [(o, -val) for o, val in ks] for e, ks in self._knots.items()}
-        return PLFunction(self.curve, vv, knots)
+        return self._pointwise(operator.neg)
 
     def __rmul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        vv = {v: k * x for v, x in self._vv.items()}
-        knots = {e: [(o, k * val) for o, val in ks] for e, ks in self._knots.items()}
-        return PLFunction(self.curve, vv, knots)
+        return self._pointwise(lambda a: k * a)
 
     __mul__ = __rmul__
 
     def min_const(self, c) -> "PLFunction":
         """Pointwise min with a constant."""
         c = rat(c)
-        vv = {v: min(x, c) for v, x in self._vv.items()}
-        knots = {}
-        for e in self.curve.edges():
-            prof = self._profile(e)
-            ks = []
-            for (o0, v0), (o1, v1) in zip(prof, prof[1:]):
-                if o0 > 0:
-                    ks.append((o0, min(v0, c)))
-                if (v0 - c) * (v1 - c) < 0:
-                    s = (v1 - v0) / (o1 - o0)
-                    x = o0 + (c - v0) / s
-                    ks.append((x, c))
-            if ks:
-                knots[e] = ks
-        return PLFunction(self.curve, vv, knots)
+        return self._pointwise(lambda a: min(a, c),
+                               cuts=lambda e: self.crossings(e, c))
 
     def min_with(self, other: "PLFunction") -> "PLFunction":
         """Pointwise min of two functions."""
-        if other.curve != self.curve:
-            raise ValueError("functions on different curves")
         diff = self - other
-        vv = {v: min(self._vv[v], other._vv[v]) for v in self._vv}
-        knots = {}
-        for e in self.curve.edges():
-            prof = diff._profile(e)
-            offs = ({o for o, _ in self._knots.get(e, ())}
-                    | {o for o, _ in other._knots.get(e, ())})
-            for (o0, v0), (o1, v1) in zip(prof, prof[1:]):
-                if v0 * v1 < 0:
-                    s = (v1 - v0) / (o1 - o0)
-                    offs.add(o0 - v0 / s)
-            if offs:
-                knots[e] = [
-                    (o, min(self.value(Point(edge=e, offset=o)),
-                            other.value(Point(edge=e, offset=o))))
-                    for o in sorted(offs)
-                ]
-        return PLFunction(self.curve, vv, knots)
+        return self._pointwise(min, other, cuts=lambda e: diff.crossings(e, 0))
 
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
@@ -394,20 +379,3 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
         elif e in knots:
             del knots[e]
     return PLFunction(f.curve, vv, knots)
-
-
-def is_equivalent(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]:
-    """Linear equivalence test with witness.
-
-    Returns (True, f) with D1 − D2 = div(f), or (False, None).  Decided by
-    q-reduced normal forms on a common integer model.
-    """
-    if D1.curve != D2.curve:
-        raise ValueError("divisors on different curves")
-    if D1.degree() != D2.degree():
-        return False, None
-    if D1 == D2:
-        return True, PLFunction.constant(D1.curve)
-    from . import models
-
-    return models.equivalence_witness(D1, D2)

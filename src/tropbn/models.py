@@ -10,9 +10,16 @@ arXiv:0906.2807).  Firing vectors convert back into piecewise-linear
 witnesses on the original curve.
 
 The model is never built as a curve: lattice points are numbered by a fixed
-layout (see `IntegerModel`), and index ↔ point conversions are integer
-arithmetic on per-edge tick lists.  Subcurve diameters need no lattice:
-`subcurve_diameter` takes them in closed form from vertex distances.
+layout (see `IntegerModel`), and each edge keeps one list, the lattice
+index at each tick, so index ↔ point conversions are integer arithmetic.
+Subcurve diameters need no lattice: `subcurve_diameter` takes them in
+closed form from vertex distances.
+
+`reduced_divisor` and `is_equivalent` are the divisor-level entry points:
+they are the only routes from a `Divisor` to the chip-firing kernel.  The
+rank search, Brill–Noether enumeration and confinement search work on
+lattice vectors through `divisor_vector`, `reduce_vector`,
+`effective_class` and `sigma_to_pl`.
 """
 
 from __future__ import annotations
@@ -96,32 +103,38 @@ class IntegerModel:
                 for a, b in zip(offs, offs[1:])]
         self.lam = lam = scale * lcm(*dens)
 
-        # per edge: ticks t (offset t/λ) of its stops, their indices, and
-        # the first index of each piece's interior points; plus, for every
-        # piece with interior points, its first index, edge and start tick
-        self._edge: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
-        self._piece_first: List[int] = []
-        self._piece_at: List[Tuple[str, int]] = []
-        n = len(stops)
-        for e in curve.edges():
-            offs, nodes = layout[e]
-            ticks = [int(o * lam) for o in offs]
-            firsts = []
-            for s, t in zip(ticks, ticks[1:]):
-                firsts.append(n)
-                if t - s > 1:
-                    self._piece_first.append(n)
-                    self._piece_at.append((e, s))
-                    n += t - s - 1
-            self._edge[e] = (ticks, nodes, firsts)
+        # n is counted piece by piece before anything is allocated: a piece
+        # whose tick gap is at most 1 has no interior points
+        ticks_of = {e: [int(o * lam) for o in offs]
+                    for e, (offs, _) in layout.items()}
+        n = len(stops) + sum(t - s - 1 for ticks in ticks_of.values()
+                             for s, t in zip(ticks, ticks[1:]) if t - s > 1)
         if n > MAX_LATTICE_POINTS:
             raise ValueError(f"integer model needs {n} lattice points, more "
                              f"than the limit of {MAX_LATTICE_POINTS}")
         self.n = n
 
+        # per edge, the lattice index at each tick t (offset t/λ) from its
+        # first end on; plus, for every piece with interior points, its
+        # first index, edge and start tick
+        self._paths: Dict[str, List[int]] = {}
+        self._piece_first: List[int] = []
+        self._piece_at: List[Tuple[str, int]] = []
+        first = len(stops)
+        for e in curve.edges():
+            ticks, nodes = ticks_of[e], layout[e][1]
+            path = [nodes[0]]
+            for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
+                if t - s > 1:
+                    self._piece_first.append(first)
+                    self._piece_at.append((e, s))
+                    path.extend(range(first, first + t - s - 1))
+                    first += t - s - 1
+                path.append(node)
+            self._paths[e] = path
+
         adj: List[List[int]] = [[] for _ in range(n)]
-        for e in self._edge:
-            path = self._path(e)
+        for path in self._paths.values():
             for a, b in zip(path, path[1:]):
                 adj[a].append(b)
                 adj[b].append(a)
@@ -130,15 +143,6 @@ class IntegerModel:
             indptr[i + 1] = indptr[i] + len(nb)
         self.indptr = indptr
         self.nbrs = [w for nb in adj for w in nb]
-
-    def _path(self, e: str) -> List[int]:
-        """Indices of the lattice points of edge e, from its first end on."""
-        ticks, nodes, firsts = self._edge[e]
-        path = [nodes[0]]
-        for i, first in enumerate(firsts):
-            path.extend(range(first, first + ticks[i + 1] - ticks[i] - 1))
-            path.append(nodes[i + 1])
-        return path
 
     # -- conversions -------------------------------------------------------
 
@@ -150,10 +154,7 @@ class IntegerModel:
         t = p.offset * self.lam
         if t.denominator != 1:
             raise ValueError(f"{p} is not a lattice point of this model")
-        t = t.numerator
-        ticks, nodes, firsts = self._edge[p.edge]
-        i = bisect_right(ticks, t) - 1
-        return nodes[i] if ticks[i] == t else firsts[i] + t - ticks[i] - 1
+        return self._paths[p.edge][t.numerator]
 
     def point_of_index(self, i: int) -> Point:
         if not 0 <= i < self.n:
@@ -171,10 +172,6 @@ class IntegerModel:
             vec[self.vertex_index(p)] += m
         return vec
 
-    def vector_divisor(self, vec: Sequence[int]) -> Divisor:
-        chips = [(self.point_of_index(i), int(m)) for i, m in enumerate(vec) if m]
-        return Divisor(self.curve, chips)
-
     def sigma_to_pl(self, sigma: Sequence[int]) -> PLFunction:
         """f with div(f) = -L·σ, i.e. f = -σ/λ; reduction yields D + div(f).
 
@@ -183,8 +180,7 @@ class IntegerModel:
         factor = Fraction(-1, self.lam)
         vv = {v: factor * sigma[i] for v, i in self._vindex.items()}
         knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        for e in self._edge:
-            path = self._path(e)
+        for e, path in self._paths.items():
             ks = []
             for t in range(1, len(path) - 1):
                 a, b, c = sigma[path[t - 1]], sigma[path[t]], sigma[path[t + 1]]
@@ -199,12 +195,6 @@ class IntegerModel:
     def reduce_vector(self, vec: Sequence[int], qi: int) -> Tuple[List[int], List[int]]:
         return kernel.reduce_divisor(self.indptr, self.nbrs, list(vec), qi)
 
-    def reduce(self, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
-        """q-reduced representative and witness f with result = D + div(f)."""
-        qi = self.vertex_index(q)
-        red, sigma = self.reduce_vector(self.divisor_vector(D), qi)
-        return self.vector_divisor(red), self.sigma_to_pl(sigma)
-
     def effective_class(self, vec: Sequence[int], qi: int) -> bool:
         """Whether the class of vec contains an effective divisor."""
         red, _ = self.reduce_vector(vec, qi)
@@ -212,35 +202,43 @@ class IntegerModel:
 
     def indices_in(self, sub: Subcurve) -> List[int]:
         """Sorted indices of the lattice points that lie on the subcurve."""
+        # an interval that reaches an end of its edge puts that end into
+        # sub.vertices (closure), so the slices may include the ends
         out = {self._vindex[v] for v in sub.vertices}
-        for e, (ticks, nodes, firsts) in self._edge.items():
-            for a, b in sub.covered_intervals(e):
-                lo = max(ceil(a * self.lam), 1)
-                hi = min(floor(b * self.lam), ticks[-1] - 1)
-                out.update(nodes[i] for i in range(1, len(ticks) - 1)
-                           if lo <= ticks[i] <= hi)
-                for s, t, first in zip(ticks, ticks[1:], firsts):
-                    out.update(range(first + max(lo, s + 1) - s - 1,
-                                     first + min(hi, t - 1) - s))
+        for e, ivs in sub.intervals.items():
+            path = self._paths[e]
+            for a, b in ivs:
+                out.update(path[ceil(a * self.lam):floor(b * self.lam) + 1])
         return sorted(out)
 
 
-def equivalence_witness(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]:
-    """(True, f) with D1 - D2 = div(f), else (False, None)."""
-    curve = D1.curve
-    model = IntegerModel(curve, marks=D1.support() + D2.support())
-    z = model.divisor_vector(D1 - D2)
-    red, sigma = model.reduce_vector(z, 0)
-    if any(red):
-        return False, None
-    return True, -model.sigma_to_pl(sigma)
-
-
 def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
-    """q-reduced form of D and witness f with reduced = D + div(f)."""
+    """q-reduced form of D and witness f with reduced = D + div(f), f(q) = 0."""
     q = curve.point(q)
     model = IntegerModel(curve, marks=list(D.support()) + [q])
-    return model.reduce(D, q)
+    red, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
+    chips = [(model.point_of_index(i), m) for i, m in enumerate(red) if m]
+    return Divisor(curve, chips), model.sigma_to_pl(sigma)
+
+
+def is_equivalent(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]:
+    """Linear equivalence test with witness.
+
+    Returns (True, f) with D1 − D2 = div(f), or (False, None).  D1 ~ D2
+    exactly when D1 − D2 reduces to 0 at the first vertex; f is then minus
+    the reduction's witness, the one function with divisor D1 − D2 that
+    vanishes there.
+    """
+    if D1.curve != D2.curve:
+        raise ValueError("divisors on different curves")
+    if D1.degree() != D2.degree():
+        return False, None
+    if D1 == D2:
+        return True, PLFunction.constant(D1.curve)
+    red, f = reduced_divisor(D1.curve, D1 - D2, D1.curve.vertices()[0])
+    if not red.is_zero():
+        return False, None
+    return True, -f
 
 
 def subcurve_diameter(sub: Subcurve) -> Fraction:

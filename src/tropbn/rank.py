@@ -25,28 +25,11 @@ doubled effective divisors bounded by the vertex weights:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .curve import Point, TropicalCurve, attach_loops
-from .divisor import Divisor, PLFunction, star
-from .models import IntegerModel, reduced_divisor
-
-
-@dataclass
-class ReducedForm:
-    """q-reduced representative with its defining data."""
-
-    divisor: Divisor
-    witness: PLFunction   # reduced = original + div(witness)
-    base: Point
-
-
-def dhar_reduce(curve: TropicalCurve, D: Divisor, q) -> ReducedForm:
-    """The q-reduced divisor equivalent to D (Dhar's burning algorithm)."""
-    q = curve.point(q)
-    red, f = reduced_divisor(curve, D, q)
-    return ReducedForm(red, f, q)
+from .curve import Point, TropicalCurve, attach_loops, genus
+from .divisor import Divisor
+from .models import IntegerModel
 
 
 def canonical(curve: TropicalCurve) -> Divisor:
@@ -160,7 +143,7 @@ def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
 
 def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the weighted curve."""
-    d, g = D.degree(), curve.betti() + curve.total_weight()
+    d, g = D.degree(), genus(curve)
     if d < 0:
         return -1
     if d > 2 * g - 2:   # Riemann-Roch in the weighted genus

@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import (Point, Subcurve, TropicalCurve, neighborhood,
                     deformation_retracts, rat)
-from .divisor import (Divisor, PLFunction, clamp, is_equivalent, restrict,
-                      star)
-from .models import IntegerModel, reduced_divisor
+from .divisor import Divisor, PLFunction, _point_key, clamp, restrict, star
+from .models import IntegerModel, is_equivalent, reduced_divisor
 from .rank import rank_weighted
 
 
@@ -92,8 +91,7 @@ def _subcurve_rds(lam: Subcurve) -> List[Point]:
         pts.update(curve.point(e, t) for iv in ivs for t in iv)
         if curve.is_loop(e) and ivs == ((0, curve.length(e)),):
             pts.add(curve.point(e, curve.length(e) / 2))
-    return sorted(pts, key=lambda p: (p.vertex is None, p.vertex or "",
-                                      p.edge or "", p.offset or 0))
+    return sorted(pts, key=_point_key)
 
 
 # -- pushing a single divisor ------------------------------------------------
@@ -109,12 +107,8 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
         for a, b in lam.covered_intervals(e):
             cs.add(a)
             cs.add(b)
-        prof = f._profile(e)
-        for o, _ in prof:
-            cs.add(o)
-        for (o0, v0), (o1, v1) in zip(prof, prof[1:]):
-            if (v0 - mu) * (v1 - mu) < 0:
-                cs.add(o0 + (mu - v0) * (o1 - o0) / (v1 - v0))
+        cs.update(o for o, _ in f.knots(e))
+        cs.update(f.crossings(e, mu))
         cuts[e] = sorted(cs)
 
     def fv(e, o):

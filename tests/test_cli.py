@@ -424,6 +424,7 @@ def _with_length(length):
 
 @pytest.mark.parametrize("docs, argv", [
     ({"c": _with_length("1/0"), "d": CHIP}, ["rank"]),
+    ({"c": _with_length(True), "d": CHIP}, ["rank"]),
     ({"c": CIRCLE, "d": CHIP}, ["rank", "--loops", "1/0"]),
     ({"t": LOOP_TYPE, "d": {"chips": []}},
      ["ucoords", "--type", "{t}", "--s", "1/0"]),
@@ -447,7 +448,7 @@ def _with_length(length):
     ({"s": {"type": LOOP_TYPE, "d": 1, "r": 0,
             "pattern": [{"at": {"vertex": {}}, "mult": 1}]}},
      ["experiment", "closedness", "--spec", "{s}"]),
-], ids=["length-1/0", "loops-1/0", "s-1/0", "divisor-list", "at-int",
+], ids=["length-1/0", "length-true", "loops-1/0", "s-1/0", "divisor-list", "at-int",
         "mult-list", "mult-float", "weight-float", "spec-string", "ends-dict",
         "subcurve-vertices-int", "subcurve-edge-list", "contracted-dict",
         "pattern-vertex-dict"])

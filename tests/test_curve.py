@@ -120,6 +120,15 @@ def test_contract_loop_and_bridge():
     assert back(looped.point("u")).vertex == vid
 
 
+def test_contract_refuses_a_string_of_ids():
+    """Read character by character, "e1" would name e and 1, "e" would work."""
+    c = TropicalCurve({"a": 0, "b": 0},
+                      [("e", ("a", "b"), 1), ("e1", ("a", "b"), 1)])
+    for ids in ("e1", "e"):
+        with pytest.raises(TypeError, match="collection of ids"):
+            contract(c, ids)
+
+
 def test_realize_all_zero_gives_weighted_point():
     ctype = theta().combinatorial_type()
     limit, _ = realize(ctype, [0, 0, 0])

@@ -39,7 +39,7 @@ def test_frac_strings():
     assert parse_frac("3/2") == F(3, 2)
     assert parse_frac("4") == F(4)
     assert parse_frac(4) == F(4)
-    for bad in (1.5, "1/0", "x", None):
+    for bad in (1.5, "1/0", "x", None, True, False):
         with pytest.raises(ValueError):
             parse_frac(bad)
 

@@ -4,7 +4,8 @@ The reference model below is built the long way, with the public curve
 operations: promote the marks to vertices (`subdivide`), split the loops
 (`loopless_model`), subdivide every piece into unit steps, and chain the
 three point maps.  `IntegerModel` must number, connect and convert lattice
-points exactly as that construction does.
+points exactly as that construction does.  The divisor-level entry points,
+`reduced_divisor` and `is_equivalent`, are checked by property at the end.
 """
 
 import random
@@ -12,8 +13,11 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropbn import (PLFunction, Point, Subcurve, TropicalCurve, loopless_model,
+from tropbn import (Divisor, PLFunction, Point, Subcurve, TropicalCurve,
+                    abel_jacobi, is_equivalent, loopless_model, reduced_divisor,
                     subdivide)
 from tropbn import models
 from tropbn.models import IntegerModel
@@ -86,13 +90,26 @@ def random_marks(rng, c):
 
 
 def random_subcurve(rng, c):
-    if not c.edges():
-        return Subcurve(c, c.vertices())
-    e = rng.choice(c.edges())
-    ell = c.length(e)
-    a = ell * F(rng.randint(0, 6), 6)
-    b = ell * F(rng.randint(0, 6), 6)
-    return Subcurve(c, segments={e: [(a, b)]})
+    """A vertex, whole edges, or on each of one or two edges a segment or
+    two segments reaching its two ends, alone or with every other edge
+    whole; redrawn until it is connected."""
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0 or not c.edges():
+            return Subcurve(c, [rng.choice(c.vertices())])
+        es = rng.sample(c.edges(), min(len(c.edges()), rng.randint(1, 2)))
+        segments = {}
+        for e in es:
+            ell = c.length(e)
+            a, b = sorted(ell * F(rng.randint(0, 6), 6) for _ in range(2))
+            segments[e] = [(a, b)] if rng.random() < 0.5 else [(0, a), (b, ell)]
+        try:
+            if kind == 1:
+                return Subcurve(c, whole_edges=es)
+            rest = [e for e in c.edges() if e not in es] if kind == 3 else []
+            return Subcurve(c, whole_edges=rest, segments=segments)
+        except ValueError:   # not connected
+            continue
 
 
 def cases(seed, count):
@@ -186,3 +203,46 @@ def test_scale_must_be_positive(scale):
     c = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 2)])
     with pytest.raises(ValueError, match="scale must be a positive integer"):
         IntegerModel(c, marks=[c.point("e", F(1, 2))], scale=scale)
+
+
+def test_every_exported_name_resolves():
+    import tropbn
+
+    for name in tropbn.__all__:
+        assert getattr(tropbn, name) is not None, name
+
+
+@st.composite
+def divisor_cases(draw):
+    """A pure curve with loops and mixed lengths, D, D + P − Q and a point q."""
+    n = draw(st.integers(1, 4))
+    names = [f"v{i}" for i in range(n)]
+    lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 4), F(5, 3)])
+    edges = [(f"t{i}", (names[draw(st.integers(0, i - 1))], names[i]), draw(lengths))
+             for i in range(1, n)]
+    for j in range(draw(st.integers(0 if n > 1 else 1, 3))):
+        uv = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
+        edges.append((f"x{j}", uv, draw(lengths)))
+    c = TropicalCurve({v: 0 for v in names}, edges)
+    points = st.one_of(
+        st.sampled_from(names).map(c.point),
+        st.builds(lambda e, k: c.point(e, c.length(e) * k),
+                  st.sampled_from(c.edges()), st.sampled_from([F(1, 3), F(1, 2), F(3, 4)])))
+    D = Divisor(c, draw(st.lists(st.tuples(points, st.integers(-2, 3)), max_size=4)))
+    D2 = D + Divisor(c, [(draw(points), 1), (draw(points), -1)])
+    return c, D, D2, draw(points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=divisor_cases())
+def test_reduced_divisor_and_equivalence(case):
+    c, D, D2, q = case
+    red, f = reduced_divisor(c, D, q)
+    assert D + f.divisor() == red
+    assert all(m > 0 for p, m in red.items() if p != q)
+    assert reduced_divisor(c, red, q)[0] == red
+    assert f.value(q) == 0
+    ok, g = is_equivalent(D, red)
+    assert ok and D - red == g.divisor()
+    # an independent oracle: the Abel-Jacobi image of D − D2
+    assert is_equivalent(D, D2)[0] == abel_jacobi(c, D - D2, c.vertices()[0]).is_zero()
