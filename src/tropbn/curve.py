@@ -20,13 +20,21 @@ def rat(x: RatLike) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to an exact rational.
 
     Anything else (booleans included), and a string with a zero
-    denominator, is a ValueError.
+    denominator, is a ValueError.  Strings of ASCII digits, or two such
+    separated by '/' with a nonzero denominator, skip `Fraction`'s regular
+    expression; every other string goes through ``Fraction(x)``.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -69,6 +77,13 @@ class TropicalCurve:
     Values are immutable after construction; every transformation returns a
     new curve.  Vertex and edge iteration order is the insertion order of the
     constructor arguments, which keeps downstream computations deterministic.
+
+    Two caches ride on a curve and never change its value, equality or hash:
+    vertex distances per source (``_dist_cache``), and one slot,
+    ``_lattice_slot``, with the last integer lattice built on it.  The slot
+    is keyed by the lattice's scale and interior cuts and replaced when a
+    model with another key is built (see `models.IntegerModel`).  It holds
+    only curve-free data, so it makes no reference cycle with the curve.
     """
 
     def __init__(
@@ -114,6 +129,9 @@ class TropicalCurve:
 
         self._check_connected()
         self._dist_cache: Dict[str, Dict[str, Fraction]] = {}
+        # the last integer lattice built on this curve, as (key, curve-free
+        # fields); see `models.IntegerModel`
+        self._lattice_slot: Optional[Tuple[tuple, dict]] = None
 
     def _check_connected(self):
         seen = set()
@@ -181,13 +199,19 @@ class TropicalCurve:
     def point(self, spec, offset: Optional[RatLike] = None) -> Point:
         """Canonical point: a `Point`, a vertex id, or (edge id, offset), with
         endpoint offsets collapsed to the corresponding vertex.  This is the
-        one place that canonicalizes points."""
+        one place that canonicalizes points; a `Point` that is already
+        canonical (a vertex of the curve, or a known edge with a `Fraction`
+        offset strictly inside it) is returned as it is."""
         if isinstance(spec, Point):
             if spec.is_vertex:
                 if spec.vertex not in self._weights:
                     raise ValueError(f"unknown vertex {spec.vertex!r}")
                 return spec
-            spec, offset = spec.edge, spec.offset
+            spec, offset, pt = spec.edge, spec.offset, spec
+            if (isinstance(spec, str) and spec in self._edges
+                    and isinstance(offset, Fraction)
+                    and 0 < offset < self._edges[spec][2]):
+                return pt   # already canonical
         elif offset is None:
             if not isinstance(spec, str) or spec not in self._weights:
                 raise ValueError(f"unknown vertex {spec!r}")

@@ -15,7 +15,7 @@ from .curve import Point, PointMap, Subcurve, TropicalCurve, rat
 
 def _point_key(p: Point):
     if p.is_vertex:
-        return (0, p.vertex, Fraction(0))
+        return (0, p.vertex, 0)
     return (1, p.edge, p.offset)
 
 

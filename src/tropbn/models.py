@@ -50,7 +50,10 @@ class IntegerModel:
     its midpoint when it is a loop without interior marks.  A piece runs
     between consecutive stops (or an endpoint); λ is ``scale`` times the lcm
     of the denominators of all piece lengths, so every stop is a lattice
-    point.  Lattice points are numbered in this order:
+    point.  The stop offsets are partial sums of the piece lengths, so that
+    lcm is also the lcm of the stop offsets' denominators, which is how λ is
+    computed; a stop at offset a/b is then the integer tick a·(λ/b).
+    Lattice points are numbered in this order:
 
     1. the curve's vertices, in curve order;
     2. the interior marks, edge by edge in curve order, offsets ascending;
@@ -64,85 +67,34 @@ class IntegerModel:
     in which a walk over the edges (curve order, each from its first end to
     its second) meets the unit steps.  A model of more than
     ``MAX_LATTICE_POINTS`` points raises ``ValueError`` before it allocates.
+
+    The lattice depends only on ``scale`` and the set of interior cuts
+    (edge, offset) that the marks make; vertex marks do not change it.  The
+    curve keeps the last lattice built on it in one slot,
+    ``TropicalCurve._lattice_slot``, as (key, fields) with that pair as the
+    key, so a model built again on the same curve object and cuts, as the
+    Riemann–Roch pair rank(D), rank(K − D) does, copies the stored fields
+    instead of rebuilding them.  A model with another key empties the slot
+    before it builds and then takes it over, so a curve never holds two
+    lattices.  The fields are curve-free (``n``, ``lam``, the numbering, the
+    paths, the piece tables and the CSR arrays), so the slot holds no
+    reference back to the curve, a model or a divisor: there is no cycle,
+    and a dropped curve is freed by reference counting.  The stored lists
+    are shared between the models of one key and are never mutated.
     """
 
     def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
         if not isinstance(scale, int) or scale < 1:
             raise ValueError("scale must be a positive integer")
         self.curve = curve
-        cuts: Dict[str, set] = {}
-        for m in marks:
-            p = curve.point(m)
-            if not p.is_vertex:
-                cuts.setdefault(p.edge, set()).add(p.offset)
-        verts = curve.vertices()
-        self._vindex: Dict[str, int] = {v: i for i, v in enumerate(verts)}
-        # points of the indices below len(stops), and per edge its stop
-        # offsets (ends included) with the index of each
-        stops: List[Point] = [Point(vertex=v) for v in verts]
-        layout: Dict[str, Tuple[List[Fraction], List[int]]] = {}
-
-        def add_stops(e, offs):
-            u, v = curve.ends(e)
-            first = len(stops)
-            stops.extend(Point(edge=e, offset=o) for o in offs)
-            layout[e] = ([Fraction(0)] + offs + [curve.length(e)],
-                         [self._vindex[u], *range(first, len(stops)),
-                          self._vindex[v]])
-
-        for e in curve.edges():
-            if e in cuts:
-                add_stops(e, sorted(cuts[e]))
-        for e in curve.edges():
-            if e not in layout:
-                add_stops(e, [curve.length(e) / 2] if curve.is_loop(e) else [])
-        self._stops = stops
-        self.split_indices: List[int] = list(range(len(stops)))
-
-        dens = [(b - a).denominator for offs, _ in layout.values()
-                for a, b in zip(offs, offs[1:])]
-        self.lam = lam = scale * lcm(*dens)
-
-        # n is counted piece by piece before anything is allocated: a piece
-        # whose tick gap is at most 1 has no interior points
-        ticks_of = {e: [int(o * lam) for o in offs]
-                    for e, (offs, _) in layout.items()}
-        n = len(stops) + sum(t - s - 1 for ticks in ticks_of.values()
-                             for s, t in zip(ticks, ticks[1:]) if t - s > 1)
-        if n > MAX_LATTICE_POINTS:
-            raise ValueError(f"integer model needs {n} lattice points, more "
-                             f"than the limit of {MAX_LATTICE_POINTS}")
-        self.n = n
-
-        # per edge, the lattice index at each tick t (offset t/λ) from its
-        # first end on; plus, for every piece with interior points, its
-        # first index, edge and start tick
-        self._paths: Dict[str, List[int]] = {}
-        self._piece_first: List[int] = []
-        self._piece_at: List[Tuple[str, int]] = []
-        first = len(stops)
-        for e in curve.edges():
-            ticks, nodes = ticks_of[e], layout[e][1]
-            path = [nodes[0]]
-            for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
-                if t - s > 1:
-                    self._piece_first.append(first)
-                    self._piece_at.append((e, s))
-                    path.extend(range(first, first + t - s - 1))
-                    first += t - s - 1
-                path.append(node)
-            self._paths[e] = path
-
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for path in self._paths.values():
-            for a, b in zip(path, path[1:]):
-                adj[a].append(b)
-                adj[b].append(a)
-        indptr = [0] * (n + 1)
-        for i, nb in enumerate(adj):
-            indptr[i + 1] = indptr[i] + len(nb)
-        self.indptr = indptr
-        self.nbrs = [w for nb in adj for w in nb]
+        cuts = frozenset((p.edge, p.offset) for p in map(curve.point, marks)
+                         if not p.is_vertex)
+        key = (scale, cuts)
+        slot = curve._lattice_slot
+        if slot is None or slot[0] != key:
+            curve._lattice_slot = None   # never hold two lattices at once
+            slot = curve._lattice_slot = (key, _lattice(curve, cuts, scale))
+        self.__dict__.update(slot[1])
 
     # -- conversions -------------------------------------------------------
 
@@ -210,6 +162,80 @@ class IntegerModel:
             for a, b in ivs:
                 out.update(path[ceil(a * self.lam):floor(b * self.lam) + 1])
         return sorted(out)
+
+
+def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
+    """The curve-free fields of an `IntegerModel`: its lattice for the
+    interior cuts, a set of (edge, offset) pairs, at this scale."""
+    verts = curve.vertices()
+    vindex = {v: i for i, v in enumerate(verts)}
+    offsets_on: Dict[str, List[Fraction]] = {}
+    for e, o in cuts:
+        offsets_on.setdefault(e, []).append(o)
+    # points of the indices below len(stops), and per edge its stop
+    # offsets (ends included) with the index of each
+    stops: List[Point] = [Point(vertex=v) for v in verts]
+    layout: Dict[str, Tuple[list, List[int]]] = {}
+
+    def add_stops(e, offs):
+        u, v = curve.ends(e)
+        first = len(stops)
+        stops.extend(Point(edge=e, offset=o) for o in offs)
+        layout[e] = ([0, *offs, curve.length(e)],
+                     [vindex[u], *range(first, len(stops)), vindex[v]])
+
+    for e in curve.edges():
+        if e in offsets_on:
+            add_stops(e, sorted(offsets_on[e]))
+    for e in curve.edges():
+        if e not in layout:
+            add_stops(e, [curve.length(e) / 2] if curve.is_loop(e) else [])
+
+    # the stop offsets are the partial sums of the piece lengths, so the lcm
+    # of their denominators is that of the piece lengths' denominators
+    lam = scale * lcm(*(o.denominator for offs, _ in layout.values()
+                        for o in offs))
+    ticks_of = {e: [o.numerator * (lam // o.denominator) for o in offs]
+                for e, (offs, _) in layout.items()}
+    # n is counted piece by piece before anything is allocated: a piece
+    # whose tick gap is at most 1 has no interior points
+    n = len(stops) + sum(t - s - 1 for ticks in ticks_of.values()
+                         for s, t in zip(ticks, ticks[1:]) if t - s > 1)
+    if n > MAX_LATTICE_POINTS:
+        raise ValueError(f"integer model needs {n} lattice points, more "
+                         f"than the limit of {MAX_LATTICE_POINTS}")
+
+    # per edge, the lattice index at each tick t (offset t/λ) from its
+    # first end on; plus, for every piece with interior points, its first
+    # index, edge and start tick
+    paths: Dict[str, List[int]] = {}
+    piece_first: List[int] = []
+    piece_at: List[Tuple[str, int]] = []
+    first = len(stops)
+    for e in curve.edges():
+        ticks, nodes = ticks_of[e], layout[e][1]
+        path = [nodes[0]]
+        for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
+            if t - s > 1:
+                piece_first.append(first)
+                piece_at.append((e, s))
+                path.extend(range(first, first + t - s - 1))
+                first += t - s - 1
+            path.append(node)
+        paths[e] = path
+
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for path in paths.values():
+        for a, b in zip(path, path[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
+    indptr = [0] * (n + 1)
+    for i, nb in enumerate(adj):
+        indptr[i + 1] = indptr[i] + len(nb)
+    return {"n": n, "lam": lam, "_vindex": vindex, "_stops": stops,
+            "split_indices": list(range(len(stops))), "_paths": paths,
+            "_piece_first": piece_first, "_piece_at": piece_at,
+            "indptr": indptr, "nbrs": [w for nb in adj for w in nb]}
 
 
 def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:

@@ -13,15 +13,17 @@ integer arithmetic, so it sticks to the stdlib.
 
 `lattice_diameter` is the exhaustive reference for subcurve diameters: a
 breadth-first search over a half-step lattice model of the curve.
+`piece_scale` is the lattice scale λ by its definition from piece lengths.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from tropbn.curve import Subcurve
+from tropbn.curve import Subcurve, TropicalCurve
 from tropbn.models import IntegerModel
 
 
@@ -243,3 +245,24 @@ def lattice_diameter(sub: Subcurve) -> Fraction:
             if dist[t] > best:
                 best = dist[t]
     return Fraction(best, model.lam)
+
+
+# -- lattice scale from piece lengths ----------------------------------------
+
+
+def piece_scale(curve: TropicalCurve, marks=(), scale: int = 1) -> int:
+    """λ by its definition: scale times the lcm of the denominators of the
+    piece lengths, each edge cut at its interior marks, or at its midpoint
+    when it is a loop without interior marks."""
+    cuts: Dict[str, Set[Fraction]] = {}
+    for m in marks:
+        p = curve.point(m)
+        if not p.is_vertex:
+            cuts.setdefault(p.edge, set()).add(p.offset)
+    dens = []
+    for e in curve.edges():
+        ell = curve.length(e)
+        inner = sorted(cuts.get(e, ())) or ([ell / 2] if curve.is_loop(e) else [])
+        stops = [Fraction(0), *inner, ell]
+        dens += [(b - a).denominator for a, b in zip(stops, stops[1:])]
+    return scale * lcm(*dens)

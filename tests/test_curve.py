@@ -22,6 +22,7 @@ from tropbn import (
     subdivide,
     underlying_pure,
 )
+from tropbn.curve import rat
 
 
 def theta(w1=0, w2=0, lengths=(1, 1, 1)):
@@ -157,6 +158,47 @@ def test_point_canonicalization():
         c.point("e1", 2)
     assert c.distance("v1", "v2") == 1
     assert c.distance(c.point("e1", F(1, 4)), "v1") == F(1, 4)
+
+
+def test_point_returns_canonical_points_as_they_are():
+    c = theta(lengths=(1, 2, F(3, 2)))
+    p = Point(edge="e2", offset=F(1, 3))
+    assert c.point(p) is p
+    r = c.point("e3", F(1, 2))
+    assert c.point(r) is r
+    # offsets 0 and ℓ still collapse to the edge's ends
+    assert c.point(Point(edge="e2", offset=F(0))) == Point(vertex="v1")
+    assert c.point(Point(edge="e2", offset=F(2))) == Point(vertex="v2")
+    for bad in (Point(edge="e2", offset=F(5, 2)), Point(edge="e2", offset=F(-1, 2)),
+                Point(edge="zz", offset=F(1, 2)), Point(edge=["e2"], offset=F(1, 2))):
+        with pytest.raises(ValueError):
+            c.point(bad)
+    # an int offset is coerced to a Fraction in a new point
+    q = c.point(Point(edge="e2", offset=1))
+    assert q == Point(edge="e2", offset=F(1)) and type(q.offset) is F
+
+
+RAT_STRINGS = ["007", "0/5", "1/0", "1/00", "²", "١", " 3", "-1/2", "1.5",
+               "1e3", "", "/", "3/", "/3", "1/2/3", "+4", "1_000", "06/004"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=st.one_of(st.sampled_from(RAT_STRINGS),
+                   st.text(alphabet="0123456789/-+ ._e²١", max_size=8)))
+def test_rat_agrees_with_fraction(s):
+    """rat(s) is Fraction(s), and raises ValueError exactly where it fails,
+    with Fraction's message, or rat's own for a zero denominator."""
+    try:
+        want = F(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        message = (f"not a rational: {s!r}" if isinstance(exc, ZeroDivisionError)
+                   else str(exc))
+        with pytest.raises(ValueError) as got:
+            rat(s)
+        assert str(got.value) == message
+    else:
+        got = rat(s)
+        assert type(got) is F and got == want
 
 
 def test_subcurve_merging_and_closure():

@@ -4,11 +4,15 @@ The reference model below is built the long way, with the public curve
 operations: promote the marks to vertices (`subdivide`), split the loops
 (`loopless_model`), subdivide every piece into unit steps, and chain the
 three point maps.  `IntegerModel` must number, connect and convert lattice
-points exactly as that construction does.  The divisor-level entry points,
-`reduced_divisor` and `is_equivalent`, are checked by property at the end.
+points exactly as that construction does.  Models rebuilt on one curve
+object through its lattice slot must equal fresh builds, and the slot must
+keep no curve alive.  The divisor-level entry points, `reduced_divisor` and
+`is_equivalent`, are checked by property at the end.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from math import lcm
 
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 from tropbn import (Divisor, PLFunction, Point, Subcurve, TropicalCurve,
                     abel_jacobi, is_equivalent, loopless_model, reduced_divisor,
                     subdivide)
-from tropbn import models
+from tropbn import canonical, models, rank_weighted
 from tropbn.models import IntegerModel
+
+from oracles import piece_scale
 
 
 class ReferenceModel:
@@ -195,6 +201,59 @@ def test_lattice_size_is_capped_before_allocating(monkeypatch):
     assert IntegerModel(short).n == 100
     with pytest.raises(ValueError, match="lattice points"):
         IntegerModel(short, scale=2)
+
+
+def twin(c):
+    """A curve equal to c but a distinct object, so its lattice slot is empty."""
+    return TropicalCurve(c.weights(),
+                         [(e, c.ends(e), c.length(e)) for e in c.edges()])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rng=st.randoms(use_true_random=False))
+def test_lattice_slot_matches_fresh_builds(rng):
+    """Models built on one curve object with marks A, A, B, A, then A at
+    scale 2, equal fresh builds on equal curves; a build with the key of
+    the one before it (scale and interior cuts) shares its lattice, any
+    other rebuilds it."""
+    c = random_curve(rng)
+    A, B = random_marks(rng, c), random_marks(rng, c)
+    prev = prev_key = None
+    for marks, scale in ((A, 1), (A, 1), (B, 1), (A, 1), (A, 2)):
+        model, fresh = IntegerModel(c, marks, scale), IntegerModel(twin(c), marks, scale)
+        assert (model.n, model.lam) == (fresh.n, fresh.lam)
+        assert (model.indptr, model.nbrs) == (fresh.indptr, fresh.nbrs)
+        assert model.lam == piece_scale(c, marks, scale)
+        for i in fresh.split_indices:
+            assert model.vertex_index(fresh.point_of_index(i)) == i
+        assert [model.point_of_index(i) for i in range(model.n)] \
+            == [fresh.point_of_index(i) for i in range(fresh.n)]
+        key = (scale, {(p.edge, p.offset) for p in map(c.point, marks)
+                       if not p.is_vertex})
+        if prev is not None:
+            assert (model.nbrs is prev.nbrs) == (key == prev_key)
+        prev, prev_key = model, key
+
+
+def test_models_keep_no_curve_alive():
+    """The lattice slot holds nothing that refers back to its curve, so
+    reference counting alone frees a curve once its last user is gone."""
+    c = TropicalCurve({"a": 0, "b": 1},
+                      [("e", ("a", "b"), F(3, 2)), ("f", ("a", "b"), 1),
+                       ("l", ("a", "a"), 2)])
+    D = Divisor(c, [(c.point("e", F(1, 2)), 1), ("a", 1)])
+    KmD = canonical(c) - D
+    alive = weakref.ref(c)
+    gc.disable()
+    try:
+        rank_weighted(c, D)
+        rank_weighted(c, KmD)
+        models.reduced_divisor(c, D, "b")
+        assert c._lattice_slot is not None
+        del c, D, KmD
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("scale", [0, -1])
