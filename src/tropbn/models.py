@@ -36,6 +36,9 @@ from .divisor import Divisor, PLFunction
 
 # Largest lattice a model may have.  A lattice point costs about 200 bytes
 # (adjacency lists, CSR arrays, kernel vectors), so this is about 400 MB.
+# The kernel's rounds work on runs of points rather than on points, but its
+# vectors, in and out, still hold one entry per point, and it contracts the
+# lattice in one pass over them; so n still bounds a call's memory and time.
 MAX_LATTICE_POINTS = 2_000_000
 
 

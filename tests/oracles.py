@@ -14,11 +14,14 @@ integer arithmetic, so it sticks to the stdlib.
 `lattice_diameter` is the exhaustive reference for subcurve diameters: a
 breadth-first search over a half-step lattice model of the curve.
 `piece_scale` is the lattice scale λ by its definition from piece lengths.
+`unit_reduce_divisor` is the reference chip-firing kernel: the same rounds
+as `tropbn._kernel_py`, each one walked over every vertex of the graph.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
@@ -266,3 +269,137 @@ def piece_scale(curve: TropicalCurve, marks=(), scale: int = 1) -> int:
         stops = [Fraction(0), *inner, ell]
         dens += [(b - a).denominator for a, b in zip(stops, stops[1:])]
     return scale * lcm(*dens)
+
+
+# -- chip-firing on the unit graph ---------------------------------------------
+
+
+def _unit_burn(indptr, nbrs, d, q):
+    """Dhar's fire from q: (burnt, cnt), one flag and one count per vertex.
+
+    A vertex burns once more of its edges lead to burnt vertices than it has
+    chips.  `cnt[v]` counts the edges from an unburnt v into the burnt set.
+    """
+    n = len(indptr) - 1
+    burnt = bytearray(n)
+    burnt[q] = 1
+    cnt = [0] * n
+    queue = deque([q])
+    while queue:
+        u = queue.popleft()
+        for i in range(indptr[u], indptr[u + 1]):
+            v = nbrs[i]
+            if not burnt[v]:
+                cnt[v] += 1
+                if cnt[v] > d[v]:
+                    burnt[v] = 1
+                    queue.append(v)
+    return burnt, cnt
+
+
+def _other(indptr, nbrs, prev, cur):
+    """The neighbour of the degree-2 vertex `cur` that is not `prev`."""
+    a = nbrs[indptr[cur]]
+    return nbrs[indptr[cur] + 1] if a == prev else a
+
+
+def unit_reduce_divisor(indptr, nbrs, div, q):
+    """q-reduce an integer divisor vector on the unit graph, round by round.
+
+    The algorithm of `tropbn._kernel_py.reduce_divisor` without the chain
+    contraction: BFS levels from q, the debt cleared by firing balls around
+    q, then Dhar's burning, each round firing the unburnt set U and the
+    sets that grow from it along its corridors.  Every round burns and
+    walks the whole graph, with one call of `_unit_burn`.  Returns
+    (reduced, sigma) with sigma[q] == 0.
+    """
+    n = len(indptr) - 1
+    d = list(div)
+    if not (0 <= q < n):
+        raise ValueError("q out of range")
+    sigma = [0] * n
+
+    level = [-1] * n
+    level[q] = 0
+    order = deque([q])
+    levels = [[q]]
+    while order:
+        u = order.popleft()
+        for i in range(indptr[u], indptr[u + 1]):
+            v = nbrs[i]
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                if len(levels) <= level[v]:
+                    levels.append([])
+                levels[level[v]].append(v)
+                order.append(v)
+    if sum(len(lv) for lv in levels) != n:
+        raise ValueError("graph must be connected")
+    maxlev = len(levels) - 1
+
+    # stage 1: clear debt outside q by firing balls around q, outermost first
+    if any(d[v] < 0 for v in range(n) if v != q):
+        down = [0] * n   # edges to the previous level
+        up = [0] * n     # edges to the next level
+        for u in range(n):
+            lu = level[u]
+            for i in range(indptr[u], indptr[u + 1]):
+                lv = level[nbrs[i]]
+                if lv == lu - 1:
+                    down[u] += 1
+                elif lv == lu + 1:
+                    up[u] += 1
+        ms = [0] * (maxlev + 1)
+        for j in range(maxlev - 1, -1, -1):
+            m = 0
+            for v in levels[j + 1]:
+                if d[v] < 0:
+                    c = down[v]
+                    need = (-d[v] + c - 1) // c
+                    if need > m:
+                        m = need
+            if m:
+                ms[j] = m
+                for v in levels[j + 1]:
+                    d[v] += m * down[v]
+                for u in levels[j]:
+                    d[u] -= m * up[u]
+        acc = 0
+        suffix = [0] * (maxlev + 1)
+        for j in range(maxlev - 1, -1, -1):
+            acc += ms[j]
+            suffix[j] = acc
+        for v in range(n):
+            sigma[v] += suffix[level[v]]
+
+    # stage 2: Dhar burning; fire the unburnt set U, then the sets that
+    # grow from it along its corridors, as often and as far as they allow
+    while True:
+        burnt, cnt = _unit_burn(indptr, nbrs, d, q)
+        if all(burnt):
+            break
+        unburnt = [v for v in range(n) if not burnt[v]]
+        k = min(d[v] // cnt[v] for v in unburnt if cnt[v])
+        exits = [(v, nbrs[i]) for v in unburnt if cnt[v]
+                 for i in range(indptr[v], indptr[v + 1]) if burnt[nbrs[i]]]
+        eps = n  # no corridor is longer, so this only bounds the walks
+        for prev, cur in exits:
+            steps = 1
+            while (steps < eps and cur != q and d[cur] == 0
+                   and indptr[cur + 1] - indptr[cur] == 2):
+                prev, cur = cur, _other(indptr, nbrs, prev, cur)
+                steps += 1
+            eps = steps
+        for v in unburnt:
+            sigma[v] += k * eps
+            d[v] -= k * cnt[v]
+        for prev, cur in exits:
+            for i in range(1, eps):
+                sigma[cur] += k * (eps - i)
+                prev, cur = cur, _other(indptr, nbrs, prev, cur)
+            d[cur] += k
+    base = sigma[q]
+    if base:
+        for v in range(n):
+            sigma[v] -= base
+    return d, sigma

@@ -1,6 +1,7 @@
 """The chip-firing kernel: backend agreement and q-reduction invariants."""
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 from unittest import mock
@@ -11,6 +12,8 @@ from hypothesis import (event, example, given, reject, settings,
 
 from tropbn import _kernel_py
 from tropbn import kernel
+
+import oracles
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropbn"
 
@@ -243,20 +246,34 @@ def test_disconnected_rejected():
         _kernel_py.reduce_divisor([0, 0, 0], [], [1, 1], 0)
 
 
-def test_compiled_kernel_rejects_bad_input(compiled):
+def assert_rejects_bad_input(reduce_divisor):
     path = ([0, 1, 2], [1, 0])
     for q in (-1, 2, 5):
         with pytest.raises(ValueError, match="q out of range"):
-            compiled.reduce_divisor(*path, [0, 0], q)
+            reduce_divisor(*path, [0, 0], q)
     with pytest.raises(ValueError, match="connected"):
-        compiled.reduce_divisor([0, 0, 0], [], [1, 1], 0)
+        reduce_divisor([0, 0, 0], [], [1, 1], 0)
     # indices that point outside the CSR arrays
     for indptr, nbrs in (([0, 1, 3], [1, 0]), ([0, 1, -1], [1, 0]),
                          ([0, 1, 2], [1, 2]), ([0, 1, 2], [-1, 0])):
         with pytest.raises(ValueError, match="CSR"):
-            compiled.reduce_divisor(indptr, nbrs, [0, 0], 0)
+            reduce_divisor(indptr, nbrs, [0, 0], 0)
     with pytest.raises(ValueError, match="one entry per vertex"):
-        compiled.reduce_divisor(*path, [0, 0, 0], 0)
+        reduce_divisor(*path, [0, 0, 0], 0)
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        reduce_divisor(*path, [3, -1, 7], 0)
+    # a degree-2 vertex whose walk comes back to itself: a loop, or an
+    # edge listed at one end only
+    with pytest.raises(ValueError, match="CSR must list each edge"):
+        reduce_divisor([0, 3, 5, 7], [1, 2, 2, 2, 1, 1, 1], [0, 0, 0], 0)
+
+
+def test_compiled_kernel_rejects_bad_input(compiled):
+    assert_rejects_bad_input(compiled.reduce_divisor)
+
+
+def test_pure_kernel_rejects_bad_input():
+    assert_rejects_bad_input(_kernel_py.reduce_divisor)
 
 
 SMALL = st.integers(-8, 8)
@@ -400,3 +417,73 @@ def test_kernel_falls_back_to_exact_integers(compiled, case):
     want = exact_reduction(case)
     with mock.patch.object(kernel, "_kernel", compiled):
         assert kernel._compiled_or_exact(*case) == want
+
+
+@st.composite
+def chain_divisors(draw):
+    """(indptr, nbrs, div, q) on a multigraph whose edges are long paths.
+
+    One to five branch vertices; each edge, loops included, is a path of
+    up to 60 steps.  Chips and debts sit on branch vertices and mid-chain,
+    and q is often mid-chain, so the kernel's contracted graph has runs of
+    many lengths, split by chips and by q.
+    """
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=5))
+    lengths = [draw(st.integers(2 if u == v else 1, 60)) for u, v in edges]
+    n, edges = as_paths(n, edges, lengths)
+    if n == 1:
+        edges, n = [(0, 1)], 2
+    div = [0] * n
+    for v, x in draw(st.lists(st.tuples(st.integers(0, n - 1), SMALL),
+                              max_size=6)):
+        div[v] += x
+    return (*csr(n, edges), div, draw(st.integers(0, n - 1)))
+
+
+def oracle_reduction(case, rounds=300):
+    """The unit-graph oracle's answer and burns; rejects longer runs."""
+    burn = oracles._unit_burn
+    burns = 0
+
+    def counted(*args):
+        nonlocal burns
+        burns += 1
+        if burns > rounds:
+            raise _Unfinished
+        return burn(*args)
+
+    with mock.patch.object(oracles, "_unit_burn", counted):
+        try:
+            return oracles.unit_reduce_divisor(*case), burns
+        except _Unfinished:
+            reject()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=chain_divisors() | huge_divisors())
+def test_contracted_kernel_fires_the_oracles_rounds(case):
+    """The pure kernel answers as the unit-graph oracle, in as many rounds."""
+    want, burns = oracle_reduction(case)
+    assert counted_reduction(case, burns) == (want, burns)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=chain_divisors() | huge_divisors())
+def test_compiled_contracted_kernel_matches_the_oracle(compiled, case):
+    """The compiled kernel answers as the unit-graph oracle, or refuses a
+    huge input with OverflowError."""
+    want, _ = oracle_reduction(case)
+    try:
+        assert compiled.reduce_divisor(*case) == want
+    except OverflowError:
+        assert max(map(abs, case[2])) > 2 ** 40
+
+
+def test_contracted_kernels_fire_the_oracles_rounds_on_corridors(compiled):
+    for case in itertools.chain(corridor_cases(), backend_cases(trials=60)):
+        want, burns = oracle_reduction(case)
+        assert counted_reduction(case, burns) == (want, burns)
+        assert compiled.reduce_divisor(*case) == want
