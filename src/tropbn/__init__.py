@@ -27,8 +27,6 @@ from .divisor import (
     Divisor,
     PLFunction,
     clamp,
-    degree,
-    principal_divisor,
     pushforward,
     restrict,
     star,
@@ -47,7 +45,6 @@ from .jacobian import (
     TorusPoint,
     UniversalCoords,
     abel_jacobi,
-    cycle_basis,
     pushforward_class,
     scale_cycles,
     universal_coords,
@@ -91,8 +88,6 @@ __all__ = [
     "Divisor",
     "PLFunction",
     "clamp",
-    "degree",
-    "principal_divisor",
     "pushforward",
     "restrict",
     "star",
@@ -108,7 +103,6 @@ __all__ = [
     "TorusPoint",
     "UniversalCoords",
     "abel_jacobi",
-    "cycle_basis",
     "pushforward_class",
     "scale_cycles",
     "universal_coords",

@@ -16,8 +16,9 @@ divisor of degree d already has rank at least r, every E extends, and
 rho = d - r exactly, at every resolution N.
 
 Two experiment drivers walk one-parameter families Gamma_{s_i} -> Gamma_s
-in which the lengths on a fixed edge set shrink geometrically to zero:
-the closedness driver tracks the rank of a fixed divisor pattern into the
+in which the lengths on a fixed edge set shrink geometrically to zero, with
+one walker that evaluates a value on each step and on the limit: the
+closedness driver tracks the rank of a fixed divisor pattern into the
 (weighted) limit curve, and the semicontinuity driver compares
 Brill-Noether ranks along the way.
 """
@@ -27,13 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .curve import (
     CombinatorialType,
     Point,
     PointMap,
     TropicalCurve,
+    _is_int,
     attach_loops,
     genus,
     rat,
@@ -53,6 +55,10 @@ class BNQuery:
     resolution: int = 1
 
     def __post_init__(self):
+        for name in ("d", "r", "resolution"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.resolution < 1:
             raise ValueError("resolution must be a positive integer")
         if self.r < 0:
@@ -205,6 +211,8 @@ class DegenerationSpec:
         for e in self.contracted:
             if e not in ids:
                 raise ValueError(f"unknown contracted edge {e!r}")
+        if not _is_int(self.steps):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("need at least one step")
         self.rate = rat(self.rate)
@@ -217,10 +225,11 @@ class DegenerationSpec:
         self.base = {e: rat(base.get(e, 1)) for e in order}
         if any(x <= 0 for x in self.base.values()):
             raise ValueError("base lengths must be positive")
-        if isinstance(self.pattern, Divisor):
-            self.pattern = tuple(self.pattern.items())
-        else:
-            self.pattern = tuple((p, int(m)) for p, m in self.pattern)
+        ones = self.ctype.ones()
+        chips = (self.pattern.items() if isinstance(self.pattern, Divisor)
+                 else [(ones.point(*p) if isinstance(p, tuple) else p, m)
+                       for p, m in self.pattern])
+        self.pattern = tuple(Divisor(ones, chips).items())
 
     def lengths_at(self, i: int) -> List[Fraction]:
         if i < 1:
@@ -242,16 +251,24 @@ class DegenerationSpec:
         return realize(self.ctype, self.limit_lengths())
 
     def pattern_divisor(self) -> Divisor:
-        ones = self.ctype.ones()
-        chips = []
-        for spec, m in self.pattern:
-            p = ones.point(*spec) if isinstance(spec, tuple) else ones.point(spec)
-            chips.append((p, m))
-        return Divisor(ones, chips)
+        return Divisor(self.ctype.ones(), self.pattern)
 
 
-def _lengths_map(spec: DegenerationSpec, vals: Sequence[Fraction]) -> Dict[str, Fraction]:
-    return dict(zip(spec.ctype.edge_order, vals))
+def _walk(spec: DegenerationSpec, key: str,
+          value: Callable[[TropicalCurve, PointMap], int]) -> Tuple[List[dict], dict]:
+    """The family's steps and its limit, each with its lengths and, under
+    `key`, ``value(curve, map from the all-ones realization)``; the limit
+    also lists its vertex weights.  Both experiment drivers walk with it."""
+    order = spec.ctype.edge_order
+    steps = []
+    for i in range(1, spec.steps + 1):
+        curve, alpha = spec.curve_at(i)
+        steps.append({"step": i, "lengths": dict(zip(order, spec.lengths_at(i))),
+                      key: value(curve, alpha)})
+    curve, beta = spec.limit()
+    limit = {"lengths": dict(zip(order, spec.limit_lengths())),
+             "weights": curve.weights(), key: value(curve, beta)}
+    return steps, limit
 
 
 def run_closedness_experiment(spec: DegenerationSpec, d: int, r: int) -> dict:
@@ -265,33 +282,17 @@ def run_closedness_experiment(spec: DegenerationSpec, d: int, r: int) -> dict:
     D0 = spec.pattern_divisor()
     if D0.degree() != d:
         raise ValueError(f"pattern has degree {D0.degree()}, expected {d}")
-
-    def step(i: int) -> dict:
-        curve, alpha = spec.curve_at(i)
-        Di = pushforward(alpha, D0)
-        return {
-            "step": i,
-            "lengths": _lengths_map(spec, spec.lengths_at(i)),
-            "rank": rank_weighted(curve, Di),
-        }
-
-    steps = [step(i) for i in range(1, spec.steps + 1)]
+    steps, limit = _walk(spec, "rank", lambda curve, alpha:
+                         rank_weighted(curve, pushforward(alpha, D0)))
     premise = all(s["rank"] >= r for s in steps)
-    limit_curve, beta = spec.limit()
-    Dlim = pushforward(beta, D0)
-    limit_rank = rank_weighted(limit_curve, Dlim)
     return {
         "experiment": "closedness",
         "d": d,
         "r": r,
         "steps": steps,
-        "limit": {
-            "lengths": _lengths_map(spec, spec.limit_lengths()),
-            "weights": limit_curve.weights(),
-            "rank": limit_rank,
-        },
+        "limit": limit,
         "vacuous": not premise,
-        "pass": (not premise) or limit_rank >= r,
+        "pass": (not premise) or limit["rank"] >= r,
     }
 
 
@@ -303,18 +304,8 @@ def run_usc_experiment(spec: DegenerationSpec, d: int, r: int, rho: int,
     is, i.e. the rank does not drop below the family floor in the limit.
     """
     query = BNQuery(d=d, r=r, resolution=resolution)
-
-    def step(i: int) -> dict:
-        curve, _ = spec.curve_at(i)
-        return {
-            "step": i,
-            "lengths": _lengths_map(spec, spec.lengths_at(i)),
-            "bn_rank": bn_rank(curve, query),
-        }
-
-    steps = [step(i) for i in range(1, spec.steps + 1)]
-    limit_curve, _ = spec.limit()
-    limit_rho = bn_rank(limit_curve, query)
+    steps, limit = _walk(spec, "bn_rank",
+                         lambda curve, _: bn_rank(curve, query))
     premise = all(s["bn_rank"] >= rho for s in steps)
     return {
         "experiment": "usc",
@@ -323,11 +314,7 @@ def run_usc_experiment(spec: DegenerationSpec, d: int, r: int, rho: int,
         "rho": rho,
         "resolution": resolution,
         "steps": steps,
-        "limit": {
-            "lengths": _lengths_map(spec, spec.limit_lengths()),
-            "weights": limit_curve.weights(),
-            "bn_rank": limit_rho,
-        },
+        "limit": limit,
         "premise": premise,
-        "pass": (not premise) or limit_rho >= rho,
+        "pass": (not premise) or limit["bn_rank"] >= rho,
     }

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from io import StringIO
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from . import __version__
 from .curve import (
@@ -33,6 +33,7 @@ from .curve import (
 )
 from .divisor import Divisor, PLFunction, restrict, star
 from .io import (
+    canonical_dumps,
     curve_from_json,
     curve_to_json,
     divisor_from_json,
@@ -92,25 +93,12 @@ def _jsonable(x):
 # -- input plumbing ----------------------------------------------------------
 
 
-def _load(path: str) -> dict:
-    return read_json(path)
-
-
 def _point_arg(curve: TropicalCurve, text: str) -> Point:
     """Point syntax: a vertex id, or edge@offset like e1@3/2."""
     if "@" in text:
         e, off = text.split("@", 1)
         return curve.point(e, rat(off))
     return curve.point(text)
-
-
-def _pattern_from_json(entries) -> Tuple[Tuple[object, int], ...]:
-    out = []
-    for c in entries:
-        at = c["at"]
-        spec = at["vertex"] if "vertex" in at else (at["edge"], rat(at["offset"]))
-        out.append((spec, parse_int(c["mult"], "mult")))
-    return tuple(out)
 
 
 # -- output ------------------------------------------------------------------
@@ -158,7 +146,7 @@ def _emit(payload: dict, args) -> None:
         else:
             text = _generic_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = canonical_dumps(payload) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -400,8 +388,8 @@ def selftest(filter: Optional[str] = None, inject_fault: Optional[str] = None,
 
 
 def _cmd_rank(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D = divisor_from_json(_load(args.divisor), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D = divisor_from_json(read_json(args.divisor), curve)
     if args.loops is not None:
         eps = rat(args.eps) if args.loops == "" else rat(args.loops)
         payload = {"rank": rank_weighted_loops(curve, D, eps),
@@ -415,8 +403,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D = divisor_from_json(_load(args.divisor), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D = divisor_from_json(read_json(args.divisor), curve)
     q = _point_arg(curve, args.basepoint)
     red, f = reduced_divisor(curve, D, q)
     _emit({"divisor": red, "basepoint": q, "witness": f}, args)
@@ -424,9 +412,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D1 = divisor_from_json(_load(args.d1), curve)
-    D2 = divisor_from_json(_load(args.d2), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D1 = divisor_from_json(read_json(args.d1), curve)
+    D2 = divisor_from_json(read_json(args.d2), curve)
     ok, f = is_equivalent(D1, D2)
     payload: dict = {"equivalent": ok}
     if ok:
@@ -436,15 +424,15 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D = divisor_from_json(_load(args.divisor), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D = divisor_from_json(read_json(args.divisor), curve)
     _emit({"divisor": star(D)}, args)
     return 0
 
 
 def _cmd_aj(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D = divisor_from_json(_load(args.divisor), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D = divisor_from_json(read_json(args.divisor), curve)
     if curve.total_weight():
         curve = underlying_pure(curve)
         D = Divisor(curve, list(D.items()))
@@ -456,10 +444,10 @@ def _cmd_aj(args) -> int:
 
 
 def _cmd_ucoords(args) -> int:
-    ctype = type_from_json(_load(args.type))
+    ctype = type_from_json(read_json(args.type))
     s = [rat(x) for x in args.s.split(",")]
     realized, _ = realize(ctype, s)
-    D = divisor_from_json(_load(args.divisor), realized)
+    D = divisor_from_json(read_json(args.divisor), realized)
     basepoint = args.basepoint or ctype.vertices()[0]
     uc = universal_coords(ctype, s, D, basepoint)
     _emit({"s": list(uc.s), "t": list(uc.t.entries), "degree": uc.degree,
@@ -468,20 +456,20 @@ def _cmd_ucoords(args) -> int:
 
 
 def _cmd_contract(args) -> int:
-    curve = curve_from_json(_load(args.curve))
+    curve = curve_from_json(read_json(args.curve))
     target, _ = contract(curve, [e for e in args.edges.split(",") if e])
     _emit(curve_to_json(target), args)
     return 0
 
 
 def _cmd_transport(args) -> int:
-    curve = curve_from_json(_load(args.curve))
-    D = divisor_from_json(_load(args.divisor), curve)
+    curve = curve_from_json(read_json(args.curve))
+    D = divisor_from_json(read_json(args.divisor), curve)
     op = args.operation
     if op == "arrange":
         if not args.subcurves or not args.targets:
             raise ValueError("arrange needs --subcurves and --targets")
-        lams = [subcurve_from_json(_load(p), curve)
+        lams = [subcurve_from_json(read_json(p), curve)
                 for p in args.subcurves.split(",")]
         targets = [int(x) for x in args.targets.split(",")]
         res = transport.arrange_multi(curve, D, lams, targets,
@@ -493,11 +481,11 @@ def _cmd_transport(args) -> int:
     else:
         if not args.subcurve:
             raise ValueError(f"{op} needs --subcurve")
-        lam = subcurve_from_json(_load(args.subcurve), curve)
+        lam = subcurve_from_json(read_json(args.subcurve), curve)
         if op == "push":
             if not args.aim:
                 raise ValueError("push needs --aim")
-            E = divisor_from_json(_load(args.aim), curve)
+            E = divisor_from_json(read_json(args.aim), curve)
             res = transport.push_single(curve, D, lam, E)
             checks = transport.check_push(curve, D, lam, E, res)
         elif op == "concentrate":
@@ -506,7 +494,7 @@ def _cmd_transport(args) -> int:
         else:
             F = None
             if args.f:
-                F = divisor_from_json(_load(args.f), curve)
+                F = divisor_from_json(read_json(args.f), curve)
             else:
                 for v in curve.vertices():
                     if v in lam.vertices:
@@ -529,7 +517,7 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_bn_rank(args) -> int:
-    curve = curve_from_json(_load(args.curve))
+    curve = curve_from_json(read_json(args.curve))
     query = BNQuery(d=args.d, r=args.r, resolution=args.resolution)
     res = bn_rank_detail(curve, query)
     payload = {"rho": res.rho, "N": res.resolution}
@@ -549,15 +537,16 @@ def _spec_from_json(doc: dict) -> DegenerationSpec:
         if "base" in doc:
             kwargs["base"] = {e: rat(x) for e, x in doc["base"].items()}
         contracted = tuple(parse_ids(doc.get("contracted", []), "contracted"))
-        pattern = _pattern_from_json(doc.get("pattern", ()))
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed spec JSON: {exc}") from exc
-    return DegenerationSpec(type_from_json(doc["type"]), contracted=contracted,
-                            pattern=pattern, **kwargs)
+    ctype = type_from_json(doc["type"])
+    pattern = divisor_from_json({"chips": doc.get("pattern", [])}, ctype.ones())
+    return DegenerationSpec(ctype, contracted=contracted, pattern=pattern,
+                            **kwargs)
 
 
 def _cmd_experiment(args) -> int:
-    doc = _load(args.spec)
+    doc = read_json(args.spec)
     if not isinstance(doc, dict):
         raise ValueError("spec must be a JSON object")
     for key in ("type", "d", "r") + (("rho",) if args.kind == "usc" else ()):

@@ -16,6 +16,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 RatLike = Union[Fraction, int, str]
 
 
+def _is_int(x) -> bool:
+    """The integer rule of every entry point: an int that is not a bool.
+    `rat` and `io.parse_int`, which parsing calls per number, spell it out."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rat(x: RatLike) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to an exact rational.
 
@@ -101,7 +107,7 @@ class TropicalCurve:
                 raise ValueError(f"vertex id must be a non-empty string: {vid!r}")
             if vid in self._weights:
                 raise ValueError(f"duplicate vertex id {vid!r}")
-            if not isinstance(w, int) or w < 0:
+            if not _is_int(w) or w < 0:
                 raise ValueError(f"weight of {vid!r} must be a non-negative integer")
             self._weights[vid] = w
         if not self._weights:
@@ -190,9 +196,6 @@ class TropicalCurve:
 
     def total_weight(self) -> int:
         return sum(self._weights.values())
-
-    def total_length(self) -> Fraction:
-        return sum((ell for _, _, ell in self._edges.values()), Fraction(0))
 
     # -- points ----------------------------------------------------------
 
@@ -288,12 +291,6 @@ class TropicalCurve:
     def with_weights(self, weights: Mapping[str, int]) -> "TropicalCurve":
         new = {v: weights.get(v, 0) for v in self._weights}
         return TropicalCurve(new, [(e, (u, v), ell) for e, (u, v, ell) in self._edges.items()])
-
-    def combinatorial_type(self) -> "CombinatorialType":
-        return CombinatorialType(
-            list(self._weights.items()),
-            [(e, (u, v)) for e, (u, v, _) in self._edges.items()],
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TropicalCurve):
@@ -692,13 +689,6 @@ class Subcurve:
     def whole(cls, parent: TropicalCurve) -> "Subcurve":
         return cls(parent, parent.vertices(), parent.edges())
 
-    @classmethod
-    def single_point(cls, parent: TropicalCurve, p) -> "Subcurve":
-        p = parent.point(p)
-        if p.is_vertex:
-            return cls(parent, [p.vertex])
-        return cls(parent, segments={p.edge: [(p.offset, p.offset)]})
-
     def _check_connected(self):
         """Join each interval to the vertices it reaches; one class must remain."""
         par: Dict[object, object] = {v: v for v in self.vertices}
@@ -808,17 +798,12 @@ class Subcurve:
         """Weighted genus: Betti number plus weights of contained vertices."""
         return self.betti() + sum(self.parent.weight(v) for v in self.vertices)
 
-    def grown(self, intervals: Mapping, vertices: Iterable[str] = ()) -> "Subcurve":
-        """The subcurve plus the given vertices and per-edge intervals."""
+    def grown(self, intervals: Mapping) -> "Subcurve":
+        """The subcurve plus the given per-edge intervals."""
         segs: Dict[str, list] = {e: list(ivs) for e, ivs in self.intervals.items()}
         for e, ivs in intervals.items():
             segs.setdefault(e, []).extend(ivs)
-        return Subcurve(self.parent, self.vertices | set(vertices), segments=segs)
-
-    def union(self, other: "Subcurve") -> "Subcurve":
-        if other.parent is not self.parent and other.parent != self.parent:
-            raise ValueError("subcurves of different curves")
-        return self.grown(other.intervals, other.vertices)
+        return Subcurve(self.parent, self.vertices, segments=segs)
 
     def is_whole_curve(self) -> bool:
         return (self.vertices == frozenset(self.parent.vertices())

@@ -28,7 +28,8 @@ class Divisor:
         items = chips.items() if isinstance(chips, Mapping) else chips
         for p, m in items:
             p = curve.point(p)
-            if not isinstance(m, int):
+            # `curve._is_int` with one isinstance call: this runs per chip
+            if type(m) is bool or not isinstance(m, int):
                 raise ValueError(f"multiplicity at {p} must be an integer")
             data[p] = data.get(p, 0) + m
         self._chips = {p: m for p, m in data.items() if m != 0}
@@ -95,10 +96,6 @@ class Divisor:
             at = p.vertex if p.is_vertex else f"{p.edge}@{p.offset}"
             parts.append(f"{m}·{at}")
         return "Divisor(" + " + ".join(parts) + ")"
-
-
-def degree(D: Divisor) -> int:
-    return D.degree()
 
 
 class PLFunction:
@@ -295,11 +292,6 @@ class PLFunction:
         return self._pointwise(lambda a: min(a, c),
                                cuts=lambda e: self.crossings(e, c))
 
-    def min_with(self, other: "PLFunction") -> "PLFunction":
-        """Pointwise min of two functions."""
-        diff = self - other
-        return self._pointwise(min, other, cuts=lambda e: diff.crossings(e, 0))
-
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
             return NotImplemented
@@ -309,10 +301,6 @@ class PLFunction:
     def __repr__(self):
         nk = sum(len(k) for k in self._knots.values())
         return f"PLFunction({len(self._vv)} vertex values, {nk} knots)"
-
-
-def principal_divisor(f: PLFunction) -> Divisor:
-    return f.divisor()
 
 
 def star(E: Divisor) -> Divisor:

@@ -1,4 +1,5 @@
-"""JSON serialization for curves, points, divisors, subcurves, and types.
+"""JSON serialization for curves, points, divisors and subcurves, and
+parsing of combinatorial types.
 
 All rational numbers are written as strings like "3/2" (integers as "3"),
 and emitted JSON is byte-deterministic: keys sorted, no float anywhere.
@@ -6,7 +7,6 @@ and emitted JSON is byte-deterministic: keys sorted, no float anywhere.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import Optional
@@ -60,13 +60,6 @@ def curve_from_json(obj: dict) -> TropicalCurve:
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed curve JSON: {exc}") from exc
     return TropicalCurve(vertices, edges)
-
-
-def type_to_json(ctype: CombinatorialType) -> dict:
-    return {
-        "vertices": [{"id": v, "weight": w} for v, w in ctype.weights.items()],
-        "edges": [{"id": e, "ends": list(uv)} for e, uv in ctype.edge_ends.items()],
-    }
 
 
 def type_from_json(obj: dict) -> CombinatorialType:
@@ -143,21 +136,6 @@ def canonical_dumps(obj) -> str:
                       allow_nan=False)
 
 
-def digest(obj) -> str:
-    if isinstance(obj, bytes):
-        data = obj
-    elif isinstance(obj, str):
-        data = obj.encode()
-    else:
-        data = canonical_dumps(obj).encode()
-    return hashlib.sha256(data).hexdigest()
-
-
 def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def write_json(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj) + "\n")

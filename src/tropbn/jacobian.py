@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .curve import (CombinatorialType, Point, TropicalCurve, realize,
+from .curve import (CombinatorialType, Point, TropicalCurve, rat, realize,
                     underlying_pure)
 from .divisor import Divisor, pushforward
 
@@ -30,7 +30,7 @@ class TorusPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "entries",
-                           tuple(_mod1(Fraction(x)) for x in self.entries))
+                           tuple(_mod1(rat(x)) for x in self.entries))
 
     @property
     def genus(self) -> int:
@@ -65,78 +65,43 @@ class CycleBasis:
     def __init__(self, curve: TropicalCurve):
         self.curve = curve
         root = min(curve.vertices())
-        parent: Dict[str, Tuple[str, str]] = {}   # vertex -> (edge, parent vertex)
-        visited = {root}
+        # tree path root -> v as edge -> ±1, +1 along the stored orientation
+        chain: Dict[str, Dict[str, int]] = {root: {}}
         heap = [root]
-        tree = set()
         while heap:
             v = heapq.heappop(heap)
             for eid, w in sorted(curve.incident(v), key=lambda p: (p[1], p[0])):
-                if w not in visited:
-                    visited.add(w)
-                    parent[w] = (eid, v)
-                    tree.add(eid)
+                if w not in chain:
+                    chain[w] = dict(chain[v])
+                    chain[w][eid] = 1 if curve.ends(eid) == (v, w) else -1
                     heapq.heappush(heap, w)
         self.root = root
-        self.tree_edges = tree
-        self._parent = parent
+        self.tree_edges = {e for c in chain.values() for e in c}
+        self._chain = chain
         self.cycles: List[Dict[str, int]] = []
         self.chords: List[str] = []
         for e in curve.edges():
-            if e in tree:
+            if e in self.tree_edges:
                 continue
             u, v = curve.ends(e)
             cyc = {e: 1}
-            if u != v:
-                for eid, sign in self._tree_walk(v, u):
-                    cyc[eid] = cyc.get(eid, 0) + sign
-                cyc = {k: c for k, c in cyc.items() if c}
-            self.cycles.append(cyc)
+            for eid, c in chain[u].items():
+                cyc[eid] = cyc.get(eid, 0) + c
+            for eid, c in chain[v].items():
+                cyc[eid] = cyc.get(eid, 0) - c
+            self.cycles.append({k: c for k, c in cyc.items() if c})
             self.chords.append(e)
 
     @property
     def genus(self) -> int:
         return len(self.cycles)
 
-    def _path_to_root(self, v: str) -> List[str]:
-        out = [v]
-        while out[-1] != self.root:
-            out.append(self._parent[out[-1]][1])
-        return out
-
-    def _tree_walk(self, a: str, b: str) -> List[Tuple[str, int]]:
-        """Tree path a → b as (edge, sign) with sign +1 along stored
-        orientation and −1 against it."""
-        pa, pb = self._path_to_root(a), self._path_to_root(b)
-        sa, sb = set(pa), set(pb)
-        ia = 0
-        while pa[ia] not in sb:
-            ia += 1
-        meet = pa[ia]
-        steps = []
-        for v in pa[:ia]:   # climb a → meet; movement v → parent
-            eid, par = self._parent[v]
-            u, w = self.curve.ends(eid)
-            steps.append((eid, -1 if (u, w) == (par, v) else 1))
-        down = []
-        for v in pb[:pb.index(meet)]:   # meet → b; movement parent → v
-            eid, par = self._parent[v]
-            u, w = self.curve.ends(eid)
-            down.append((eid, 1 if (u, w) == (par, v) else -1))
-        steps.extend(reversed(down))
-        return steps
-
     def chain_to(self, p: Point) -> Dict[str, Fraction]:
         """1-chain from the root to p, coefficients as fractions of edges."""
-        chain: Dict[str, Fraction] = {}
         if p.is_vertex:
-            walk = self._tree_walk(self.root, p.vertex)
-            for eid, sign in walk:
-                chain[eid] = chain.get(eid, Fraction(0)) + sign
-            return chain
+            return {e: Fraction(c) for e, c in self._chain[p.vertex].items()}
         u, _ = self.curve.ends(p.edge)
-        for eid, sign in self._tree_walk(self.root, u):
-            chain[eid] = chain.get(eid, Fraction(0)) + sign
+        chain = {e: Fraction(c) for e, c in self._chain[u].items()}
         chain[p.edge] = chain.get(p.edge, Fraction(0)) \
             + Fraction(p.offset, self.curve.length(p.edge))
         return {k: c for k, c in chain.items() if c}
@@ -169,19 +134,15 @@ class CycleBasis:
         return out
 
 
-def cycle_basis(curve: TropicalCurve) -> CycleBasis:
-    return CycleBasis(curve)
-
-
 def scale_cycles(basis: CycleBasis, s) -> List[List[Fraction]]:
     """C_i^s: the basis vectors with the k-th coordinate scaled by s_k."""
     order = basis.curve.edges()
     if isinstance(s, (list, tuple)):
-        vals = [Fraction(x) for x in s]
+        vals = [rat(x) for x in s]
         if len(vals) != len(order):
             raise ValueError(f"expected {len(order)} entries, got {len(vals)}")
     else:
-        vals = [Fraction(s[e]) for e in order]
+        vals = [rat(s[e]) for e in order]
     return [[vals[k] * cyc.get(e, 0) for k, e in enumerate(order)]
             for cyc in basis.cycles]
 

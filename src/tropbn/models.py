@@ -31,7 +31,7 @@ from math import ceil, floor, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .curve import Point, Subcurve, TropicalCurve
+from .curve import Point, Subcurve, TropicalCurve, _is_int
 from .divisor import Divisor, PLFunction
 
 # Largest lattice a model may have.  A lattice point costs about 200 bytes
@@ -87,7 +87,7 @@ class IntegerModel:
     """
 
     def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
-        if not isinstance(scale, int) or scale < 1:
+        if not _is_int(scale) or scale < 1:
             raise ValueError("scale must be a positive integer")
         self.curve = curve
         cuts = frozenset((p.edge, p.offset) for p in map(curve.point, marks)

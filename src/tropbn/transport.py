@@ -47,6 +47,12 @@ def r_lambda(r: int, lam: Subcurve) -> int:
     return r + min(r, lam.genus())
 
 
+def _concentration_radius(lam: Subcurve, d: int, r: int) -> Fraction:
+    """ε(3d)^{d-r+1} with ε the diameter of Λ: how far `concentrate` may
+    grow Λ for a divisor of degree d and rank target r (0 when r is 0)."""
+    return lam.diameter() * (3 * d) ** (d - r + 1) if r > 0 else Fraction(0)
+
+
 # -- small geometric helpers -------------------------------------------------
 
 
@@ -229,9 +235,7 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
         return TransportResult(D, lam, zero)
     if not rank_checked and rank_weighted(curve, D) < r:
         raise ValueError("rank precondition violated: rank(D) < r")
-    d = D.degree()
-    radius = lam.diameter() * (3 * d) ** (d - r + 1)
-    big = neighborhood(curve, lam, radius)
+    big = neighborhood(curve, lam, _concentration_radius(lam, D.degree(), r))
     if not deformation_retracts(big, lam):
         raise ValueError("neighborhood does not deformation retract onto Λ")
     for v in curve.vertices():
@@ -409,6 +413,8 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
     basepoint and checking whether the restriction drops below k.  The
     first survivor is returned.
     """
+    if lam.parent != curve:
+        raise ValueError("curve mismatch")
     h = lam.betti()
     if not (0 <= k <= h):
         raise ValueError(f"k = {k} out of range 0..{h}")
@@ -544,11 +550,8 @@ def arrange_multi(curve: TropicalCurve, D: Divisor, lams: Sequence[Subcurve],
         raise ValueError("D must be effective")
     if rank_weighted(curve, D) < sum(targets):
         raise ValueError("rank precondition violated: rank(D) < sum of targets")
-    d = D.degree()
-    hoods = []
-    for lam, r in zip(lams, targets):
-        radius = lam.diameter() * (3 * d) ** (d - r + 1) if r > 0 else Fraction(0)
-        hoods.append(neighborhood(curve, lam, radius))
+    hoods = [neighborhood(curve, lam, _concentration_radius(lam, D.degree(), r))
+             for lam, r in zip(lams, targets)]
     for i in range(len(hoods)):
         for j in range(i + 1, len(hoods)):
             if not subcurves_disjoint(hoods[i], hoods[j]):
@@ -603,7 +606,7 @@ def check_push(curve, D, lam, E, res: TransportResult) -> Dict[str, bool]:
 
 def check_concentrate(curve, D, lam, r, res: TransportResult) -> Dict[str, bool]:
     d = D.degree()
-    radius = lam.diameter() * (3 * d) ** (d - r + 1) if r > 0 else Fraction(0)
+    radius = _concentration_radius(lam, d, r)
     sc, (rest,) = _pull_to_subcurve(res.region, [restrict(res.divisor, res.region)])
     return {
         "effective": res.divisor.is_effective(),

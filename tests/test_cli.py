@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from tropbn import Divisor, Subcurve, TropicalCurve
 from tropbn.cli import main
-from tropbn.io import (curve_to_json, divisor_from_json, divisor_to_json,
-                       subcurve_to_json, type_to_json, write_json)
+from tropbn.io import (canonical_dumps, curve_to_json, divisor_from_json,
+                       divisor_to_json, subcurve_to_json)
 from tropbn.models import reduced_divisor
 
 
@@ -35,9 +35,9 @@ def path3():
 @pytest.fixture
 def files(tmp_path):
     def save(name, obj):
-        p = str(tmp_path / name)
-        write_json(obj, p)
-        return p
+        p = tmp_path / name
+        p.write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+        return str(p)
     return save
 
 
@@ -137,10 +137,10 @@ def test_aj_normalizes_degree(files, capsys):
 
 
 def test_ucoords(files, capsys):
-    ct = type_to_json(
-        __import__("tropbn").CombinatorialType(
-            [("a", 0), ("b", 0)], [("e1", ("a", "b")), ("e2", ("a", "b"))]))
-    tf = files("type.json", ct)
+    tf = files("type.json", {
+        "vertices": [{"id": "a", "weight": 0}, {"id": "b", "weight": 0}],
+        "edges": [{"id": "e1", "ends": ["a", "b"]},
+                  {"id": "e2", "ends": ["a", "b"]}]})
     c = circle()
     df = files("d.json", divisor_to_json(Divisor(c, [("a", 1)])))
     code, out, _ = run(capsys, "ucoords", "--type", tf, "--s", "1,1",

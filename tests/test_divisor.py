@@ -82,8 +82,7 @@ def test_plfunction_validates_slopes():
 def test_plfunction_min_and_value():
     c = segment()
     f = PLFunction(c, {"a": 0, "b": 2})
-    g = PLFunction.constant(c, 1)
-    h = f.min_with(g)
+    h = f.min_const(1)
     assert h.value("a") == 0
     assert h.value("b") == 1
     assert h.value(c.point("e", F(1, 2))) == 1
@@ -119,7 +118,7 @@ def test_restrict():
 def test_clamp_cuts_at_threshold():
     c = segment()
     f = PLFunction(c, {"a": 0, "b": 1})
-    region = Subcurve.single_point(c, "a")
+    region = Subcurve(c, ["a"])
     g = clamp(f, F(1, 2), region)
     assert g.value("a") == 0
     assert g.value("b") == F(1, 2)

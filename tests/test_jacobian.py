@@ -4,17 +4,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropbn import (
     CombinatorialType,
+    CycleBasis,
     Divisor,
     TorusPoint,
     TropicalCurve,
     abel_jacobi,
-    cycle_basis,
     is_equivalent,
     pushforward_class,
     realize,
+    reduced_divisor,
     scale_cycles,
     universal_coords,
 )
@@ -90,7 +93,7 @@ def test_circle_torsion():
 
 def test_loop_coordinates():
     c = two_loops()
-    basis = cycle_basis(c)
+    basis = CycleBasis(c)
     assert basis.genus == 2
     assert basis.gram() == [[F(1), F(0)], [F(0), F(3, 2)]]
     D = Divisor(c, [(c.point("l1", F(1, 2)), 1), ("x", -1)])
@@ -142,7 +145,7 @@ def test_domain_errors():
 
 def test_cycle_basis_structure():
     c = theta()
-    basis = cycle_basis(c)
+    basis = CycleBasis(c)
     assert basis.genus == 2
     assert len(basis.tree_edges) == 1
     for chord, cyc in zip(basis.chords, basis.cycles):
@@ -154,7 +157,7 @@ def test_cycle_basis_structure():
 
 def test_scale_cycles_rows():
     c = theta()
-    basis = cycle_basis(c)
+    basis = CycleBasis(c)
     rows = scale_cycles(basis, [2, 3, 5])
     order = c.edges()
     s = {"e1": 2, "e2": 3, "e3": 5}
@@ -201,6 +204,73 @@ def test_universal_coords_boundary_contraction():
     q = realized.point("l2", F(1, 2))
     uc2 = universal_coords(ct, s, Divisor(realized, [(q, 1), ("x", 1)]), "x")
     assert uc2.t.genus == 1 and not uc2.t.is_zero()
+
+
+@st.composite
+def coordinate_cases(draw):
+    """A type, a point s of its cone, a basepoint and two divisors of one
+    degree on Γ_s.
+
+    The type has 1-3 vertices on a path, its edges oriented either way,
+    plus up to two more edges (loops allowed) and weights 0 or 1; about a
+    third of the entries of s are 0,
+    so s often lies on the boundary of the cone and whole cycles collapse
+    into weights.  D2 is D1 reduced at a vertex (equivalent), D1 with one
+    chip moved to another spot, or a fresh divisor of the same degree.
+    """
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = st.tuples(st.sampled_from(vs), st.sampled_from(vs))
+    # path edges run either way, so tree paths also go against orientation
+    ends = [(vs[i], vs[i + 1])[::draw(st.sampled_from([1, -1]))]
+            for i in range(n - 1)]
+    ends += draw(st.lists(pairs, min_size=1 if n == 1 else 0, max_size=2))
+    es = [f"e{i}" for i in range(len(ends))]
+    ct = CombinatorialType([(v, draw(st.integers(0, 1))) for v in vs],
+                           list(zip(es, ends)))
+    s = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(3, 2), F(2, 3)]))
+         for _ in es]
+    gamma, _ = realize(ct, s)
+    spots = gamma.vertices() + [gamma.point(e, gamma.length(e) * x)
+                                for e in gamma.edges()
+                                for x in (F(1, 4), F(1, 3), F(1, 2), F(2, 3))]
+    chips = st.lists(st.tuples(st.sampled_from(spots),
+                               st.sampled_from([1, 1, 2, -1])),
+                     min_size=1, max_size=3)
+    D1 = Divisor(gamma, draw(chips))
+    how = draw(st.sampled_from(["reduce", "move", "fresh"]))
+    if how == "reduce":
+        D2, _ = reduced_divisor(gamma, D1, draw(st.sampled_from(gamma.vertices())))
+    elif how == "move" and not D1.is_zero():
+        p = draw(st.sampled_from(D1.support()))
+        D2 = D1 - Divisor(gamma, [(p, 1)]) \
+            + Divisor(gamma, [(draw(st.sampled_from(spots)), 1)])
+    else:
+        D2 = Divisor(gamma, draw(chips))
+        D2 = D2 + Divisor(gamma, [(draw(st.sampled_from(spots)),
+                                   D1.degree() - D2.degree())])
+    return ct, s, draw(st.sampled_from(vs)), D1, D2
+
+
+def test_coordinates_agree_iff_equivalent():
+    """Equal universal coordinates exactly when the divisors are linearly
+    equivalent on Γ_s, inside the cone and on its boundary."""
+    seen = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=coordinate_cases())
+    def check(case):
+        ct, s, p, D1, D2 = case
+        t1 = universal_coords(ct, s, D1, p).t
+        equivalent = is_equivalent(D1, D2)[0]
+        assert (t1 == universal_coords(ct, s, D2, p).t) == equivalent
+        seen.append((0 in s and t1.genus > 0, equivalent, D1 != D2))
+
+    check()
+    # on the boundary, with cycles left in Γ_s, both answers come up
+    # between distinct divisors
+    assert seen.count((True, True, True)) >= 15, seen.count((True, True, True))
+    assert seen.count((True, False, True)) >= 15, seen.count((True, False, True))
 
 
 def test_pushforward_class_collapses_loop():

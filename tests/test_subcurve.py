@@ -38,11 +38,11 @@ def subcurves(draw, curve):
     """A point grown along its exits, sometimes thickened to a neighbourhood,
     plus overlapping intervals inside."""
     if draw(st.booleans()) or not curve.edges():
-        start = draw(st.sampled_from(curve.vertices()))
+        sub = Subcurve(curve, [draw(st.sampled_from(curve.vertices()))])
     else:
         e = draw(st.sampled_from(curve.edges()))
-        start = curve.point(e, curve.length(e) * draw(FRACTIONS))
-    sub = Subcurve.single_point(curve, start)
+        x = curve.length(e) * draw(FRACTIONS)
+        sub = Subcurve(curve, segments={e: [(x, x)]})
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 4, 6]))):
         exits = sub.exits()
         if not exits:
@@ -74,7 +74,11 @@ def test_subcurve_properties(data):
     assert subcurve_from_json(subcurve_to_json(a), c) == a
 
     try:
-        both = a.union(b)
+        segs = {}
+        for part in (a, b):
+            for e, ivs in part.intervals.items():
+                segs.setdefault(e, []).extend(ivs)
+        both = Subcurve(c, a.vertices | b.vertices, segments=segs)
     except ValueError:
         # two disjoint closed pieces are not connected
         assert subcurves_disjoint(a, b)
@@ -140,9 +144,9 @@ def diameter_subcurves(draw, c):
     y = c.length(e) * F(draw(st.integers(4, 8)), 8)
     if kind == "point":
         x = c.length(e) * draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2)]))
-        return Subcurve.single_point(c, c.point(e, x))
+        return Subcurve(c, segments={e: [(x, x)]})
     if kind == "neighbourhood":
-        return neighborhood(c, Subcurve.single_point(c, c.point(e, x)),
+        return neighborhood(c, Subcurve(c, segments={e: [(x, x)]}),
                             draw(RADII))
     return Subcurve(c, segments={e: [(x, y)]})
 
@@ -190,7 +194,7 @@ FIGURE_EIGHT = TropicalCurve({"v": 0}, [("l0", ("v", "v"), F(1, 2)),
     # middle of the first and a tip of the second, where two paths tie
     (Subcurve(FIGURE_EIGHT, whole_edges=["l0"],
               segments={"l1": [(0, F(1, 8)), (F(3, 8), F(1, 2))]}), F(3, 8)),
-    (Subcurve.single_point(BANANA, BANANA.point("f", F(1, 3))), F(0)),
+    (Subcurve(BANANA, segments={"f": [(F(1, 3), F(1, 3))]}), F(0)),
 ], ids=["loop", "K4", "banana", "bridge-segment", "loop-arc", "inner-arc",
         "dumbbell", "figure-eight", "point"])
 def test_diameter_known_answers(sub, expected):

@@ -61,7 +61,7 @@ def test_r_lambda():
     assert r_lambda(0, loop) == 0
     assert r_lambda(1, loop) == 2
     assert r_lambda(3, loop) == 4
-    pt = Subcurve.single_point(c, "x")
+    pt = Subcurve(c, ["x"])
     assert r_lambda(2, pt) == 2
 
 
@@ -120,7 +120,7 @@ def test_concentrate_rank_zero_is_identity():
 def test_concentrate_on_vertex():
     c = path(1, 1)
     D = Divisor(c, [("v0", 2)])
-    lam = Subcurve.single_point(c, "v2")
+    lam = Subcurve(c, ["v2"])
     res = concentrate(c, D, lam, 1)
     checks = check_concentrate(c, D, lam, 1, res)
     assert all(checks.values()), checks
@@ -225,6 +225,26 @@ def test_confinement_k0_and_range():
         confinement_search(c, lam, 2)
 
 
+def banana(l1, l2):
+    return TropicalCurve({"a": 0, "b": 0},
+                         [("f", ("a", "b"), l1), ("g", ("a", "b"), l2)])
+
+
+def test_subcurve_of_another_curve_is_refused():
+    # same ids, other lengths: Λ lies on the 3-5 banana, not on the 1-1 one
+    c = banana(1, 1)
+    lam = Subcurve.whole(banana(3, 5))
+    D = Divisor(c, [("a", 2)])
+    with pytest.raises(ValueError, match="curve mismatch"):
+        confinement_search(c, lam, 1)
+    with pytest.raises(ValueError, match="curve mismatch"):
+        push_single(c, D, lam, Divisor(c, [("a", 1)]))
+    with pytest.raises(ValueError, match="curve mismatch"):
+        dilute(c, D, lam, 1, F=D)
+    with pytest.raises(ValueError, match="different curve"):
+        concentrate(c, D, lam, 1)
+
+
 def test_confinement_pair_on_theta():
     # theta block with a tail: evacuating a pair below degree 2 means the
     # class of V - u is effective, which the search must have ruled out
@@ -243,7 +263,7 @@ def test_confinement_pair_on_theta():
 def test_arrange_on_path_endpoints():
     c = path(1, 1)
     D = Divisor(c, [("v1", 4)])
-    lams = [Subcurve.single_point(c, "v0"), Subcurve.single_point(c, "v2")]
+    lams = [Subcurve(c, ["v0"]), Subcurve(c, ["v2"])]
     res = arrange_multi(c, D, lams, [1, 1])
     checks = check_arrange(c, D, lams, [1, 1], res)
     assert all(checks.values()), checks
@@ -254,12 +274,12 @@ def test_arrange_on_path_endpoints():
 def test_arrange_validates_inputs():
     c = path(1, 1)
     D = Divisor(c, [("v1", 4)])
-    lams = [Subcurve.single_point(c, "v0"), Subcurve.single_point(c, "v2")]
+    lams = [Subcurve(c, ["v0"]), Subcurve(c, ["v2"])]
     with pytest.raises(ValueError, match="one target"):
         arrange_multi(c, D, lams, [1])
     with pytest.raises(ValueError, match="rank precondition"):
         arrange_multi(c, Divisor(c, [("v1", 1)]), lams, [1, 1])
-    clash = [Subcurve.single_point(c, "v0"), Subcurve.single_point(c, "v0")]
+    clash = [Subcurve(c, ["v0"]), Subcurve(c, ["v0"])]
     with pytest.raises(ValueError, match="overlap"):
         arrange_multi(c, D, clash, [1, 1])
 
