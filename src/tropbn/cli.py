@@ -6,12 +6,14 @@ input).  Output is JSON by default with sorted keys — byte-identical for
 identical inputs and flags — or CSV for tabular reports.  Exit codes:
 0 success, 1 domain error (bad input or flags), 2 internal invariant
 violation (failed postcondition, experiment FAIL, selftest failure).
+In-process callers of `main` share one parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import itertools
 import json
 import random
@@ -579,6 +581,12 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out", metavar="FILE")
 
 
+# Built on the first `main` call, not at import, and shared by every later
+# call in the process.  Sharing is safe because `parse_args` keeps no
+# per-call state on the parser: each call fills a fresh Namespace, and the
+# subcommands' `fn` comes from `set_defaults`.  Nothing may mutate the parser
+# after it is built.
+@functools.cache
 def _build_parser() -> _Parser:
     top = _Parser(prog="tropbn",
                   description="divisor theory on weighted tropical curves")

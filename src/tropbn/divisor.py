@@ -10,7 +10,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .curve import Point, PointMap, Subcurve, TropicalCurve, rat
+from .curve import Point, PointMap, Subcurve, TropicalCurve, _is_int, rat
 
 
 def _point_key(p: Point):
@@ -74,7 +74,7 @@ class Divisor:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
-        if not isinstance(k, int):
+        if not _is_int(k):
             return NotImplemented
         return Divisor(self.curve, {p: k * m for p, m in self._chips.items()})
 
@@ -280,7 +280,7 @@ class PLFunction:
         return self._pointwise(operator.neg)
 
     def __rmul__(self, k: int):
-        if not isinstance(k, int):
+        if not _is_int(k):
             return NotImplemented
         return self._pointwise(lambda a: k * a)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .curve import (Point, Subcurve, TropicalCurve, neighborhood,
+from .curve import (Point, Subcurve, TropicalCurve, _is_int, neighborhood,
                     deformation_retracts, rat)
 from .divisor import Divisor, PLFunction, _point_key, clamp, restrict, star
 from .models import IntegerModel, is_equivalent, reduced_divisor
@@ -226,6 +226,8 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     dominated.  Requires N_{ε(3d)^{d-r+1}}(Λ) to deformation retract onto Λ
     with no weighted vertices outside Λ.
     """
+    if not _is_int(r):
+        raise ValueError("r must be an integer")
     if r < 0:
         raise ValueError("r must be >= 0")
     if not D.is_effective():
@@ -309,6 +311,8 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
     partial-slope ramp on the threshold germ, and blocks the rest by
     absorbing their stubs into the region.
     """
+    if not _is_int(k):
+        raise ValueError("k must be an integer")
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam.parent != curve or E.curve != curve:
@@ -413,6 +417,8 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
     basepoint and checking whether the restriction drops below k.  The
     first survivor is returned.
     """
+    if not _is_int(k) or not _is_int(budget):
+        raise ValueError("k and budget must be integers")
     if lam.parent != curve:
         raise ValueError("curve mismatch")
     h = lam.betti()
@@ -544,6 +550,8 @@ def arrange_multi(curve: TropicalCurve, D: Divisor, lams: Sequence[Subcurve],
     """
     if len(lams) != len(targets):
         raise ValueError("one target per subcurve")
+    if not all(_is_int(r) for r in targets) or not _is_int(budget):
+        raise ValueError("targets and budget must be integers")
     if any(r < 0 for r in targets):
         raise ValueError("targets must be >= 0")
     if not D.is_effective():

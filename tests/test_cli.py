@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropbn import Divisor, Subcurve, TropicalCurve
+from tropbn import cli
 from tropbn.cli import main
 from tropbn.io import (canonical_dumps, curve_to_json, divisor_from_json,
                        divisor_to_json, subcurve_to_json)
@@ -375,6 +377,70 @@ def test_module_entry_point(files, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"rank": 1, "method": "weighted"}
+
+
+HERE = Path(__file__).resolve().parent
+HELP_GOLDEN = HERE / "golden"
+SUBCOMMANDS = ("rank", "reduce", "equiv", "star", "aj", "ucoords", "contract",
+               "transport", "bn-rank", "experiment", "selftest")
+
+
+def call_main(argv):
+    """Exit code, stdout and stderr of one in-process call; `--help` exits
+    through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="the goldens hold the help text of argparse in "
+                           "Python 3.10-3.12; 3.13 wraps usage lines and "
+                           "prints an option's metavar once")
+@pytest.mark.parametrize("cmd", [None, *SUBCOMMANDS])
+def test_help_text_is_pinned(cmd, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = call_main([cmd, "--help"] if cmd else ["--help"])
+    golden = HELP_GOLDEN / (f"help.{cmd}.txt" if cmd else "help.txt")
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_in_process_calls_share_one_parser(files, monkeypatch, tmp_path):
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    monkeypatch.setenv("COLUMNS", "80")
+    bn = workloads.bn_cli_calls(0, str(tmp_path))
+    c = circle()
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [("a", 2)])))
+    calls = [
+        ["rank", "--curve", cf, "--bogus"],
+        ["--help"],
+        *(argv for _, argv in bn),
+        ["rank", "--curve", cf, "--divisor", df, "--format", "csv"],
+        ["rank", "--curve", cf, "--divisor", str(tmp_path / "no.json")],
+        *(argv for _, argv in bn),
+    ]
+    cli._build_parser.cache_clear()
+    shared = [call_main(argv) for argv in calls]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    # the same calls, each on a parser built for it alone
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [call_main(argv) for argv in calls]
+    assert shared == fresh
+    assert [r[0] for r in shared] == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+    for (name, _), (code, out, err) in zip(bn + bn, shared[2:5] + shared[7:]):
+        with open(workloads.golden_path(name), "r", encoding="utf-8") as fh:
+            assert (code, out, err) == (0, fh.read(), "")
 
 
 def test_rank_far_above_canonical_degree(files):

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from tropbn import (BNQuery, CombinatorialType, CycleBasis, DegenerationSpec,
-                    Divisor, Subcurve, TorusPoint, TropicalCurve, scale_cycles)
+                    Divisor, PLFunction, Subcurve, TorusPoint, TropicalCurve,
+                    scale_cycles)
 from tropbn.io import (
     canonical_dumps,
     curve_from_json,
@@ -23,6 +24,8 @@ from tropbn.io import (
     type_from_json,
 )
 from tropbn.models import IntegerModel
+from tropbn.transport import (arrange_multi, concentrate, confinement_search,
+                              dilute)
 
 
 def sample_curve():
@@ -54,27 +57,59 @@ def _loop_type():
     return CombinatorialType([("x", 0)], [("l", ("x", "x"))])
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Divisor(sample_curve(), {"a": True}),
-    lambda: Divisor(sample_curve(), {"a": 1.0}),
-    lambda: TropicalCurve({"a": True}),
-    lambda: IntegerModel(sample_curve(), scale=True),
-    lambda: BNQuery(d=2, r=True),
-    lambda: BNQuery(d=2.0, r=1),
-    lambda: BNQuery(d=2, r=1, resolution=True),
-    lambda: DegenerationSpec(_loop_type(), steps=True),
-    lambda: DegenerationSpec(_loop_type(), pattern=(("x", 1.5),)),
-    lambda: TorusPoint((0.1,)),
-    lambda: TorusPoint((True,)),
-    lambda: scale_cycles(CycleBasis(sample_curve()), [True, 2, 1]),
-    lambda: scale_cycles(CycleBasis(sample_curve()), [0.5, 2, 1]),
+def _banana():
+    """The 1-2 banana, the divisor 2·u and the subcurve {u}."""
+    c = TropicalCurve({"u": 0, "v": 0},
+                      [("e1", ("u", "v"), 1), ("e2", ("u", "v"), 2)])
+    return c, Divisor(c, [("u", 2)]), Subcurve(c, ["u"])
+
+
+def _on_banana(call):
+    return lambda: call(*_banana())
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Divisor(sample_curve(), {"a": True}), ValueError),
+    (lambda: Divisor(sample_curve(), {"a": 1.0}), ValueError),
+    (lambda: TropicalCurve({"a": True}), ValueError),
+    (lambda: IntegerModel(sample_curve(), scale=True), ValueError),
+    (lambda: BNQuery(d=2, r=True), ValueError),
+    (lambda: BNQuery(d=2.0, r=1), ValueError),
+    (lambda: BNQuery(d=2, r=1, resolution=True), ValueError),
+    (lambda: DegenerationSpec(_loop_type(), steps=True), ValueError),
+    (lambda: DegenerationSpec(_loop_type(), pattern=(("x", 1.5),)),
+     ValueError),
+    (lambda: TorusPoint((0.1,)), ValueError),
+    (lambda: TorusPoint((True,)), ValueError),
+    (lambda: scale_cycles(CycleBasis(sample_curve()), [True, 2, 1]),
+     ValueError),
+    (lambda: scale_cycles(CycleBasis(sample_curve()), [0.5, 2, 1]),
+     ValueError),
+    (_on_banana(lambda c, D, u: concentrate(c, D, u, True)), ValueError),
+    (_on_banana(lambda c, D, u: dilute(c, Divisor(c, [("u", 1)]), u, k=True)),
+     ValueError),
+    (_on_banana(lambda c, D, u: confinement_search(c, Subcurve.whole(c),
+                                                   True)), ValueError),
+    (_on_banana(lambda c, D, u: confinement_search(c, Subcurve.whole(c), 1,
+                                                   budget=True)), ValueError),
+    (_on_banana(lambda c, D, u: arrange_multi(c, D, [u], [True])), ValueError),
+    (_on_banana(lambda c, D, u: arrange_multi(c, D, [u], [1], budget=True)),
+     ValueError),
+    (_on_banana(lambda c, D, u: True * D), TypeError),
+    (_on_banana(lambda c, D, u: D * True), TypeError),
+    (lambda: True * PLFunction.constant(sample_curve()), TypeError),
+    (lambda: PLFunction.constant(sample_curve()) * True, TypeError),
 ], ids=["divisor-mult-bool", "divisor-mult-float", "weight-bool",
         "model-scale-bool", "bn-r-bool", "bn-d-float", "bn-resolution-bool",
         "spec-steps-bool", "spec-mult-float", "torus-float", "torus-bool",
-        "scale-cycles-bool", "scale-cycles-float"])
-def test_library_refuses_what_json_refuses(build):
-    """Integers are ints that are not bools, rationals go through `rat`."""
-    with pytest.raises(ValueError):
+        "scale-cycles-bool", "scale-cycles-float", "concentrate-r-bool",
+        "dilute-k-bool", "confinement-k-bool", "confinement-budget-bool",
+        "arrange-targets-bool", "arrange-budget-bool", "divisor-rmul-bool",
+        "divisor-mul-bool", "pl-rmul-bool", "pl-mul-bool"])
+def test_library_refuses_what_json_refuses(build, error):
+    """Integers are ints that are not bools, rationals go through `rat`;
+    `k * D` and `k * f` leave a bool k to Python, which refuses it."""
+    with pytest.raises(error):
         build()
 
 
