@@ -60,6 +60,8 @@ class Divisor:
         return not self._chips
 
     def __add__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         if other.curve != self.curve:
             raise ValueError("divisors on different curves")
         out = dict(self._chips)
@@ -71,6 +73,8 @@ class Divisor:
         return Divisor(self.curve, {p: -m for p, m in self._chips.items()})
 
     def __sub__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":

@@ -15,6 +15,15 @@ index at each tick, so index ↔ point conversions are integer arithmetic.
 Subcurve diameters need no lattice: `subcurve_diameter` takes them in
 closed form from vertex distances.
 
+The model layer does Python work per curve vertex, edge, stop and chip,
+not per lattice point.  Its O(n) passes are C-level list operations: a
+piece's interior points enter their edge's path as one `range`, and their
+CSR entries are two strided slices of that path; `reduced_divisor` finds
+the chips and the witness's knots with `compress` over the kernel's
+output.  Only the chip-firing kernel walks the lattice point by point:
+its contraction pass, its fill of σ and its length-n vectors are O(n) per
+call.
+
 `reduced_divisor` and `is_equivalent` are the divisor-level entry points:
 they are the only routes from a `Divisor` to the chip-firing kernel.  The
 rank search, Brill–Noether enumeration and confinement search work on
@@ -26,19 +35,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress, count
 from math import ceil, floor, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import ne
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernel
 from .curve import Point, Subcurve, TropicalCurve, _is_int
 from .divisor import Divisor, PLFunction
 
-# Largest lattice a model may have.  A lattice point costs about 200 bytes
-# (adjacency lists, CSR arrays, kernel vectors), so this is about 400 MB.
-# The kernel's rounds work on runs of points rather than on points, but its
-# vectors, in and out, still hold one entry per point, and it contracts the
-# lattice in one pass over them; so n still bounds a call's memory and time.
+# Largest lattice a model may have.  Under tracemalloc, a cold
+# `reduced_divisor` with the pure kernel peaks at about 175 bytes a lattice
+# point: 97 for the model (its paths and CSR arrays) and 76 for the
+# kernel's vectors in and out, so this is about 350 MB.  The kernel's
+# rounds work on runs of points rather than on points, but its vectors
+# still hold one entry per point, and it contracts the lattice in one pass
+# over them; so n still bounds a call's memory and time.
 MAX_LATTICE_POINTS = 2_000_000
 
 
@@ -127,22 +139,23 @@ class IntegerModel:
             vec[self.vertex_index(p)] += m
         return vec
 
-    def sigma_to_pl(self, sigma: Sequence[int]) -> PLFunction:
+    def sigma_to_pl(self, sigma: Sequence[int], bends: Iterable[int]) -> PLFunction:
         """f with div(f) = -L·σ, i.e. f = -σ/λ; reduction yields D + div(f).
 
-        f is affine on each unit step; a knot goes only where the slope
-        changes."""
+        bends: lattice indices that include every point off the curve's
+        vertices where (L·σ)ᵢ ≠ 0; the curve's vertices among them are
+        skipped.  f is affine on each unit step, and inside an edge
+        (L·σ)ᵢ = 2σᵢ − σᵢ₋₁ − σᵢ₊₁ is minus the change of slope at point i,
+        so the bends are f's knots; `PLFunction` drops any that are
+        straight."""
         factor = Fraction(-1, self.lam)
         vv = {v: factor * sigma[i] for v, i in self._vindex.items()}
+        nv = len(vv)
         knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        for e, path in self._paths.items():
-            ks = []
-            for t in range(1, len(path) - 1):
-                a, b, c = sigma[path[t - 1]], sigma[path[t]], sigma[path[t + 1]]
-                if b - a != c - b:
-                    ks.append((Fraction(t, self.lam), factor * b))
-            if ks:
-                knots[e] = ks
+        for i in bends:
+            if i >= nv:
+                p = self.point_of_index(i)
+                knots.setdefault(p.edge, []).append((p.offset, factor * sigma[i]))
         return PLFunction(self.curve, vv, knots)
 
     # -- reduction ---------------------------------------------------------
@@ -157,6 +170,8 @@ class IntegerModel:
 
     def indices_in(self, sub: Subcurve) -> List[int]:
         """Sorted indices of the lattice points that lie on the subcurve."""
+        if sub.parent != self.curve:
+            raise ValueError("curve mismatch")
         # an interval that reaches an end of its edge puts that end into
         # sub.vertices (closure), so the slices may include the ends
         out = {self._vindex[v] for v in sub.vertices}
@@ -210,7 +225,16 @@ def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
 
     # per edge, the lattice index at each tick t (offset t/λ) from its
     # first end on; plus, for every piece with interior points, its first
-    # index, edge and start tick
+    # index, edge and start tick.  The CSR arrays are filled as the paths
+    # are laid.  Each curve vertex lists, edge by edge, the point one tick
+    # inside the edge from each of its ends.  Every other point i lies
+    # inside one edge and has degree 2: nbrs[o] and nbrs[o + 1], with
+    # o = 2(|E| + i − |V|), are the points one tick before and after it.
+    # A piece's interior points have consecutive indices, so for them each
+    # of the two is one strided slice of the path, sharing its ints.
+    nv, n_edges = len(verts), len(curve.edges())
+    nbrs = [0] * (2 * (n_edges + n - nv))
+    ends: List[List[int]] = [[] for _ in verts]
     paths: Dict[str, List[int]] = {}
     piece_first: List[int] = []
     piece_at: List[Tuple[str, int]] = []
@@ -219,35 +243,45 @@ def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
         ticks, nodes = ticks_of[e], layout[e][1]
         path = [nodes[0]]
         for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
-            if t - s > 1:
+            c = t - s - 1
+            if c > 0:
                 piece_first.append(first)
                 piece_at.append((e, s))
-                path.extend(range(first, first + t - s - 1))
-                first += t - s - 1
-            path.append(node)
+                path += range(first, first + c)
+                path.append(node)
+                o = 2 * (n_edges + first - nv)
+                nbrs[o:o + 2 * c:2] = path[s:t - 1]
+                nbrs[o + 1:o + 2 * c:2] = path[s + 2:t + 1]
+                first += c
+            else:
+                path.append(node)
+            if s:   # the stop at tick s, now that path[s + 1] is laid
+                o = 2 * (n_edges + path[s] - nv)
+                nbrs[o], nbrs[o + 1] = path[s - 1], path[s + 1]
         paths[e] = path
-
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for path in paths.values():
-        for a, b in zip(path, path[1:]):
-            adj[a].append(b)
-            adj[b].append(a)
-    indptr = [0] * (n + 1)
-    for i, nb in enumerate(adj):
-        indptr[i + 1] = indptr[i] + len(nb)
+        ends[nodes[0]].append(path[1])
+        ends[nodes[-1]].append(path[-2])
+    nbrs[:2 * n_edges] = chain.from_iterable(ends)
+    indptr = [0, *accumulate(map(len, ends))]
+    indptr += range(2 * n_edges + 2, len(nbrs) + 1, 2)
     return {"n": n, "lam": lam, "_vindex": vindex, "_stops": stops,
             "split_indices": list(range(len(stops))), "_paths": paths,
             "_piece_first": piece_first, "_piece_at": piece_at,
-            "indptr": indptr, "nbrs": [w for nb in adj for w in nb]}
+            "indptr": indptr, "nbrs": nbrs}
 
 
 def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
     """q-reduced form of D and witness f with reduced = D + div(f), f(q) = 0."""
+    if D.curve != curve:
+        raise ValueError("curve mismatch")
     q = curve.point(q)
     model = IntegerModel(curve, marks=list(D.support()) + [q])
-    red, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
-    chips = [(model.point_of_index(i), m) for i, m in enumerate(red) if m]
-    return Divisor(curve, chips), model.sigma_to_pl(sigma)
+    vec = model.divisor_vector(D)
+    red, sigma = model.reduce_vector(vec, model.vertex_index(q))
+    # L·σ = vec − red, so the witness bends where the two differ
+    chips = [(model.point_of_index(i), red[i]) for i in compress(count(), red)]
+    return (Divisor(curve, chips),
+            model.sigma_to_pl(sigma, compress(count(), map(ne, vec, red))))
 
 
 def is_equivalent(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]:

@@ -133,6 +133,8 @@ class _RankEngine:
 
 def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the underlying pure curve (weights ignored)."""
+    if D.curve != curve:
+        raise ValueError("curve mismatch")
     d, g = D.degree(), curve.betti()
     if d < 0:
         return -1
@@ -143,6 +145,8 @@ def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
 
 def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the weighted curve."""
+    if D.curve != curve:
+        raise ValueError("curve mismatch")
     d, g = D.degree(), genus(curve)
     if d < 0:
         return -1
@@ -156,6 +160,8 @@ def rank_weighted_loops(curve: TropicalCurve, D: Divisor, eps) -> int:
 
     Independent of eps; exposed for cross-validation against rank_weighted.
     """
+    if D.curve != curve:
+        raise ValueError("curve mismatch")
     loops = attach_loops(curve, eps)
     return rank_pure(loops, Divisor(loops, D.items()))
 
@@ -163,6 +169,8 @@ def rank_weighted_loops(curve: TropicalCurve, D: Divisor, eps) -> int:
 def weighted_A_rank(curve: TropicalCurve, D: Divisor, A: Iterable) -> int:
     """Largest r with D - E* ~ effective for every effective E of degree r
     supported on A (and -1 when D itself has no effective representative)."""
+    if D.curve != curve:
+        raise ValueError("curve mismatch")
     pts = []
     for p in A:
         p = curve.point(p)

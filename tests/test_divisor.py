@@ -41,6 +41,15 @@ def test_divisor_arithmetic():
         Divisor(c, [("a", F(1, 2))])
 
 
+@pytest.mark.parametrize("other", [1, "a", None])
+def test_divisor_arithmetic_with_a_non_divisor_is_a_type_error(other):
+    D = Divisor(segment(), [("a", 1)])
+    with pytest.raises(TypeError):
+        D + other
+    with pytest.raises(TypeError):
+        D - other
+
+
 def test_divisor_zero_chips_vanish():
     c = segment()
     D = Divisor(c, [("a", 1), ("a", -1), ("b", 2)])

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from tropbn import (Divisor, PLFunction, Point, Subcurve, TropicalCurve,
                     abel_jacobi, is_equivalent, loopless_model, reduced_divisor,
                     subdivide)
-from tropbn import canonical, models, rank_weighted
+from tropbn import (canonical, concentrate, models, rank_pure, rank_weighted,
+                    rank_weighted_loops, weighted_A_rank)
+from tropbn.brill_noether import wdr_member
 from tropbn.models import IntegerModel
 
 from oracles import piece_scale
@@ -49,6 +51,12 @@ class ReferenceModel:
         for v in self.order:
             self.nbrs.extend(self.index[w] for _, w in unit.incident(v))
             self.indptr.append(len(self.nbrs))
+
+    def laplacian_support(self, sigma):
+        """Indices i with (L·σ)ᵢ ≠ 0, L the Laplacian of the unit graph."""
+        return [i for i in range(self.n)
+                if (self.indptr[i + 1] - self.indptr[i]) * sigma[i]
+                != sum(sigma[w] for w in self.nbrs[self.indptr[i]:self.indptr[i + 1]])]
 
     def point_of_index(self, i):
         return self.to_unit.inverse(Point(vertex=self.order[i]))
@@ -156,7 +164,8 @@ def test_model_matches_subdivided_construction():
             assert new.indices_in(sub) == [
                 i for i in range(ref.n) if sub.contains_point(ref.point_of_index(i))]
         sigma = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(new.n)]
-        assert new.sigma_to_pl(sigma) == ref.pl_from_unit_values(
+        bends = ref.laplacian_support(sigma)
+        assert new.sigma_to_pl(sigma, bends) == ref.pl_from_unit_values(
             c, [F(-s, ref.lam) for s in sigma])
 
 
@@ -184,10 +193,41 @@ def test_witness_from_sigma_keeps_only_slope_changes():
     model = IntegerModel(c)
     sigma = [0] * model.n
     sigma[model.vertex_index(c.point("e", 2))] = 1
-    f = model.sigma_to_pl(sigma)
+    f = model.sigma_to_pl(sigma, ReferenceModel(c).laplacian_support(sigma))
     assert f.vertex_values() == {"a": 0, "b": 0}
     assert f.knots("e") == ((F(1), F(0)), (F(2), F(-1)), (F(3), F(0)))
     assert f.knots("f") == ()
+
+
+def banana(e_length):
+    return TropicalCurve({"a": 0, "b": 0},
+                         [("e", ("a", "b"), e_length), ("f", ("a", "b"), 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, D: models.reduced_divisor(c, D, "a"),
+    rank_pure,
+    rank_weighted,
+    lambda c, D: rank_weighted_loops(c, D, 1),
+    lambda c, D: weighted_A_rank(c, D, ["a"]),
+    lambda c, D: wdr_member(c, D, 0),
+    lambda c, D: concentrate(c, D, Subcurve(c, ["a"]), 0),
+], ids=["reduced_divisor", "rank_pure", "rank_weighted", "rank_weighted_loops",
+        "weighted_A_rank", "wdr_member", "concentrate"])
+def test_divisor_of_another_curve_is_refused(call):
+    """Same ids, other lengths: e@1 is the middle of e on the second curve
+    but would be vertex b on the first."""
+    c1, c2 = banana(1), banana(2)
+    D2 = Divisor(c2, [(c2.point("e", 1), 1)])
+    with pytest.raises(ValueError, match="curve mismatch"):
+        call(c1, D2)
+
+
+def test_indices_in_refuses_a_subcurve_of_another_curve():
+    c = banana(1)
+    other = TropicalCurve({"z": 0}, [])
+    with pytest.raises(ValueError, match="curve mismatch"):
+        IntegerModel(c).indices_in(Subcurve(other, ["z"]))
 
 
 def test_lattice_size_is_capped_before_allocating(monkeypatch):
@@ -305,3 +345,41 @@ def test_reduced_divisor_and_equivalence(case):
     assert ok and D - red == g.divisor()
     # an independent oracle: the Abel-Jacobi image of D − D2
     assert is_equivalent(D, D2)[0] == abel_jacobi(c, D - D2, c.vertices()[0]).is_zero()
+
+
+@st.composite
+def reduction_cases(draw):
+    """A pure curve with at least one loop, D with debts and interior
+    chips, and an interior basepoint q."""
+    n = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(n)]
+    lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])
+    edges = [(f"t{i}", (names[draw(st.integers(0, i - 1))], names[i]), draw(lengths))
+             for i in range(1, n)]
+    loop_at = draw(st.sampled_from(names))
+    edges.append(("l", (loop_at, loop_at), draw(lengths)))
+    for j in range(draw(st.integers(0, 2))):
+        uv = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
+        edges.append((f"x{j}", uv, draw(lengths)))
+    c = TropicalCurve({v: 0 for v in names}, edges)
+    interior = st.builds(lambda e, k: c.point(e, c.length(e) * k),
+                         st.sampled_from(c.edges()),
+                         st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3)]))
+    points = st.one_of(st.sampled_from(names).map(c.point), interior)
+    D = Divisor(c, draw(st.lists(st.tuples(points, st.integers(-3, 3)), max_size=5)))
+    return c, D, draw(interior)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=reduction_cases())
+def test_witness_is_the_kernels_sigma(case):
+    """The witness that `reduced_divisor` reads from where D and its
+    reduction differ is −σ/λ for the kernel's σ, read at every point."""
+    c, D, q = case
+    red, f = reduced_divisor(c, D, q)
+    assert red == D + f.divisor()
+    assert f.value(q) == 0
+    marks = list(D.support()) + [q]
+    model, ref = IntegerModel(c, marks), ReferenceModel(c, marks)
+    _, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
+    assert f == ref.pl_from_unit_values(c, [F(-s, ref.lam) for s in sigma])
