@@ -48,7 +48,7 @@ def rat(x: RatLike) -> Fraction:
     raise ValueError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A location on a curve: a vertex, or an interior position on an edge.
 
@@ -90,6 +90,8 @@ class TropicalCurve:
     is keyed by the lattice's scale and interior cuts and replaced when a
     model with another key is built (see `models.IntegerModel`).  It holds
     only curve-free data, so it makes no reference cycle with the curve.
+    The vertex `Point`s that `point` hands out are kept as well
+    (``_vpoints``), one per vertex, so that vertex points are shared.
     """
 
     def __init__(
@@ -134,6 +136,7 @@ class TropicalCurve:
                 self._adj[u].append((eid, u))
 
         self._check_connected()
+        self._vpoints: Dict[str, Point] = {}
         self._dist_cache: Dict[str, Dict[str, Fraction]] = {}
         # the last integer lattice built on this curve, as (key, curve-free
         # fields); see `models.IntegerModel`
@@ -202,14 +205,20 @@ class TropicalCurve:
     def point(self, spec, offset: Optional[RatLike] = None) -> Point:
         """Canonical point: a `Point`, a vertex id, or (edge id, offset), with
         endpoint offsets collapsed to the corresponding vertex.  This is the
-        one place that canonicalizes points; a `Point` that is already
-        canonical (a vertex of the curve, or a known edge with a `Fraction`
-        offset strictly inside it) is returned as it is."""
+        one place that canonicalizes points; an interior `Point` that is
+        already canonical (a known edge with a `Fraction` offset strictly
+        inside it) is returned as it is.
+
+        Vertex points are shared: the first `Point` of a vertex that this
+        returns is kept, and every later vertex point it returns for that
+        vertex, endpoint collapses included, is that object.  It is made on
+        first use, not when the curve is built, so a curve that is never
+        asked for a point allocates none."""
         if isinstance(spec, Point):
             if spec.is_vertex:
                 if spec.vertex not in self._weights:
                     raise ValueError(f"unknown vertex {spec.vertex!r}")
-                return spec
+                return self._vpoints.setdefault(spec.vertex, spec)
             spec, offset, pt = spec.edge, spec.offset, spec
             if (isinstance(spec, str) and spec in self._edges
                     and isinstance(offset, Fraction)
@@ -218,7 +227,7 @@ class TropicalCurve:
         elif offset is None:
             if not isinstance(spec, str) or spec not in self._weights:
                 raise ValueError(f"unknown vertex {spec!r}")
-            return Point(vertex=spec)
+            return self._vertex_point(spec)
         if not isinstance(spec, str) or spec not in self._edges:
             raise ValueError(f"unknown edge {spec!r}")
         u, v, ell = self._edges[spec]
@@ -226,10 +235,16 @@ class TropicalCurve:
         if off < 0 or off > ell:
             raise ValueError(f"offset {off} outside [0, {ell}] on edge {spec!r}")
         if off == 0:
-            return Point(vertex=u)
+            return self._vertex_point(u)
         if off == ell:
-            return Point(vertex=v)
+            return self._vertex_point(v)
         return Point(edge=spec, offset=off)
+
+    def _vertex_point(self, v: str) -> Point:
+        p = self._vpoints.get(v)
+        if p is None:
+            p = self._vpoints[v] = Point(vertex=v)
+        return p
 
     def point_weight(self, p: Point) -> int:
         """Vertex weight at p; interior points weigh 0."""

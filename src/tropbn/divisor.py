@@ -13,6 +13,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .curve import Point, PointMap, Subcurve, TropicalCurve, _is_int, rat
 
 
+def _nonzero(data: Dict[Point, int]) -> Dict[Point, int]:
+    """data without its zero entries, removed in place."""
+    for p in [p for p, m in data.items() if not m]:
+        del data[p]
+    return data
+
+
 def _point_key(p: Point):
     if p.is_vertex:
         return (0, p.vertex, 0)
@@ -20,7 +27,19 @@ def _point_key(p: Point):
 
 
 class Divisor:
-    """Finite formal sum of points with integer coefficients."""
+    """Finite formal sum of points with integer coefficients.
+
+    A `Point` inside a divisor of curve c is canonical on c, and so on any
+    curve equal to c: a vertex, or an edge with a `Fraction` offset strictly
+    inside it.  User input is checked once, where it enters: here, when
+    ``Divisor(curve, chips)`` passes each point through
+    `TropicalCurve.point`, and in `io.point_from_json` and
+    `io.divisor_from_json`.  Internal paths trust a divisor's points:
+    `_of_canonical` takes points that are already canonical (the arithmetic
+    below, `io.divisor_from_json` once it has checked each chip, and the
+    lattice points of `models.reduced_divisor`), and `models.IntegerModel`
+    reads them without checking them again.
+    """
 
     def __init__(self, curve: TropicalCurve, chips=()):
         self.curve = curve
@@ -32,7 +51,20 @@ class Divisor:
             if type(m) is bool or not isinstance(m, int):
                 raise ValueError(f"multiplicity at {p} must be an integer")
             data[p] = data.get(p, 0) + m
-        self._chips = {p: m for p, m in data.items() if m != 0}
+        self._chips = _nonzero(data)
+
+    @classmethod
+    def _of_canonical(cls, curve: TropicalCurve,
+                      chips: Iterable[Tuple[Point, int]]) -> "Divisor":
+        """The divisor of (point, int) pairs whose points are canonical on
+        the curve: repeated points sum and zeros drop, nothing is checked."""
+        D = cls.__new__(cls)
+        D.curve = curve
+        data: Dict[Point, int] = {}
+        for p, m in chips:
+            data[p] = data.get(p, 0) + m
+        D._chips = _nonzero(data)
+        return D
 
     @classmethod
     def zero(cls, curve: TropicalCurve) -> "Divisor":
@@ -64,13 +96,12 @@ class Divisor:
             return NotImplemented
         if other.curve != self.curve:
             raise ValueError("divisors on different curves")
-        out = dict(self._chips)
-        for p, m in other._chips.items():
-            out[p] = out.get(p, 0) + m
-        return Divisor(self.curve, out)
+        return Divisor._of_canonical(
+            self.curve, [*self._chips.items(), *other._chips.items()])
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, {p: -m for p, m in self._chips.items()})
+        return Divisor._of_canonical(
+            self.curve, [(p, -m) for p, m in self._chips.items()])
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
@@ -80,7 +111,8 @@ class Divisor:
     def __rmul__(self, k: int) -> "Divisor":
         if not _is_int(k):
             return NotImplemented
-        return Divisor(self.curve, {p: k * m for p, m in self._chips.items()})
+        return Divisor._of_canonical(
+            self.curve, [(p, k * m) for p, m in self._chips.items()])
 
     __mul__ = __rmul__
 

@@ -102,7 +102,8 @@ def divisor_from_json(obj: dict, curve: TropicalCurve) -> Divisor:
                  for c in obj.get("chips", [])]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed divisor JSON: {exc}") from exc
-    return Divisor(curve, chips)
+    # each chip is checked above, once: its point is canonical on the curve
+    return Divisor._of_canonical(curve, chips)
 
 
 def subcurve_to_json(sub: Subcurve) -> dict:

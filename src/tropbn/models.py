@@ -29,6 +29,12 @@ they are the only routes from a `Divisor` to the chip-firing kernel.  The
 rank search, Brill–Noether enumeration and confinement search work on
 lattice vectors through `divisor_vector`, `reduce_vector`,
 `effective_class` and `sigma_to_pl`.
+
+`divisor_vector`, and a model whose marks are a `Divisor`, trust the
+divisor's points: they are canonical on its curve (see `Divisor`), so a
+chip's index is read from the vertex numbering or its edge's path without
+passing the point through `TropicalCurve.point` again.  Marks given as
+points are canonicalized, as `vertex_index` canonicalizes its argument.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ MAX_LATTICE_POINTS = 2_000_000
 class IntegerModel:
     """Unit-step model of a curve on the lattice (1/λ)ℤ of each edge.
 
-    marks: points of the curve that must become lattice vertices.
+    marks: points of the curve that must become lattice vertices, in any
+    form `TropicalCurve.point` takes; or a `Divisor` of the curve, whose
+    support is the marks, taken as they are (its points are canonical).
     scale: a positive integer that multiplies λ, refining the lattice;
     `transport.confinement_search` searches the lattice at scale 2.
 
@@ -102,8 +110,13 @@ class IntegerModel:
         if not _is_int(scale) or scale < 1:
             raise ValueError("scale must be a positive integer")
         self.curve = curve
-        cuts = frozenset((p.edge, p.offset) for p in map(curve.point, marks)
-                         if not p.is_vertex)
+        if isinstance(marks, Divisor):
+            if marks.curve != curve:
+                raise ValueError("curve mismatch")
+            points = marks._chips   # canonical on the curve: see `Divisor`
+        else:
+            points = map(curve.point, marks)
+        cuts = frozenset((p.edge, p.offset) for p in points if not p.is_vertex)
         key = (scale, cuts)
         slot = curve._lattice_slot
         if slot is None or slot[0] != key:
@@ -115,7 +128,11 @@ class IntegerModel:
 
     def vertex_index(self, p) -> int:
         """Lattice index of a curve point; the point must be on the lattice."""
-        p = self.curve.point(p)
+        return self._index(self.curve.point(p))
+
+    def _index(self, p: Point) -> int:
+        """Lattice index of a point canonical on the curve, read from the
+        vertex numbering or its edge's path."""
         if p.is_vertex:
             return self._vindex[p.vertex]
         t = p.offset * self.lam
@@ -134,9 +151,13 @@ class IntegerModel:
                                              self.lam))
 
     def divisor_vector(self, D: Divisor) -> List[int]:
+        """D as a lattice vector.  D's points are canonical on its curve
+        (see `Divisor`), so they are not canonicalized again."""
+        if D.curve != self.curve:
+            raise ValueError("curve mismatch")
         vec = [0] * self.n
-        for p, m in D.items():
-            vec[self.vertex_index(p)] += m
+        for p, m in D._chips.items():
+            vec[self._index(p)] += m
         return vec
 
     def sigma_to_pl(self, sigma: Sequence[int], bends: Iterable[int]) -> PLFunction:
@@ -280,7 +301,7 @@ def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFun
     red, sigma = model.reduce_vector(vec, model.vertex_index(q))
     # L·σ = vec − red, so the witness bends where the two differ
     chips = [(model.point_of_index(i), red[i]) for i in compress(count(), red)]
-    return (Divisor(curve, chips),
+    return (Divisor._of_canonical(curve, chips),
             model.sigma_to_pl(sigma, compress(count(), map(ne, vec, red))))
 
 

@@ -108,12 +108,14 @@ class _RankEngine:
         return best
 
     def weighted_rank(self, D: Divisor) -> int:
-        weighted = [(v, self.curve.weight(v)) for v in self.curve.vertices()
-                    if self.curve.weight(v) > 0]
+        # (lattice index, weight) of each weighted vertex: the curve's
+        # vertices are the model's first indices, in curve order
+        weighted = [(i, w) for i, w in enumerate(self.curve.weights().values())
+                    if w > 0]
         if not weighted:
             return self.rank(D)
         dvec = self.model.divisor_vector(D)
-        idxs = [self.model.vertex_index(Point(vertex=v)) for v, _ in weighted]
+        idxs = [i for i, _ in weighted]
         cands = sorted(
             itertools.product(*(range(w + 1) for _, w in weighted)),
             key=lambda t: (sum(t), t))
@@ -140,7 +142,7 @@ def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
         return -1
     if d > 2 * g - 2:   # Riemann-Roch
         return d - g
-    return _RankEngine(curve, marks=D.support()).rank(D)
+    return _RankEngine(curve, marks=D).rank(D)
 
 
 def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
@@ -152,7 +154,7 @@ def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
         return -1
     if d > 2 * g - 2:   # Riemann-Roch in the weighted genus
         return d - g
-    return _RankEngine(curve, marks=D.support()).weighted_rank(D)
+    return _RankEngine(curve, marks=D).weighted_rank(D)
 
 
 def rank_weighted_loops(curve: TropicalCurve, D: Divisor, eps) -> int:

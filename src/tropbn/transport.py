@@ -226,7 +226,7 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     dominated.  Requires N_{ε(3d)^{d-r+1}}(Λ) to deformation retract onto Λ
     with no weighted vertices outside Λ.
     """
-    if D.curve != curve:
+    if lam.parent != curve or D.curve != curve:
         raise ValueError("curve mismatch")
     if not _is_int(r):
         raise ValueError("r must be an integer")

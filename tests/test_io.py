@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropbn import (BNQuery, CombinatorialType, CycleBasis, DegenerationSpec,
-                    Divisor, PLFunction, Subcurve, TorusPoint, TropicalCurve,
-                    scale_cycles)
+                    Divisor, PLFunction, Point, Subcurve, TorusPoint,
+                    TropicalCurve, genus, rank_weighted, scale_cycles)
 from tropbn.io import (
     canonical_dumps,
     curve_from_json,
@@ -185,3 +187,156 @@ def test_file_round_trip(tmp_path):
     path.write_text(canonical_dumps(curve_to_json(c)), encoding="utf-8")
     back = curve_from_json(read_json(str(path)))
     assert back.edges() == c.edges()
+
+
+def _vertex_chip(v, m):
+    return {"at": {"vertex": v}, "mult": m}
+
+
+def _edge_chip(e, offset, m):
+    return {"at": {"edge": e, "offset": offset}, "mult": m}
+
+
+def _k_minus(curve_doc, chips):
+    """The chips of K − D, K = Σ (deg v − 2 + 2 w(v))·v from the JSON."""
+    k = {v["id"]: 2 * v.get("weight", 0) - 2 for v in curve_doc["vertices"]}
+    for e in curve_doc["edges"]:
+        for v in e["ends"]:
+            k[v] += 1
+    return ([_vertex_chip(v, m) for v, m in k.items() if m]
+            + [dict(c, mult=-c["mult"]) for c in chips])
+
+
+# curves and divisors shaped like the rank-rr benchmark's: mixed lengths,
+# weighted vertices, loops, chips at vertices and inside edges (the ends
+# 0 and ℓ included), repeated points and negative degrees
+_RR_DOCS = [
+    ({"vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 0},
+                   {"id": "c", "weight": 0}],
+      "edges": [{"id": "t1", "ends": ["a", "b"], "length": "1"},
+                {"id": "t2", "ends": ["b", "c"], "length": "1/2"},
+                {"id": "x0", "ends": ["c", "c"], "length": "3/4"}]},
+     [_vertex_chip("a", 2), _vertex_chip("b", -1), _edge_chip("t1", "1/2", 1),
+      _edge_chip("t2", "1/2", 1), _edge_chip("x0", "3/8", 1)]),
+    ({"vertices": [{"id": "u"}, {"id": "v"}],
+      "edges": [{"id": "e1", "ends": ["u", "v"], "length": "2"},
+                {"id": "e2", "ends": ["u", "v"], "length": "3/4"}]},
+     [_edge_chip("e1", "1", 1), _edge_chip("e2", "0", 1),
+      _vertex_chip("u", -1)]),
+    ({"vertices": [{"id": "v", "weight": 1}],
+      "edges": [{"id": "l", "ends": ["v", "v"], "length": "1"}]},
+     [_vertex_chip("v", 1), _vertex_chip("v", 1), _edge_chip("l", "1/2", 1)]),
+    ({"vertices": [{"id": "p", "weight": 1}, {"id": "q", "weight": 0}],
+      "edges": [{"id": "t", "ends": ["p", "q"], "length": "1/2"}]},
+     [_vertex_chip("q", -2), _edge_chip("t", "1/4", 1)]),
+    ({"vertices": [{"id": "a"}, {"id": "b"}],
+      "edges": [{"id": "e1", "ends": ["a", "b"], "length": "1"},
+                {"id": "e2", "ends": ["a", "b"], "length": "2"},
+                {"id": "e3", "ends": ["a", "b"], "length": "1/2"}]},
+     [_vertex_chip("a", 1), _edge_chip("e3", "1/2", 1)]),
+]
+
+
+def test_each_parsed_point_is_made_canonical_once(monkeypatch):
+    """Parsing and ranking D and K − D calls `TropicalCurve.point` once per
+    chip of the documents: the points of a divisor are canonical, and the
+    model and the rank search take them as they are."""
+    calls = []
+    point = TropicalCurve.point
+
+    def counted(self, *args):
+        calls.append(args)
+        return point(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "point", counted)
+    parsed = 0
+    for curve_doc, chips in _RR_DOCS:
+        k_chips = _k_minus(curve_doc, chips)
+        c = curve_from_json(curve_doc)
+        D = divisor_from_json({"chips": chips}, c)
+        KmD = divisor_from_json({"chips": k_chips}, c)
+        parsed += len(chips) + len(k_chips)
+        # Riemann–Roch, so the search really ran on both
+        assert (rank_weighted(c, D) - rank_weighted(c, KmD)
+                == D.degree() - genus(c) + 1)
+    assert len(calls) == parsed
+
+
+@st.composite
+def chip_documents(draw):
+    """A small curve and two chip lists on it, as (point spec, mult) pairs:
+    vertex ids and (edge, offset) pairs, with the offsets 0 and ℓ among
+    them, points that repeat, and a chip that cancels another."""
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    ends = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+    ends += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          max_size=2))
+    lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 4)])
+    edges = [(f"e{i}", uv, draw(lengths)) for i, uv in enumerate(ends)]
+    c = TropicalCurve({v: draw(st.integers(0, 1)) for v in vs}, edges)
+    specs = vs + [(e, ell * j / 4) for e, _, ell in edges for j in range(5)]
+    chips = st.lists(st.tuples(st.sampled_from(specs), st.integers(-2, 2)),
+                     max_size=6)
+    first, second = draw(chips), draw(chips)
+    if first and draw(st.booleans()):
+        spec, m = first[draw(st.integers(0, len(first) - 1))]
+        first.append((spec, -m))
+    return c, first, second
+
+
+def _json_chips(chips):
+    return {"chips": [_vertex_chip(spec, m) if isinstance(spec, str)
+                      else _edge_chip(spec[0], frac_str(spec[1]), m)
+                      for spec, m in chips]}
+
+
+def _public(c, chips):
+    """The same chips through the public constructor, which canonicalizes
+    each point itself (an offset of 0 or ℓ collapses to a vertex)."""
+    return Divisor(c, [(spec if isinstance(spec, str)
+                        else Point(edge=spec[0], offset=spec[1]), m)
+                       for spec, m in chips])
+
+
+def _old_vector(model, D):
+    """`divisor_vector` by canonicalizing each chip through
+    `vertex_index`."""
+    vec = [0] * model.n
+    for p, m in D.items():
+        vec[model.vertex_index(p)] += m
+    return vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=chip_documents(), k=st.integers(-3, 3))
+def test_trusted_divisors_equal_the_public_constructor(case, k):
+    c, first, second = case
+    D = divisor_from_json(_json_chips(first), c)
+    E = divisor_from_json(_json_chips(second), c)
+    P, Q = _public(c, first), _public(c, second)
+    assert D == P and D.items() == P.items()
+    assert E == Q and E.items() == Q.items()
+    assert all(m for _, m in D.items())
+    # vertex points are the curve's own; interior ones are canonical
+    for p, _ in D.items() + E.items():
+        assert c.point(p) is p if p.is_vertex else c.point(p) == p
+    for got, want in ((D + E, _public(c, first + second)),
+                      (D - E, _public(c, first + [(s, -m) for s, m in second])),
+                      (-D, _public(c, [(s, -m) for s, m in first])),
+                      (k * D, _public(c, [(s, k * m) for s, m in first]))):
+        assert got == want and got.items() == want.items()
+    # a divisor as the model's marks is its support, taken as it is
+    model = IntegerModel(c, marks=D + E)
+    listed = IntegerModel(c, marks=(D + E).support())
+    assert (model.n, model.lam) == (listed.n, listed.lam)
+    # a point that cancels in D + E need not lie on its lattice
+    for X in (D, E, D + E, k * D):
+        try:
+            want = _old_vector(model, X)
+        except ValueError as exc:
+            assert "not a lattice point" in str(exc)
+            with pytest.raises(ValueError, match="not a lattice point"):
+                model.divisor_vector(X)
+        else:
+            assert model.divisor_vector(X) == want

@@ -241,8 +241,10 @@ def test_subcurve_of_another_curve_is_refused():
         push_single(c, D, lam, Divisor(c, [("a", 1)]))
     with pytest.raises(ValueError, match="curve mismatch"):
         dilute(c, D, lam, 1, F=D)
-    with pytest.raises(ValueError, match="different curve"):
-        concentrate(c, D, lam, 1)
+    # checked before the r == 0 return, which gives D back unchanged
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="curve mismatch"):
+            concentrate(c, D, lam, r)
 
 
 def test_confinement_pair_on_theta():
