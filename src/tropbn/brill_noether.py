@@ -102,7 +102,7 @@ class _BNEngine:
         key = tuple(red)
         hit = self._ok.get(key)
         if hit is None:
-            hit = self.engine.rank_at_least(red, self.r)
+            hit = self.engine.rank_at_least(key, self.r)
             self._ok[key] = hit
         return hit
 

@@ -10,11 +10,40 @@ set, with |D - E| empty.  That quantity satisfies
 which is explored depth-first with memoization on q-reduced forms and an
 upper-bound cutoff.  The vertex set of a loopless model containing supp(D)
 is rank-determining, so no further points need to be considered.
-Above degree 2g - 2, with g the first Betti number (the model ignores
-weights), Riemann-Roch gives rank = deg - g outright; the search therefore
-only runs for deg <= 2g - 2 and recurses at most 2g deep.  `rank_pure` and
-`rank_weighted` apply the same bound before building a model, the latter
-in the weighted genus g = b1 + Σ w(v) (Amini–Caporaso, arXiv:1112.5134).
+
+Two facts keep the search small.
+
+*Maximality of reduced divisors* (Baker-Norine, arXiv:math/0608360; Luo,
+arXiv:0906.2807, shows that Dhar's burning decides reducedness on the
+metric model as well).  Among the divisors in a class that are effective
+away from a, the a-reduced one, R, holds the most chips at a.  Proof: let
+E = R - L·σ be another, with L the Laplacian and σ an integer firing
+script, and X the set where σ is largest.  Each v in X loses at least
+outdeg_X(v) chips, so E(v) <= R(v) - outdeg_X(v).  If a were not in X,
+every v in X would have R(v) >= E(v) + outdeg_X(v) >= outdeg_X(v), so X
+could fire from R, which an a-reduced divisor forbids.  So σ is largest
+at a, and E(a) <= R(a).  Hence for an effective red and a point a with
+red(a) = 0, red - a has an effective representative exactly when
+R(a) >= 1, and then R - a is one.  A search node is q-reduced, and one
+that branches is effective (any other scores 0), so a child is tested by
+reducing the node itself at a, and an effective child is q-reduced from
+R - a: neither reduction carries debt.  Only the root vector of
+`rank_vector` can.  At the last level, where the cap leaves a child only
+the score 0 or 1, the first test decides it and nothing recurses.
+
+*Clifford's bound.*  Above degree 2g - 2, with g the first Betti number
+(the model ignores weights), Riemann-Roch gives rank = deg - g outright.
+For 0 <= d <= 2g - 2, 2·rank(D) <= d.  Proof: there is nothing to show
+when rank(D) = -1.  If rank(K - D) = -1, Riemann-Roch gives
+rank(D) = d - g <= d/2, as d <= 2g.  Otherwise both classes are
+effective, and rank(D) + rank(K - D) <= rank(K) = g - 1, because
+rank(A + B) >= rank(A) + rank(B) for effective classes; adding
+Riemann-Roch, rank(D) - rank(K - D) = d - g + 1, gives 2·rank(D) <= d.
+So minfail is at most d // 2 + 1, which caps the search: it runs only for
+deg <= 2g - 2 and recurses at most d/2 + 1 <= g levels deep.  `rank_pure`
+and `rank_weighted` apply the Riemann-Roch bound before building a model,
+the latter in the weighted genus g = b1 + Σ w(v) (Amini–Caporaso,
+arXiv:1112.5134).
 
 The weighted rank follows the reduction to a minimum over subtractions of
 doubled effective divisors bounded by the vertex weights:
@@ -25,7 +54,7 @@ doubled effective divisors bounded by the vertex weights:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .curve import Point, TropicalCurve, attach_loops, genus
 from .divisor import Divisor
@@ -62,25 +91,26 @@ class _RankEngine:
         if d > 2 * self.genus - 2:   # Riemann-Roch
             return d - self.genus
         red, _ = self.model.reduce_vector(vec, self.q)
-        return self._minfail(tuple(red), d + 2) - 1
+        # Clifford: rank <= d // 2
+        return self._minfail(tuple(red), d // 2 + 1) - 1
 
-    def rank_at_least(self, vec: Sequence[int], r: int) -> bool:
-        """Decide rank(vec) >= r without computing the exact value."""
+    def rank_at_least(self, red: tuple, r: int) -> bool:
+        """Decide rank(red) >= r without computing the exact value; `red`
+        is q-reduced, as `model.reduce_vector(vec, q)` returns it."""
         if r < 0:
             return True
-        d = sum(vec)
-        if d < r:
-            return False
+        d = sum(red)
         if d > 2 * self.genus - 2:   # Riemann-Roch
             return d - self.genus >= r
-        red, _ = self.model.reduce_vector(list(vec), self.q)
-        return self._minfail(tuple(red), r + 1) >= r + 1
+        if r > d // 2:   # Clifford; covers d < r
+            return False
+        return self._minfail(red, r + 1) >= r + 1
 
     def _minfail(self, red: tuple, cap: int) -> int:
-        """min(cap, smallest deg E ≥ 0 on the RDS with red - E not effective)."""
-        if cap <= 0:
-            return 0
-        if red[self.q] < 0:
+        """min(cap, smallest deg E ≥ 0 on the RDS with red - E not
+        effective), for a q-reduced red and cap >= 1."""
+        q = self.q
+        if red[q] < 0:
             return 0
         hit = self.memo.get(red)
         if hit is not None:
@@ -94,14 +124,25 @@ class _RankEngine:
         for a in sorted(self.rds, key=lambda i: (red[i], i)):
             if best == 1:
                 break
-            child = list(red)
-            child[a] -= 1
-            if a == self.q or red[a] >= 1:
+            if red[a]:
+                if best == 2:   # this and every later child is effective
+                    break
                 # taking a chip away makes no firing legal: still q-reduced
-                sub = child
+                child = red[:a] + (red[a] - 1,) + red[a + 1:]
+            elif a == q:
+                best = 1   # no representative has more chips at q
+                break
             else:
-                sub, _ = self.model.reduce_vector(child, self.q)
-            v = 1 + self._minfail(tuple(sub), best - 1)
+                R, _ = self.model.reduce_vector(red, a)
+                if not R[a]:   # red - a is not effective
+                    best = 1
+                    break
+                if best == 2:   # an effective child scores the cap, 1
+                    continue
+                R[a] -= 1
+                child, _ = self.model.reduce_vector(R, q)
+                child = tuple(child)
+            v = 1 + self._minfail(child, best - 1)
             if v < best:
                 best = v
         self.memo[red] = (best, best < cap)
@@ -116,21 +157,32 @@ class _RankEngine:
             return self.rank(D)
         dvec = self.model.divisor_vector(D)
         idxs = [i for i, _ in weighted]
-        cands = sorted(
-            itertools.product(*(range(w + 1) for _, w in weighted)),
-            key=lambda t: (sum(t), t))
-        best: Optional[int] = None
-        for t in cands:
-            degF = sum(t)
-            if best is not None and degF - 1 >= best:
-                break
-            vec = list(dvec)
-            for i, c in zip(idxs, t):
-                vec[i] -= 2 * c
-            r = self.rank_vector(vec)
-            if best is None or degF + r < best:
-                best = degF + r
+        caps = [w for _, w in weighted]
+        best = self.rank_vector(dvec)   # F = 0
+        # rank >= -1, so once best < deg F no F of that degree or more can
+        # lower the minimum
+        for degF in range(1, sum(caps) + 1):
+            for t in _bounded_sums(degF, caps):
+                if best < degF:
+                    return best
+                vec = list(dvec)
+                for i, c in zip(idxs, t):
+                    vec[i] -= 2 * c
+                best = min(best, degF + self.rank_vector(vec))
         return best
+
+
+def _bounded_sums(total: int, caps: Sequence[int]):
+    """The tuples t with 0 <= t[i] <= caps[i] and sum(t) == total, in
+    lexicographic order, made one at a time."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(caps[0], total) + 1):
+        for tail in _bounded_sums(total - first, caps[1:]):
+            yield (first,) + tail
 
 
 def rank_pure(curve: TropicalCurve, D: Divisor) -> int:

@@ -16,6 +16,9 @@ breadth-first search over a half-step lattice model of the curve.
 `piece_scale` is the lattice scale λ by its definition from piece lengths.
 `unit_reduce_divisor` is the reference chip-firing kernel: the same rounds
 as `tropbn._kernel_py`, each one walked over every vertex of the graph.
+`reference_minfail` and `reference_rank` are the reference rank search on
+it: the plain recursion, without the library's Clifford cap or its
+reductions at the removed chip's own base point.
 """
 
 from __future__ import annotations
@@ -403,3 +406,51 @@ def unit_reduce_divisor(indptr, nbrs, div, q):
         for v in range(n):
             sigma[v] -= base
     return d, sigma
+
+
+# -- the rank search -------------------------------------------------------------
+
+
+def reference_minfail(indptr, nbrs, rds, red, cap, memo, q=0):
+    """min(cap, smallest deg E >= 0 on `rds` with red - E not effective),
+    for a q-reduced `red`.
+
+    Each child red - a is q-reduced together with its debt by
+    `unit_reduce_divisor`; `memo` maps a reduced form to its value and
+    whether that value is exact or only a lower bound.
+    """
+    if cap <= 0 or red[q] < 0:
+        return 0
+    hit = memo.get(red)
+    if hit is not None:
+        val, exact = hit
+        if exact:
+            return min(val, cap)
+        if val >= cap:
+            return cap
+    best = cap
+    for a in sorted(rds, key=lambda i: (red[i], i)):
+        if best == 1:
+            break
+        child = list(red)
+        child[a] -= 1
+        if a != q and red[a] == 0:
+            child, _ = unit_reduce_divisor(indptr, nbrs, child, q)
+        v = 1 + reference_minfail(indptr, nbrs, rds, tuple(child), best - 1,
+                                  memo, q)
+        best = min(best, v)
+    memo[red] = (best, best < cap)
+    return best
+
+
+def reference_rank(model: IntegerModel, vec: Sequence[int]) -> int:
+    """Baker-Norine rank of a lattice vector of the model, by
+    `reference_minfail` over the model's split indices with cap deg + 2:
+    no Riemann-Roch and no Clifford bound."""
+    d = sum(vec)
+    if d < 0:
+        return -1
+    red, _ = unit_reduce_divisor(model.indptr, model.nbrs, vec, 0)
+    return reference_minfail(model.indptr, model.nbrs,
+                             sorted(model.split_indices), tuple(red), d + 2,
+                             {}) - 1

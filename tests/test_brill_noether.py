@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -18,7 +19,9 @@ from tropbn import (
     run_usc_experiment,
     wdr_member,
 )
+from tropbn import kernel
 from tropbn.brill_noether import _BNEngine, bn_rank_detail
+from tropbn.rank import _RankEngine
 
 
 def rose(g):
@@ -67,6 +70,46 @@ def test_rank_zero_shortcut():
 
 def test_degree_below_rank_target():
     assert bn_rank(circle(), BNQuery(d=1, r=2)) == -1
+
+
+def test_class_ok_reduces_each_class_once():
+    """`_class_ok` hands the engine the q-reduced vector it made, and the
+    engine does not reduce it again: no vector that `_class_ok` reduced at
+    q reaches the kernel at q from inside `rank_at_least`."""
+    own, engine_inputs = set(), []
+    inside = {"_class_ok": 0, "rank_at_least": 0}
+    real_reduce = kernel.reduce_divisor
+
+    def reduce_divisor(indptr, nbrs, div, q):
+        if inside["rank_at_least"]:
+            engine_inputs.append((tuple(div), q))
+        out = real_reduce(indptr, nbrs, div, q)
+        if inside["_class_ok"] and not inside["rank_at_least"]:
+            own.add((tuple(out[0]), q))
+        return out
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def method(*args):
+            inside[name] += 1
+            try:
+                return real(*args)
+            finally:
+                inside[name] -= 1
+        return method
+
+    with mock.patch.object(kernel, "reduce_divisor", reduce_divisor), \
+            mock.patch.object(_BNEngine, "_class_ok",
+                              counted(_BNEngine, "_class_ok")), \
+            mock.patch.object(_RankEngine, "rank_at_least",
+                              counted(_RankEngine, "rank_at_least")):
+        res = bn_rank_detail(k4(), BNQuery(d=4, r=2, resolution=2))
+    assert res.rho == 0
+    assert res.counterexample == Divisor(res.counterexample.curve,
+                                         [("a", 2), ("b", 1)])
+    assert own and engine_inputs
+    assert not own.intersection(engine_inputs)
 
 
 def test_rose_consistency():

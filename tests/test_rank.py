@@ -1,9 +1,18 @@
 """Reduced divisors and the rank zoo: pure, weighted, loops, A-rank."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+import tropbn as tb
 from tropbn import (
     Divisor,
     TropicalCurve,
@@ -17,9 +26,15 @@ from tropbn import (
     rose_rank,
     weighted_A_rank,
 )
-from tropbn.rank import _RankEngine
+from tropbn import kernel
+from tropbn.rank import _RankEngine, _bounded_sums
 
-from oracles import GraphRankOracle, small_multigraphs
+from oracles import GraphRankOracle, reference_rank, small_multigraphs
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def triangle():
@@ -277,3 +292,146 @@ def test_weighted_rank_above_canonical_degree_matches_search():
                 D = D + Divisor(c, [(names[0], d - D.degree())])
                 engine = _RankEngine(c, marks=D.support())
                 assert rank_weighted(c, D) == engine.weighted_rank(D) == d - g
+
+
+LENGTHS = (F(1), F(2), F(1, 2), F(3, 4))
+
+
+@st.composite
+def curves_and_divisors(draw):
+    """A curve of weighted genus at most 3 with mixed edge lengths, loops
+    and vertex weights, and a divisor of degree -1 .. 2g - 1 with chips at
+    vertices and inside edges."""
+    n = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(n)]
+    b1 = draw(st.integers(0, 3))
+    weights = [0] * n
+    for _ in range(draw(st.integers(0, 3 - b1))):
+        weights[draw(st.integers(0, n - 1))] += 1
+    edges = [(f"t{i}", (names[draw(st.integers(0, i - 1))], names[i]),
+              draw(st.sampled_from(LENGTHS))) for i in range(1, n)]
+    for j in range(b1):
+        # u == v makes a loop
+        ends = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
+        edges.append((f"x{j}", ends, draw(st.sampled_from(LENGTHS))))
+    c = TropicalCurve(dict(zip(names, weights)), edges)
+    g = genus(c)
+    d = draw(st.integers(-1, max(-1, 2 * g - 1)))
+    chips = [(draw(st.sampled_from(names)), draw(st.integers(-1, 2)))
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 2)) if edges else 0):
+        e = draw(st.sampled_from([e for e, _, _ in edges]))
+        at = c.length(e) * draw(st.sampled_from((F(1, 4), F(1, 2), F(3, 4))))
+        chips.append((c.point(e, at), draw(st.integers(-1, 1))))
+    D = Divisor(c, chips)
+    return c, D + Divisor(c, [(draw(st.sampled_from(names)), d - D.degree())])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(curves_and_divisors())
+def test_search_agrees_with_the_reference_search(kernel_backend, case):
+    """`rank_vector`, `rank_at_least` and `weighted_rank`, with their
+    Clifford cap and debt-free child tests, answer as the plain search of
+    `oracles.reference_rank` on the unit-graph kernel, on either kernel."""
+    c, D = case
+    with mock.patch.object(kernel, "reduce_divisor",
+                           kernel_backend.reduce_divisor):
+        engine = _RankEngine(c, marks=D)
+        model = engine.model
+        vec = model.divisor_vector(D)
+        want = reference_rank(model, vec)
+        assert engine.rank_vector(vec) == want
+        red = tuple(model.reduce_vector(vec, engine.q)[0])
+        for r in range(-1, D.degree() + 2):
+            assert engine.rank_at_least(red, r) == (want >= r)
+        weighted = [(model.vertex_index(v), w) for v, w in c.weights().items()
+                    if w]
+
+        def minus_twice(t):
+            out = list(vec)
+            for (i, _), f in zip(weighted, t):
+                out[i] -= 2 * f
+            return out
+        want_w = min(
+            sum(t) + reference_rank(model, minus_twice(t))
+            for t in itertools.product(*(range(w + 1) for _, w in weighted)))
+        assert engine.weighted_rank(D) == want_w
+
+
+def test_bounded_sums_lists_every_weighting_by_degree():
+    """Degree by degree, `_bounded_sums` makes the weightings in the order
+    in which sorting all of them by (degree, tuple) would."""
+    for caps in ([0], [3], [1, 2], [2, 0, 3], [1, 1, 1, 2]):
+        every = itertools.product(*(range(c + 1) for c in caps))
+        got = [t for k in range(sum(caps) + 1) for t in _bounded_sums(k, caps)]
+        assert got == sorted(every, key=lambda t: (sum(t), t))
+
+
+def test_weighted_rank_makes_its_weightings_lazily():
+    """A weight of 10⁶ on one end of an edge, or 10⁴ on both, with
+    D = 3·b: the weightings F come degree by degree and the search stops
+    at deg F = 3, so the answer, 1, comes at once and the peak memory does
+    not grow with the weights.  Run in a fresh process, whose ru_maxrss
+    no earlier test has raised."""
+    code = """
+import json, resource, time
+from tropbn import Divisor, TropicalCurve, rank_weighted
+out = []
+for wa, wb in ((10**6, 0), (10**4, 10**4)):
+    c = TropicalCurve({"a": wa, "b": wb}, [("e", ("a", "b"), 1)])
+    D = Divisor(c, [("b", 3)])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t = time.perf_counter()
+    r = rank_weighted(c, D)
+    s = time.perf_counter() - t
+    grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    out.append((r, s, grew))
+print(json.dumps(out))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    for r, seconds, grew_kb in json.loads(done.stdout):
+        assert r == 1
+        assert seconds < 1
+        assert grew_kb < 20 * 1024   # ru_maxrss is in KB on Linux
+
+
+def test_search_reductions_carry_no_debt(tmp_path):
+    """Every vector the search hands the kernel is effective away from its
+    base point.  On 50 `rank-rr` queries the only reductions with debt are
+    those of the root vectors in `rank_vector`."""
+    queries = workloads.setup_rank_rr(tb, 5, str(tmp_path), size=2)[:50]
+    calls = []   # (has debt, inside _minfail, inside rank_vector)
+    depth = {"_minfail": 0, "rank_vector": 0}
+    real_reduce = kernel.reduce_divisor
+
+    def reduce_divisor(indptr, nbrs, div, q):
+        debt = min(div[:q] + div[q + 1:], default=0) < 0
+        calls.append((debt, depth["_minfail"] > 0, depth["rank_vector"] > 0))
+        return real_reduce(indptr, nbrs, div, q)
+
+    def counted(name):
+        real = getattr(_RankEngine, name)
+
+        def method(*args):
+            depth[name] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[name] -= 1
+        return method
+
+    with mock.patch.object(kernel, "reduce_divisor", reduce_divisor), \
+            mock.patch.object(_RankEngine, "_minfail", counted("_minfail")), \
+            mock.patch.object(_RankEngine, "rank_vector",
+                              counted("rank_vector")):
+        for query in queries:
+            assert query.check(query.run())
+    search = [debt for debt, in_search, _ in calls if in_search]
+    roots = [debt for debt, in_search, in_rank in calls
+             if in_rank and not in_search]
+    assert search and not any(search)
+    assert any(roots)
+    assert all(in_rank and not in_search
+               for debt, in_search, in_rank in calls if debt)
