@@ -358,17 +358,19 @@ class PointMap:
     ``(a, b, target_edge_or_None, ta, tb)``: offsets in [a, b] map affinely
     onto [ta, tb] of the target edge (tb < ta flips orientation); a rule with
     target ``None`` collapses the interval to the target point ``ta``.
+
+    Maps are one-way: a map refers to its two curves and to no other map
+    that points back, so a dropped curve is freed by reference counting.
+    A construction that needs both directions returns two maps.
     """
 
     def __init__(self, source: TropicalCurve, target: TropicalCurve,
                  vertex_images: Dict[str, Point],
-                 edge_rules: Dict[str, List[tuple]],
-                 inverse: Optional["PointMap"] = None):
+                 edge_rules: Dict[str, List[tuple]]):
         self.source = source
         self.target = target
         self.vertex_images = vertex_images
         self.edge_rules = edge_rules
-        self.inverse = inverse
 
     def __call__(self, p) -> Point:
         return self._image(self.source.point(p))
@@ -393,25 +395,22 @@ class PointMap:
 
 
 class _ComposedMap(PointMap):
-    def __init__(self, first: PointMap, second: PointMap,
-                 inverse: Optional[PointMap] = None):
+    def __init__(self, first: PointMap, second: PointMap):
         self.source = first.source
         self.target = second.target
         self._first = first
         self._second = second
-        self.inverse = inverse
-        if inverse is None and first.inverse is not None and second.inverse is not None:
-            self.inverse = _ComposedMap(second.inverse, first.inverse, inverse=self)
 
     def __call__(self, p) -> Point:
         return self._second(self._first(p))
 
 
-def subdivide(curve: TropicalCurve, marks: Iterable) -> Tuple[TropicalCurve, PointMap]:
+def subdivide(curve: TropicalCurve,
+              marks: Iterable) -> Tuple[TropicalCurve, PointMap, PointMap]:
     """Promote interior marks to weight-0 vertices.
 
-    Returns the refined curve and the point map old → new (with inverse set);
-    the metric space is unchanged.
+    Returns ``(refined, to_refined, to_original)``: the refined curve and
+    the point maps old → new and new → old; the metric space is unchanged.
     """
     by_edge: Dict[str, set] = {}
     for m in marks:
@@ -460,14 +459,15 @@ def subdivide(curve: TropicalCurve, marks: Iterable) -> Tuple[TropicalCurve, Poi
 
     new_curve = TropicalCurve(vertices, edges)
     fwd_vmap = {v: Point(vertex=v) for v in curve.vertices()}
-    fwd = PointMap(curve, new_curve, fwd_vmap, fwd_rules)
-    bwd = PointMap(new_curve, curve, bwd_vmap, bwd_rules, inverse=fwd)
-    fwd.inverse = bwd
-    return new_curve, fwd
+    return (new_curve, PointMap(curve, new_curve, fwd_vmap, fwd_rules),
+            PointMap(new_curve, curve, bwd_vmap, bwd_rules))
 
 
-def loopless_model(curve: TropicalCurve) -> Tuple[TropicalCurve, PointMap]:
-    """Split every loop at its midpoint; the result has no loop edges."""
+def loopless_model(curve: TropicalCurve) -> Tuple[TropicalCurve, PointMap, PointMap]:
+    """Split every loop at its midpoint; the result has no loop edges.
+
+    Returns ``(refined, to_refined, to_original)`` as `subdivide` does.
+    """
     marks = [
         Point(edge=e, offset=curve.length(e) / 2)
         for e in curve.edges()
@@ -826,19 +826,19 @@ class Subcurve:
 
     # -- extraction ------------------------------------------------------
 
-    def as_curve(self) -> Tuple[TropicalCurve, PointMap]:
+    def as_curve(self) -> Tuple[TropicalCurve, "_PartialBack"]:
         """Extract the subcurve as a standalone curve.
 
-        Returns (curve, to_parent) where to_parent embeds the extracted curve
-        back into the parent; to_parent.inverse maps covered parent points to
-        the extracted curve.  Whole edges come first and keep their ids; an
-        interval [a, b] of edge e that is not all of it becomes ``e[a..b]``.
+        Returns ``(curve, pull)`` where ``pull`` maps the parent's points on
+        the subcurve to the extracted curve and refuses any other point.
+        Whole edges come first and keep their ids; an interval [a, b] of
+        edge e that is not all of it becomes ``e[a..b]``, and a point at
+        offset t of it lands at offset t − a.
         """
         vertices: List[Tuple[str, int]] = [
             (v, self.parent.weight(v)) for v in self.parent.vertices()
             if v in self.vertices]
         taken = {v for v, _ in vertices}
-        sub_images: Dict[str, Point] = {v: Point(vertex=v) for v, _ in vertices}
         names: Dict[Tuple[str, Fraction], str] = {}
 
         def node(e, off):
@@ -854,12 +854,10 @@ class Subcurve:
                 taken.add(nid)
                 names[(e, off)] = nid
                 vertices.append((nid, 0))
-                sub_images[nid] = Point(edge=e, offset=off)
             return names[(e, off)]
 
         edges = []
         used = set()
-        to_rules: Dict[str, List[tuple]] = {}
         back_rules: Dict[str, List[tuple]] = {}
         for e, ivs in sorted(self.intervals.items(),
                              key=lambda item: not self._is_whole(item[0])):
@@ -873,17 +871,12 @@ class Subcurve:
                     eid += "'"
                 used.add(eid)
                 edges.append((eid, (node(e, a), node(e, b)), b - a))
-                to_rules[eid] = [(Fraction(0), b - a, e, a, b)]
                 rules.append((a, b, eid, Fraction(0), b - a))
             back_rules[e] = rules
 
         sub = TropicalCurve(vertices, edges)
-        to_parent = PointMap(sub, self.parent, sub_images, to_rules)
-        back_vimages = {v: Point(vertex=v) for v in self.vertices}
-        back = _PartialBack(self.parent, sub, self, back_vimages, back_rules)
-        to_parent.inverse = back
-        back.inverse = to_parent
-        return sub, to_parent
+        return sub, _PartialBack(self.parent, sub, self,
+                                 {v: Point(vertex=v) for v in self.vertices}, back_rules)
 
     def diameter(self) -> Fraction:
         """Largest parent-metric distance between two points of the subcurve."""
@@ -904,7 +897,8 @@ class Subcurve:
 
 
 class _PartialBack(PointMap):
-    """Inverse of a subcurve embedding: defined only on covered points."""
+    """Parent → extracted curve of `Subcurve.as_curve`: defined only on
+    the subcurve's points."""
 
     def __init__(self, source, target, subcurve, vertex_images, edge_rules):
         super().__init__(source, target, vertex_images, edge_rules)

@@ -74,10 +74,11 @@ def subcurves_disjoint(a: Subcurve, b: Subcurve) -> bool:
 
 
 def _pull_to_subcurve(lam: Subcurve, divisors: Sequence[Divisor]):
-    """Extract Λ as a curve and carry the given divisors onto it."""
-    sc, to_parent = lam.as_curve()
-    back = to_parent.inverse
-    moved = [Divisor(sc, [(back(p), m) for p, m in D.items()]) for D in divisors]
+    """Extract Λ as a curve and carry the given divisors onto it; the
+    pull map's images are canonical on the extracted curve."""
+    sc, pull = lam.as_curve()
+    moved = [Divisor._of_canonical(sc, [(pull(p), m) for p, m in D.items()])
+             for D in divisors]
     return sc, moved
 
 

@@ -8,9 +8,6 @@ every edge at its midpoint first, which makes the vertex set of the model
 rank-determining; ranks of vertex-supported divisors do not depend on edge
 lengths, so the combinatorial answer equals the metric one.
 
-sympy is allowed in this file only; the current oracle needs just exact
-integer arithmetic, so it sticks to the stdlib.
-
 `lattice_diameter` is the exhaustive reference for subcurve diameters: a
 breadth-first search over a half-step lattice model of the curve.
 `piece_scale` is the lattice scale λ by its definition from piece lengths.

@@ -3,11 +3,12 @@
 The reference model below is built the long way, with the public curve
 operations: promote the marks to vertices (`subdivide`), split the loops
 (`loopless_model`), subdivide every piece into unit steps, and chain the
-three point maps.  `IntegerModel` must number, connect and convert lattice
-points exactly as that construction does.  Models rebuilt on one curve
-object through its lattice slot must equal fresh builds, and the slot must
-keep no curve alive.  The divisor-level entry points, `reduced_divisor` and
-`is_equivalent`, are checked by property at the end.
+three backward point maps.  `IntegerModel` must number, connect and convert
+lattice points exactly as that construction does.  Models rebuilt on one
+curve object through its lattice slot must equal fresh builds, and no
+library call, through the slot or a point map, may keep a curve alive.
+The divisor-level entry points, `reduced_divisor` and `is_equivalent`, are
+checked by property at the end.
 """
 
 import gc
@@ -27,6 +28,7 @@ from tropbn import (canonical, concentrate, models, rank_pure, rank_weighted,
                     rank_weighted_loops, weighted_A_rank)
 from tropbn.brill_noether import wdr_member
 from tropbn.models import IntegerModel
+from tropbn.transport import check_concentrate, check_push, push_single
 
 from oracles import piece_scale
 
@@ -35,13 +37,13 @@ class ReferenceModel:
     """Lattice model as three subdivided curves and a composed point map."""
 
     def __init__(self, curve, marks=(), scale=1):
-        c1, m1 = subdivide(curve, marks)
-        c2, m2 = loopless_model(c1)
+        c1, _, b1 = subdivide(curve, marks)
+        c2, _, b2 = loopless_model(c1)
         self.lam = scale * lcm(*(c2.length(e).denominator for e in c2.edges()))
         lattice = [Point(edge=e, offset=F(j, self.lam)) for e in c2.edges()
                    for j in range(1, int(c2.length(e) * self.lam))]
-        unit, m3 = subdivide(c2, lattice)
-        self.to_unit = m1.then(m2).then(m3)
+        unit, _, b3 = subdivide(c2, lattice)
+        self.from_unit = b3.then(b2).then(b1)
         self.order = unit.vertices()
         self.index = {v: i for i, v in enumerate(self.order)}
         self.n = len(self.order)
@@ -59,7 +61,7 @@ class ReferenceModel:
                 != sum(sigma[w] for w in self.nbrs[self.indptr[i]:self.indptr[i + 1]])]
 
     def point_of_index(self, i):
-        return self.to_unit.inverse(Point(vertex=self.order[i]))
+        return self.from_unit(Point(vertex=self.order[i]))
 
     def pl_from_unit_values(self, curve, vals):
         """Every lattice point a knot; PLFunction prunes the straight ones."""
@@ -275,24 +277,80 @@ def test_lattice_slot_matches_fresh_builds(rng):
         prev, prev_key = model, key
 
 
-def test_models_keep_no_curve_alive():
-    """The lattice slot holds nothing that refers back to its curve, so
-    reference counting alone frees a curve once its last user is gone."""
+# Each case makes a curve, runs library calls on it and returns a weakref to
+# it; every other reference goes with the case's frame.
+
+def _rank_and_reduce():
     c = TropicalCurve({"a": 0, "b": 1},
                       [("e", ("a", "b"), F(3, 2)), ("f", ("a", "b"), 1),
                        ("l", ("a", "a"), 2)])
     D = Divisor(c, [(c.point("e", F(1, 2)), 1), ("a", 1)])
-    KmD = canonical(c) - D
-    alive = weakref.ref(c)
+    rank_weighted(c, D)
+    rank_weighted(c, canonical(c) - D)
+    models.reduced_divisor(c, D, "b")
+    assert c._lattice_slot is not None
+    return weakref.ref(c)
+
+
+def _concentrate_and_check():
+    # Λ = l1 with D = 3y, r = 1 needs radius ε(3d)^(d−r+1) = 364.5, so a
+    # bar of 365 keeps l2 out of the neighbourhood
+    c = TropicalCurve({"x": 0, "y": 0},
+                      [("l1", ("x", "x"), 1), ("l2", ("y", "y"), 1),
+                       ("br", ("x", "y"), 365)])
+    D, lam = Divisor(c, [("y", 3)]), Subcurve(c, whole_edges=["l1"])
+    res = concentrate(c, D, lam, 1)
+    assert all(check_concentrate(c, D, lam, 1, res).values())
+    return weakref.ref(c)
+
+
+def _push_and_check():
+    c = TropicalCurve({"v0": 0, "v1": 0, "v2": 0},
+                      [("e0", ("v0", "v1"), 1), ("e1", ("v1", "v2"), 1)])
+    D, E = Divisor(c, [("v0", 2)]), Divisor(c, [("v2", 1)])
+    lam = Subcurve(c, whole_edges=["e1"])
+    assert all(check_push(c, D, lam, E, push_single(c, D, lam, E)).values())
+    return weakref.ref(c)
+
+
+def _as_curve():
+    c = TropicalCurve({"a": 0, "b": 0},
+                      [("e", ("a", "b"), 2), ("l", ("a", "a"), 1)])
+    sub, pull = Subcurve(c, ["a"], ["l"], {"e": [(0, 1)]}).as_curve()
+    assert pull(c.point("e", F(1, 2))) == sub.point("e[0..1]", F(1, 2))
+    return weakref.ref(c)
+
+
+def _subdivide_and_compose():
+    c = TropicalCurve({"a": 0}, [("l", ("a", "a"), 2)])
+    p = c.point("l", F(1, 2))
+    c1, to1, from1 = subdivide(c, [p])
+    _, to2, from2 = loopless_model(c1)
+    assert from2.then(from1)(to1.then(to2)(p)) == p
+    return weakref.ref(c)
+
+
+@pytest.mark.parametrize("case", [_rank_and_reduce, _concentrate_and_check,
+                                  _push_and_check, _as_curve,
+                                  _subdivide_and_compose],
+                         ids=["rank-reduce", "concentrate", "push", "as-curve",
+                              "subdivide"])
+def test_models_keep_no_curve_alive(case):
+    """No library call leaves a reference cycle: neither the lattice slot
+    nor a point map refers back to its curve, so reference counting alone
+    frees a curve once its last user is gone, and the cyclic collector
+    finds nothing."""
+    gc.collect()
     gc.disable()
     try:
-        rank_weighted(c, D)
-        rank_weighted(c, KmD)
-        models.reduced_divisor(c, D, "b")
-        assert c._lattice_slot is not None
-        del c, D, KmD
+        alive = case()
         assert alive() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert gc.garbage == []
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
 
 

@@ -209,7 +209,7 @@ def test_a_rank_vertex_set_matches_weighted():
     for _ in range(25):
         c = random_curve(rng, max_v=4, max_extra=2)
         D = random_divisor(rng, c)
-        model, _ = loopless_model(c)
+        model, _, _ = loopless_model(c)
         A = model_vertex_points(c)
         assert len(A) == len(model.vertices())
         assert weighted_A_rank(c, D, A) == rank_weighted(c, D)

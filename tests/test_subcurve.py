@@ -96,15 +96,65 @@ def test_subcurve_properties(data):
         assert a.contains_point(c.point(e, t))
         assert not a.contains_point(c.point(e, t + d * step))
 
-    extracted, to_parent = a.as_curve()
+    extracted, pull = a.as_curve()
     assert extracted.betti() == a.betti()
     assert Subcurve.whole(c).betti() == c.betti()
 
     # the points concentration aims at are the vertices of the loopless
-    # model of the extracted subcurve
-    model, fwd = loopless_model(extracted)
-    assert set(_subcurve_rds(a)) == {to_parent(fwd.inverse(Point(vertex=v)))
-                                     for v in model.vertices()}
+    # model of the extracted subcurve (compared on the extracted curve,
+    # where the pull map puts them)
+    model, _, to_extracted = loopless_model(extracted)
+    assert {pull(p) for p in _subcurve_rds(a)} == {
+        to_extracted(Point(vertex=v)) for v in model.vertices()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pull_map_onto_extracted_curve(data):
+    c = data.draw(curves())
+    lam = data.draw(subcurves(c))
+    sub, pull = lam.as_curve()
+
+    # Λ's vertices and each interval's ends and midpoint land on the
+    # extracted curve, distinct points on distinct points
+    on = {Point(vertex=v) for v in lam.vertices}
+    on.update(c.point(e, t) for e, ivs in lam.intervals.items()
+              for a, b in ivs for t in (a, (a + b) / 2, b))
+    images = {pull(p) for p in on}
+    assert len(images) == len(on)
+    assert all(sub.point(q) == q for q in images)
+
+    # a partly covered edge's interval [a, b] is the edge e[a..b], offsets
+    # shifted by a, with its ends on that edge's end vertices
+    for e, ivs in lam.segments.items():
+        for a, b in ivs:
+            if a == b:
+                assert pull(c.point(e, a)).is_vertex
+                continue
+            piece = f"{e}[{a}..{b}]"
+            assert sub.length(piece) == b - a
+            for t, end in ((a, 0), ((a + b) / 2, None), (b, 1)):
+                q = pull(c.point(e, t))
+                if end is None:
+                    assert q == Point(edge=piece, offset=t - a)
+                else:
+                    assert q == Point(vertex=sub.ends(piece)[end])
+
+    assert sum(sub.length(f) for f in sub.edges()) == sum(
+        b - a for ivs in lam.intervals.values() for a, b in ivs)
+
+    # every other vertex, and the middle of every gap between intervals,
+    # lies off Λ and is refused
+    off = [Point(vertex=v) for v in c.vertices() if v not in lam.vertices]
+    for e in c.edges():
+        stops = [F(0), *(t for iv in lam.covered_intervals(e) for t in iv),
+                 c.length(e)]
+        off.extend(c.point(e, (s + t) / 2)
+                   for s, t in zip(stops[::2], stops[1::2]) if s < t)
+    for p in off:
+        assert not lam.contains_point(p)
+        with pytest.raises(ValueError, match="lies outside the subcurve"):
+            pull(p)
 
 
 # -- diameter ----------------------------------------------------------------
