@@ -494,6 +494,8 @@ def _cmd_transport(args) -> int:
             res = transport.concentrate(curve, D, lam, args.r)
             checks = transport.check_concentrate(curve, D, lam, args.r, res)
         else:
+            if args.k < 0:   # before the search for evidence below k
+                raise ValueError("k must be >= 0")
             F = None
             if args.f:
                 F = divisor_from_json(read_json(args.f), curve)

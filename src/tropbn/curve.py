@@ -748,7 +748,10 @@ class Subcurve:
         return list(self.intervals.get(e, ()))
 
     def contains_point(self, p) -> bool:
-        p = self.parent.point(p)
+        return self._contains(self.parent.point(p))
+
+    def _contains(self, p: Point) -> bool:
+        """`contains_point` for a point that is canonical on the parent."""
         if p.is_vertex:
             return p.vertex in self.vertices
         for a, b in self.covered_intervals(p.edge):
@@ -906,7 +909,7 @@ class _PartialBack(PointMap):
 
     def __call__(self, p) -> Point:
         p = self.source.point(p)
-        if not self._subcurve.contains_point(p):
+        if not self._subcurve._contains(p):
             raise ValueError(f"{p} lies outside the subcurve")
         return self._image(p)
 

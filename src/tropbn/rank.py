@@ -40,10 +40,16 @@ effective, and rank(D) + rank(K - D) <= rank(K) = g - 1, because
 rank(A + B) >= rank(A) + rank(B) for effective classes; adding
 Riemann-Roch, rank(D) - rank(K - D) = d - g + 1, gives 2·rank(D) <= d.
 So minfail is at most d // 2 + 1, which caps the search: it runs only for
-deg <= 2g - 2 and recurses at most d/2 + 1 <= g levels deep.  `rank_pure`
-and `rank_weighted` apply the Riemann-Roch bound before building a model,
-the latter in the weighted genus g = b1 + Σ w(v) (Amini–Caporaso,
-arXiv:1112.5134).
+deg <= 2g - 2 and recurses at most d/2 + 1 <= g levels deep.
+
+*Forced ranks.*  Three cases need no search, and `_forced_rank` answers
+them before any model is built or any vector reduced: rank = -1 for
+d < 0; rank = d - g for d > 2g - 2 (Riemann-Roch); and rank = 0 for an
+effective class with d <= 1, since effectiveness gives rank >= 0 and
+Clifford's bound rank <= d/2 < 1.  The model and `rank_pure` take g as
+the first Betti number; `rank_weighted` takes the weighted genus
+g = b1 + Σ w(v), where Riemann-Roch and Clifford's bound hold through the
+loop presentation (Amini–Caporaso, arXiv:1112.5134).
 
 The weighted rank follows the reduction to a minimum over subtractions of
 doubled effective divisors bounded by the vertex weights:
@@ -54,7 +60,7 @@ doubled effective divisors bounded by the vertex weights:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .curve import Point, TropicalCurve, attach_loops, genus
 from .divisor import Divisor
@@ -86,10 +92,9 @@ class _RankEngine:
 
     def rank_vector(self, vec: List[int]) -> int:
         d = sum(vec)
-        if d < 0:
-            return -1
-        if d > 2 * self.genus - 2:   # Riemann-Roch
-            return d - self.genus
+        forced = _forced_rank(d, self.genus, min(vec) >= 0)
+        if forced is not None:
+            return forced
         red, _ = self.model.reduce_vector(vec, self.q)
         # Clifford: rank <= d // 2
         return self._minfail(tuple(red), d // 2 + 1) - 1
@@ -100,9 +105,11 @@ class _RankEngine:
         if r < 0:
             return True
         d = sum(red)
-        if d > 2 * self.genus - 2:   # Riemann-Roch
-            return d - self.genus >= r
-        if r > d // 2:   # Clifford; covers d < r
+        # a q-reduced form is effective exactly when its class is
+        forced = _forced_rank(d, self.genus, red[self.q] >= 0)
+        if forced is not None:
+            return forced >= r
+        if r > d // 2:   # Clifford
             return False
         return self._minfail(red, r + 1) >= r + 1
 
@@ -172,6 +179,18 @@ class _RankEngine:
         return best
 
 
+def _forced_rank(d: int, g: int, effective: bool) -> Optional[int]:
+    """The rank of a class of degree d in genus g when the degree, the
+    genus and whether the class is effective force it, else None."""
+    if d < 0:
+        return -1
+    if d > 2 * g - 2:   # Riemann-Roch
+        return d - g
+    if effective and d <= 1:   # rank >= 0, and Clifford: rank <= d/2
+        return 0
+    return None
+
+
 def _bounded_sums(total: int, caps: Sequence[int]):
     """The tuples t with 0 <= t[i] <= caps[i] and sum(t) == total, in
     lexicographic order, made one at a time."""
@@ -189,11 +208,9 @@ def rank_pure(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the underlying pure curve (weights ignored)."""
     if D.curve != curve:
         raise ValueError("curve mismatch")
-    d, g = D.degree(), curve.betti()
-    if d < 0:
-        return -1
-    if d > 2 * g - 2:   # Riemann-Roch
-        return d - g
+    forced = _forced_rank(D.degree(), curve.betti(), D.is_effective())
+    if forced is not None:
+        return forced
     return _RankEngine(curve, marks=D).rank(D)
 
 
@@ -201,11 +218,9 @@ def rank_weighted(curve: TropicalCurve, D: Divisor) -> int:
     """Rank of D on the weighted curve."""
     if D.curve != curve:
         raise ValueError("curve mismatch")
-    d, g = D.degree(), genus(curve)
-    if d < 0:
-        return -1
-    if d > 2 * g - 2:   # Riemann-Roch in the weighted genus
-        return d - g
+    forced = _forced_rank(D.degree(), genus(curve), D.is_effective())
+    if forced is not None:
+        return forced
     return _RankEngine(curve, marks=D).weighted_rank(D)
 
 

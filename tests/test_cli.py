@@ -194,6 +194,26 @@ def test_transport_dilute_finds_f(files, capsys):
     assert payload["checks"]["degree_exact"] is True
 
 
+def test_transport_dilute_refuses_negative_k_before_searching(files, capsys,
+                                                              monkeypatch):
+    """Without --f the CLI searches reduced divisors for evidence that the
+    class drops below k; a negative k is refused before that search, so
+    no reduction runs."""
+    from tropbn import kernel
+
+    def reduce_divisor(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernel, "reduce_divisor", reduce_divisor)
+    c = path3()
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [(c.point("e1", F(1, 2)), 3)])))
+    sf = files("sub.json", subcurve_to_json(Subcurve(c, whole_edges=["e1"])))
+    code, out, err = run(capsys, "transport", "dilute", "--curve", cf,
+                         "--divisor", df, "--subcurve", sf, "-k", "-1")
+    assert (code, out, err) == (1, "", "error: k must be >= 0\n")
+
+
 def test_transport_missing_flags(files, capsys):
     c = path3()
     cf = files("c.json", curve_to_json(c))

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tropbn as tb
 from tropbn import (
@@ -26,7 +26,9 @@ from tropbn import (
     rose_rank,
     weighted_A_rank,
 )
-from tropbn import kernel
+from tropbn import _kernel_py, kernel
+from tropbn import rank as rank_module
+from tropbn.models import IntegerModel
 from tropbn.rank import _RankEngine, _bounded_sums
 
 from oracles import GraphRankOracle, reference_rank, small_multigraphs
@@ -344,18 +346,109 @@ def test_search_agrees_with_the_reference_search(kernel_backend, case):
         red = tuple(model.reduce_vector(vec, engine.q)[0])
         for r in range(-1, D.degree() + 2):
             assert engine.rank_at_least(red, r) == (want >= r)
-        weighted = [(model.vertex_index(v), w) for v, w in c.weights().items()
-                    if w]
+        assert engine.weighted_rank(D) == reference_weighted_rank(c, model, vec)
 
-        def minus_twice(t):
-            out = list(vec)
-            for (i, _), f in zip(weighted, t):
-                out[i] -= 2 * f
-            return out
-        want_w = min(
-            sum(t) + reference_rank(model, minus_twice(t))
-            for t in itertools.product(*(range(w + 1) for _, w in weighted)))
-        assert engine.weighted_rank(D) == want_w
+
+def reference_weighted_rank(c, model, vec):
+    """min over 0 <= F <= W of deg F + rank(vec - 2F) on the pure curve,
+    each rank by `reference_rank`."""
+    weighted = [(model.vertex_index(v), w) for v, w in c.weights().items()
+                if w]
+
+    def minus_twice(t):
+        out = list(vec)
+        for (i, _), f in zip(weighted, t):
+            out[i] -= 2 * f
+        return out
+    return min(
+        sum(t) + reference_rank(model, minus_twice(t))
+        for t in itertools.product(*(range(w + 1) for _, w in weighted)))
+
+
+def theta():
+    """Genus 2, pure: two vertices joined by edges of lengths 1, 2, 1/2."""
+    return TropicalCurve({"a": 0, "b": 0},
+                         [("e1", ("a", "b"), 1), ("e2", ("a", "b"), 2),
+                          ("e3", ("a", "b"), F(1, 2))])
+
+
+def weighted_circle():
+    """b1 = 1 and weighted genus 2: a circle with a weight-1 vertex."""
+    return TropicalCurve({"a": 1, "b": 0},
+                         [("e1", ("a", "b"), 1), ("e2", ("a", "b"), F(1, 2))])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(curves_and_divisors())
+@example((theta(), canonical(theta())))
+@example((theta(), Divisor(theta(), [("a", 1), ("b", -1)])))
+@example((theta(), Divisor(theta(), [])))
+@example((weighted_circle(), Divisor(weighted_circle(), [("b", 1)])))
+def test_public_ranks_agree_with_the_reference_search(case):
+    """`rank_pure` and `rank_weighted`, forced ranks included, answer as
+    the plain search of `oracles.reference_rank`.  The examples: K in
+    genus 2 (degree 2, rank 1), a - b (degree 0, rank -1), D = 0, and one
+    point on a weighted curve."""
+    c, D = case
+    model = IntegerModel(c, marks=D)
+    vec = model.divisor_vector(D)
+    assert rank_pure(c, D) == reference_rank(model, vec)
+    assert rank_weighted(c, D) == reference_weighted_rank(c, model, vec)
+
+
+def test_forced_rank_touches_no_lattice():
+    """An effective class of degree 0 or 1 with d <= 2g - 2 has rank 0
+    (rank >= 0, and Clifford: rank <= d/2), so `rank_pure` and
+    `rank_weighted` build no model and make no reduction for it.  A
+    degree-1 divisor with a negative chip still builds one and, on the
+    pure curve, reduces."""
+    def counted(rank, c, chips):
+        with mock.patch.object(rank_module, "IntegerModel",
+                               wraps=IntegerModel) as build, \
+                mock.patch.object(kernel, "reduce_divisor",
+                                  wraps=kernel.reduce_divisor) as reduce:
+            r = rank(c, Divisor(c, chips))
+        return r, build.call_count, reduce.call_count
+
+    pure, weighted = theta(), weighted_circle()
+    for rank, c in ((rank_pure, pure), (rank_weighted, pure),
+                    (rank_weighted, weighted)):
+        for chips in ([], [("b", 1)], [(c.point("e1", F(1, 3)), 1)]):
+            assert counted(rank, c, chips) == (0, 0, 0)
+    for rank, c in ((rank_pure, pure), (rank_weighted, pure),
+                    (rank_weighted, weighted)):
+        chips = [("a", -1), (c.point("e2", F(1, 4)), 2)]
+        r, builds, reductions = counted(rank, c, chips)
+        # on the weighted circle the engine's pure genus is 1, so its
+        # Riemann-Roch answers every weighting without a reduction
+        assert builds == 1 and (reductions >= 1 or c is weighted)
+        D = Divisor(c, chips)
+        model = IntegerModel(c, marks=D)
+        assert r == reference_weighted_rank(c, model, model.divisor_vector(D))
+
+
+def test_huge_pile_with_debt_reduces_in_few_burns():
+    """D = 2^62·a - 2^62·b on the banana with edges 1, 2 and 1/2: the
+    root vector of the rank search carries a debt next to a huge pile,
+    and `rank_weighted` answers -1 within 10,000 burns of the pure
+    kernel.  A reduction whose run time grows with the chip counts would
+    need about as many burns as chips."""
+    c = theta()
+    pile = 2 ** 62
+    burns = []
+    real_burn = _kernel_py._burn
+
+    def burn(*args):
+        burns.append(1)
+        if len(burns) > 10_000:
+            raise AssertionError("more than 10,000 burns")
+        return real_burn(*args)
+
+    with mock.patch.object(kernel, "reduce_divisor",
+                           _kernel_py.reduce_divisor), \
+            mock.patch.object(_kernel_py, "_burn", burn):
+        assert rank_weighted(c, Divisor(c, [("a", pile), ("b", -pile)])) == -1
+    assert burns
 
 
 def test_bounded_sums_lists_every_weighting_by_degree():

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lattice_diameter
-from tropbn import Point, Subcurve, TropicalCurve, loopless_model, neighborhood
+from tropbn import (Divisor, Point, Subcurve, TropicalCurve, loopless_model,
+                    neighborhood)
 from tropbn.io import subcurve_from_json, subcurve_to_json
 from tropbn.models import subcurve_diameter
-from tropbn.transport import _subcurve_rds, subcurves_disjoint
+from tropbn.transport import (_pull_to_subcurve, _subcurve_rds,
+                              subcurves_disjoint)
 
 LENGTHS = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3)])
 FRACTIONS = st.sampled_from([F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2),
@@ -173,6 +175,29 @@ def bridges(c):
         except ValueError:
             out.append(e)
     return out
+
+
+def test_pull_checks_each_point_once(monkeypatch):
+    """Carrying a divisor of one vertex chip and two interior chips onto
+    the extracted Λ makes 5 `TropicalCurve.point` calls: the pull map
+    checks each of the 3 parent points once, and the 2 interior images are
+    made on the extracted curve."""
+    c = TropicalCurve({"u": 0, "v": 0, "w": 0},
+                      [("e", ("u", "v"), 2), ("f", ("v", "w"), 1)])
+    lam = Subcurve(c, whole_edges=["e"])
+    D = Divisor(c, [("u", 1), (c.point("e", F(1, 2)), 1),
+                    (c.point("e", F(3, 2)), 1)])
+    calls = []
+    point = TropicalCurve.point
+
+    def counted(self, *args):
+        calls.append(self is c)
+        return point(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "point", counted)
+    sc, (moved,) = _pull_to_subcurve(lam, [D])
+    assert calls.count(True) == 3 and calls.count(False) == 2
+    assert moved.degree() == 3 and len(moved.support()) == 3
 
 
 @st.composite
