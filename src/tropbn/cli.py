@@ -33,7 +33,7 @@ from .curve import (
     realize,
     underlying_pure,
 )
-from .divisor import Divisor, PLFunction, restrict, star
+from .divisor import Divisor, PLFunction, star
 from .io import (
     canonical_dumps,
     curve_from_json,
@@ -500,13 +500,8 @@ def _cmd_transport(args) -> int:
             if args.f:
                 F = divisor_from_json(read_json(args.f), curve)
             else:
-                for v in curve.vertices():
-                    if v in lam.vertices:
-                        continue
-                    red, _ = reduced_divisor(curve, D, curve.point(v))
-                    if restrict(red, lam).degree() < args.k:
-                        F = red
-                        break
+                F = transport._dilute_evidence(curve, D, lam, args.k,
+                                               curve.vertices())
                 if F is None:
                     raise ValueError(
                         "no evidence found that the class drops below k on "

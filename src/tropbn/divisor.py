@@ -36,9 +36,10 @@ class Divisor:
     `TropicalCurve.point`, and in `io.point_from_json` and
     `io.divisor_from_json`.  Internal paths trust a divisor's points:
     `_of_canonical` takes points that are already canonical (the arithmetic
-    below, `io.divisor_from_json` once it has checked each chip, and the
-    lattice points of `models.reduced_divisor`), and `models.IntegerModel`
-    reads them without checking them again.
+    below, `PLFunction.divisor`, `restrict` and `star`, `io.divisor_from_json`
+    once it has checked each chip, and the lattice points of
+    `models.reduced_divisor`), and `models.IntegerModel` reads them without
+    checking them again.
     """
 
     def __init__(self, curve: TropicalCurve, chips=()):
@@ -137,10 +138,13 @@ class Divisor:
 class PLFunction:
     """Continuous piecewise-linear function with integer slopes.
 
-    Stored as one rational value per vertex plus sorted interior knots
-    (offset, value) per edge; affine in between.  Construction validates
-    continuity implicitly and integrality of every slope, and prunes knots
-    where the slope does not actually change.
+    Stored as one rational value per vertex and, per edge, its pieces: the
+    profile ``(offset, value)`` from the first end (offset 0) to the second
+    (offset ℓ) with the knots in between, and the integer slope of each
+    piece.  The constructor works both out once: it checks that every slope
+    is an integer and drops each knot where the slope does not change, so
+    neighbouring pieces differ in slope.  Evaluation, `divisor`,
+    `max_abs_slope` and the arithmetic read this table.
     """
 
     def __init__(self, curve: TropicalCurve,
@@ -152,7 +156,10 @@ class PLFunction:
             if v not in vertex_values:
                 raise ValueError(f"missing value at vertex {v!r}")
             self._vv[v] = rat(vertex_values[v])
-        self._knots: Dict[str, Tuple[Tuple[Fraction, Fraction], ...]] = {}
+        # edge -> (profile, slopes); slopes[i] is the slope from profile[i]
+        # to profile[i + 1]
+        self._pieces: Dict[str, Tuple[Tuple[Tuple[Fraction, Fraction], ...],
+                                      Tuple[int, ...]]] = {}
         knots = knots or {}
         for e in knots:
             if not curve.has_edge(e):
@@ -167,17 +174,20 @@ class PLFunction:
                 if i and ks[i - 1][0] == o:
                     raise ValueError(f"duplicate knot offset {o} on edge {e!r}")
             u, v = curve.ends(e)
-            pts = [(Fraction(0), self._vv[u])] + ks + [(ell, self._vv[v])]
-            slopes = []
-            for (o0, v0), (o1, v1) in zip(pts, pts[1:]):
+            prof = [(Fraction(0), self._vv[u])]
+            slopes: List[int] = []
+            for o1, v1 in ks + [(ell, self._vv[v])]:
+                o0, v0 = prof[-1]
                 s = (v1 - v0) / (o1 - o0)
                 if s.denominator != 1:
                     raise ValueError(
                         f"non-integer slope {s} on edge {e!r} near offset {o0}")
-                slopes.append(s)
-            kept = [ks[i] for i in range(len(ks)) if slopes[i] != slopes[i + 1]]
-            if kept:
-                self._knots[e] = tuple(kept)
+                if slopes and slopes[-1] == s:
+                    prof[-1] = (o1, v1)     # o0 was a knot without a bend
+                else:
+                    prof.append((o1, v1))
+                    slopes.append(s.numerator)
+            self._pieces[e] = (tuple(prof), tuple(slopes))
 
     @classmethod
     def constant(cls, curve: TropicalCurve, c=0) -> "PLFunction":
@@ -187,24 +197,18 @@ class PLFunction:
         return dict(self._vv)
 
     def knots(self, e: str) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        return self._knots.get(e, ())
-
-    def _profile(self, e: str) -> List[Tuple[Fraction, Fraction]]:
-        u, v = self.curve.ends(e)
-        ell = self.curve.length(e)
-        return ([(Fraction(0), self._vv[u])] + list(self._knots.get(e, ()))
-                + [(ell, self._vv[v])])
+        return self._pieces[e][0][1:-1]
 
     def _at(self, e: str, offsets: Sequence[Fraction]) -> List[Fraction]:
         """Values at ascending offsets of edge e, in one walk along it."""
-        prof = self._profile(e)
+        prof, slopes = self._pieces[e]
         out = []
         i = 0
         for o in offsets:
             while prof[i + 1][0] < o:
                 i += 1
-            (o0, v0), (o1, v1) = prof[i], prof[i + 1]
-            out.append(v1 if o == o1 else v0 + (v1 - v0) * (o - o0) / (o1 - o0))
+            o0, v0 = prof[i]
+            out.append(v0 + slopes[i] * (o - o0))
         return out
 
     def value(self, p) -> Fraction:
@@ -217,66 +221,26 @@ class PLFunction:
         """Ascending offsets inside edge e where f crosses the level: points
         of a linear piece whose ends lie strictly on either side of it."""
         c = rat(level)
-        prof = self._profile(e)
-        return [o0 + (c - v0) * (o1 - o0) / (v1 - v0)
-                for (o0, v0), (o1, v1) in zip(prof, prof[1:])
+        prof, slopes = self._pieces[e]
+        return [o0 + (c - v0) / s
+                for (o0, v0), (_, v1), s in zip(prof, prof[1:], slopes)
                 if (v0 - c) * (v1 - c) < 0]
 
-    def outgoing_slopes(self, p) -> List[Fraction]:
-        """One-sided derivatives in every direction leaving p."""
-        p = self.curve.point(p)
-        out = []
-        if p.is_vertex:
-            for e in dict.fromkeys(e for e, _ in self.curve.incident(p.vertex)):
-                u, v = self.curve.ends(e)
-                prof = self._profile(e)
-                if u == p.vertex:
-                    (o0, v0), (o1, v1) = prof[0], prof[1]
-                    out.append((v1 - v0) / (o1 - o0))
-                if v == p.vertex:
-                    (o0, v0), (o1, v1) = prof[-2], prof[-1]
-                    out.append(-(v1 - v0) / (o1 - o0))
-            return out
-        prof = self._profile(p.edge)
-        for i in range(len(prof) - 1):
-            (o0, v0), (o1, v1) = prof[i], prof[i + 1]
-            if o0 <= p.offset <= o1:
-                s = (v1 - v0) / (o1 - o0)
-                if o0 < p.offset:
-                    out.append(-s)   # toward offset 0
-                    break
-        for i in range(len(prof) - 1):
-            (o0, v0), (o1, v1) = prof[i], prof[i + 1]
-            if o0 <= p.offset < o1:
-                s = (v1 - v0) / (o1 - o0)
-                out.append(s)        # toward offset ell
-                break
-        return out
-
     def max_abs_slope(self) -> int:
-        best = 0
-        for e in self.curve.edges():
-            prof = self._profile(e)
-            for (o0, v0), (o1, v1) in zip(prof, prof[1:]):
-                s = abs((v1 - v0) / (o1 - o0))
-                if s > best:
-                    best = s
-        return int(best)
+        return max((abs(s) for _, slopes in self._pieces.values() for s in slopes),
+                   default=0)
 
     def divisor(self) -> Divisor:
-        """div(f): at each point, the sum of incoming slopes of f."""
-        chips: Dict[Point, int] = {}
-        for v in self.curve.vertices():
-            c = -sum(self.outgoing_slopes(Point(vertex=v)))
-            if c:
-                chips[Point(vertex=v)] = int(c)
-        for e, ks in self._knots.items():
-            for o, _ in ks:
-                p = Point(edge=e, offset=o)
-                c = -sum(self.outgoing_slopes(p))
-                if c:
-                    chips[p] = int(c)
-        return Divisor(self.curve, chips)
+        """div(f): at each point, the sum of the incoming slopes of f.  An
+        edge gives minus its first slope to its first end and its last slope
+        to its second end, and each knot the drop in slope across it."""
+        chips: List[Tuple[Point, int]] = []
+        for e, (prof, slopes) in self._pieces.items():
+            u, v = self.curve.ends(e)
+            chips += [(Point(vertex=u), -slopes[0]), (Point(vertex=v), slopes[-1])]
+            chips += [(Point(edge=e, offset=o), s0 - s1)
+                      for (o, _), s0, s1 in zip(prof[1:-1], slopes, slopes[1:])]
+        return Divisor._of_canonical(self.curve, chips)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -297,7 +261,7 @@ class PLFunction:
         knots = {}
         for e in self.curve.edges():
             # ascending runs, so the sort merges them in linear time
-            offs = sorted([o for g in fs for o, _ in g._knots.get(e, ())]
+            offs = sorted([o for g in fs for o, _ in g.knots(e)]
                           + (cuts(e) if cuts else []))
             offs = [o for k, o in enumerate(offs) if not k or o != offs[k - 1]]
             if offs:
@@ -332,10 +296,10 @@ class PLFunction:
         if not isinstance(other, PLFunction):
             return NotImplemented
         return (self.curve == other.curve and self._vv == other._vv
-                and self._knots == other._knots)
+                and self._pieces == other._pieces)
 
     def __repr__(self):
-        nk = sum(len(k) for k in self._knots.values())
+        nk = sum(len(prof) - 2 for prof, _ in self._pieces.values())
         return f"PLFunction({len(self._vv)} vertex values, {nk} knots)"
 
 
@@ -343,18 +307,18 @@ def star(E: Divisor) -> Divisor:
     """E* : each coefficient b at p becomes b + min{b, w(p)}."""
     if not E.is_effective():
         raise ValueError("star is defined for effective divisors")
-    chips = {}
-    for p, b in E.items():
-        w = E.curve.point_weight(p)
-        chips[p] = b + min(b, w)
-    return Divisor(E.curve, chips)
+    curve = E.curve
+    return Divisor._of_canonical(curve, [
+        (p, b + min(b, curve.weight(p.vertex) if p.is_vertex else 0))
+        for p, b in E._chips.items()])
 
 
 def restrict(D: Divisor, lam: Subcurve) -> Divisor:
     """Keep only the chips lying on the (closed) subcurve."""
     if lam.parent != D.curve:
         raise ValueError("subcurve of a different curve")
-    return Divisor(D.curve, {p: m for p, m in D.items() if lam.contains_point(p)})
+    return Divisor._of_canonical(
+        D.curve, [(p, m) for p, m in D._chips.items() if lam._contains(p)])
 
 
 def pushforward(pm: PointMap, D: Divisor) -> Divisor:
@@ -384,22 +348,15 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
     vv = g.vertex_values()
     for v in region.vertices:
         vv[v] = mu
-    knots = {e: list(ks) for e, ks in g._knots.items()}
+    knots = {}
     for e in f.curve.edges():
         ivs = [iv for iv in region.covered_intervals(e) if iv[0] < iv[1]]
-        if not ivs:
-            continue
+        ks = [k for k in g.knots(e) if not any(a <= k[0] <= b for a, b in ivs)]
         ell = f.curve.length(e)
-        ks = [k for k in knots.get(e, ())
-              if not any(a <= k[0] <= b for a, b in ivs)]
         for a, b in ivs:
             if a > 0:
                 ks.append((a, mu))
             if b < ell:
                 ks.append((b, mu))
-        ks.sort()
-        if ks:
-            knots[e] = ks
-        elif e in knots:
-            del knots[e]
+        knots[e] = sorted(ks)
     return PLFunction(f.curve, vv, knots)

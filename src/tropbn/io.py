@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .curve import CombinatorialType, Point, Subcurve, TropicalCurve, rat
 from .divisor import Divisor
@@ -89,11 +88,8 @@ def point_from_json(obj, curve: TropicalCurve) -> Point:
     raise ValueError(f"malformed point JSON: {obj!r}")
 
 
-def divisor_to_json(D: Divisor, curve_ref: Optional[str] = None) -> dict:
-    out = {"chips": [{"at": point_to_json(p), "mult": m} for p, m in D.items()]}
-    if curve_ref is not None:
-        out["curve"] = curve_ref
-    return out
+def divisor_to_json(D: Divisor) -> dict:
+    return {"chips": [{"at": point_to_json(p), "mult": m} for p, m in D.items()]}
 
 
 def divisor_from_json(obj: dict, curve: TropicalCurve) -> Divisor:

@@ -57,20 +57,15 @@ def _concentration_radius(lam: Subcurve, d: int, r: int) -> Fraction:
 
 
 def subcurves_disjoint(a: Subcurve, b: Subcurve) -> bool:
-    """No common point (both subcurves are closed)."""
-    for v in a.vertices:
-        if b.contains_point(Point(vertex=v)):
-            return False
-    for v in b.vertices:
-        if a.contains_point(Point(vertex=v)):
-            return False
-    curve = a.parent
-    for e in curve.edges():
-        for a0, a1 in a.covered_intervals(e):
-            for b0, b1 in b.covered_intervals(e):
-                if max(a0, b0) <= min(a1, b1):
-                    return False
-    return True
+    """No common point (both subcurves are closed).  A subcurve holds every
+    vertex it covers in its vertex set, so the vertices are one test."""
+    if a.parent != b.parent:
+        raise ValueError("curve mismatch")
+    if a.vertices & b.vertices:
+        return False
+    return not any(max(a0, b0) <= min(a1, b1)
+                   for e, ivs in a.intervals.items() for a0, a1 in ivs
+                   for b0, b1 in b.intervals.get(e, ()))
 
 
 def _pull_to_subcurve(lam: Subcurve, divisors: Sequence[Divisor]):
@@ -244,8 +239,7 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     if not deformation_retracts(big, lam):
         raise ValueError("neighborhood does not deformation retract onto Λ")
     for v in curve.vertices():
-        p = Point(vertex=v)
-        if curve.weight(v) > 0 and big.contains_point(p) and not lam.contains_point(p):
+        if curve.weight(v) > 0 and v in big.vertices and v not in lam.vertices:
             raise ValueError(f"weighted vertex {v!r} inside the neighborhood "
                              "but outside Λ")
     rds = _subcurve_rds(lam)
@@ -302,6 +296,20 @@ def _emanating(curve: TropicalCurve, lam: Subcurve, f: PLFunction,
         return _Germ(e, t0, direction, fp, int(s), avail)
 
     return [germ(e, t0, direction) for e, t0, direction in lam.exits()]
+
+
+def _dilute_evidence(curve: TropicalCurve, D: Divisor, lam: Subcurve, k: int,
+                     order: Sequence[str]) -> Optional[Divisor]:
+    """Evidence for `dilute`: reduce D at each vertex outside Λ, in the
+    given order, and return the first reduction whose restriction to Λ has
+    degree below k, or None."""
+    for v in order:
+        if v in lam.vertices:
+            continue
+        red, _ = reduced_divisor(curve, D, curve.point(v))
+        if restrict(red, lam).degree() < k:
+            return red
+    return None
 
 
 def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
@@ -515,14 +523,7 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     total = total + conc.witness
     base = work - V
     assert base.is_effective()
-    drop = None
-    for v in sorted(curve.vertices()):
-        if region.contains_point(Point(vertex=v)):
-            continue
-        red, _ = reduced_divisor(curve, base, Point(vertex=v))
-        if restrict(red, region).degree() < r:
-            drop = red
-            break
+    drop = _dilute_evidence(curve, base, region, r, sorted(curve.vertices()))
     if drop is None:
         rest = restrict(work, region) - V
         assert rest.degree() >= r - s

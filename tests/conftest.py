@@ -14,8 +14,10 @@ def compiled(tmp_path_factory):
 
     Nothing is written into the tree and the module is not put in
     `sys.modules`, so `tropbn.kernel` keeps whatever backend it imported.
-    Skips the test when no C compiler (or no Python headers) can build it.
+    Skips the test when setuptools is missing, or when no C compiler (or
+    no Python headers) can build it.
     """
+    pytest.importorskip("setuptools")
     from setuptools import Distribution, Extension
     from setuptools.errors import BaseError, CCompilerError
 

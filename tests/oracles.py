@@ -16,6 +16,8 @@ as `tropbn._kernel_py`, each one walked over every vertex of the graph.
 `reference_minfail` and `reference_rank` are the reference rank search on
 it: the plain recursion, without the library's Clifford cap or its
 reductions at the removed chip's own base point.
+`reference_slopes` and `reference_divisor` read div(f) of a PL function off
+its values: one-sided difference quotients at each vertex and knot.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from tropbn.curve import Subcurve, TropicalCurve
+from tropbn.curve import Point, Subcurve, TropicalCurve
+from tropbn.divisor import Divisor
 from tropbn.models import IntegerModel
 
 
@@ -451,3 +454,41 @@ def reference_rank(model: IntegerModel, vec: Sequence[int]) -> int:
     return reference_minfail(model.indptr, model.nbrs,
                              sorted(model.split_indices), tuple(red), d + 2,
                              {}) - 1
+
+
+# -- div(f) from the values of f ---------------------------------------------
+
+
+def reference_slopes(f) -> Dict[Point, List[Fraction]]:
+    """At each vertex and each knot of a PL function f, the one-sided
+    difference quotients of f in every direction leaving it, over a step
+    shorter than the distance to the next knot or edge end.  Reads only
+    `f.value` and `f.knots`."""
+    curve = f.curve
+    out: Dict[Point, List[Fraction]] = {Point(vertex=v): [] for v in curve.vertices()}
+    for e in curve.edges():
+        u, w = curve.ends(e)
+        ell = curve.length(e)
+        stops = [Fraction(0)] + [o for o, _ in f.knots(e)] + [ell]
+        h = min(b - a for a, b in zip(stops, stops[1:])) / 2
+
+        def at(t):
+            return f.value(curve.point(e, t))
+
+        for t in stops:
+            base = curve.point(e, t)
+            if t > 0:
+                out.setdefault(base, []).append((at(t - h) - at(t)) / h)
+            if t < ell:
+                out.setdefault(base, []).append((at(t + h) - at(t)) / h)
+    return out
+
+
+def reference_divisor(f) -> Divisor:
+    """div(f) as minus the sum of the outgoing slopes at each point."""
+    chips = []
+    for p, slopes in reference_slopes(f).items():
+        m = -sum(slopes)
+        assert m.denominator == 1, (p, slopes)
+        chips.append((p, int(m)))
+    return Divisor(f.curve, chips)

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropbn import (
     Divisor,
@@ -11,9 +13,12 @@ from tropbn import (
     TropicalCurve,
     clamp,
     is_equivalent,
+    reduced_divisor,
     restrict,
     star,
 )
+
+from oracles import reference_divisor, reference_slopes
 
 
 def segment(length=1):
@@ -173,3 +178,105 @@ def test_pushforward_collapses_chips():
     img = pushforward(pm, D)
     assert img.degree() == 4
     assert len(img.support()) == 1
+
+
+def test_constant_functions_differ_on_a_one_vertex_curve():
+    c = TropicalCurve({"v": 0}, [])
+    assert PLFunction.constant(c, 0) != PLFunction.constant(c, 1)
+    assert PLFunction.constant(c, 1) == PLFunction.constant(c, 1)
+
+
+def test_restrict_and_star_check_no_point(monkeypatch):
+    """A divisor's points are canonical, so restricting it and starring it
+    make no `TropicalCurve.point` call."""
+    c = TropicalCurve({"a": 1, "b": 0},
+                      [("f", ("a", "b"), 1), ("g", ("a", "b"), 2)])
+    D = Divisor(c, [("a", 2), (c.point("f", F(1, 2)), 1),
+                    (c.point("g", F(1)), 3)])
+    lam = Subcurve(c, whole_edges=["f"])
+    calls = []
+    point = TropicalCurve.point
+
+    def counted(self, *args):
+        calls.append(args)
+        return point(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "point", counted)
+    kept = restrict(D, lam)
+    starred = star(D)
+    assert calls == []
+    monkeypatch.undo()
+    assert kept == Divisor(c, [("a", 2), (c.point("f", F(1, 2)), 1)])
+    assert starred == D + Divisor(c, [("a", 1)])   # b + min(b, w(p))
+
+
+@st.composite
+def pl_function_pairs(draw):
+    """Two PL functions on a curve with a loop and a parallel edge and mixed
+    lengths: witnesses of `reduced_divisor`, then sums, negations, integer
+    multiples, `min_const` and `clamp` of them."""
+    n = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(n)]
+    lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])
+    edges = [(f"t{i}", (names[draw(st.integers(0, i - 1))], names[i]), draw(lengths))
+             for i in range(1, n)]
+    loop_at = draw(st.sampled_from(names))
+    edges.append(("l", (loop_at, loop_at), draw(lengths)))
+    # parallel to a bridge, or a second loop on a one-vertex curve
+    edges.append(("p", edges[0][1], draw(lengths)))
+    for j in range(draw(st.integers(0, 1))):
+        uv = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
+        edges.append((f"x{j}", uv, draw(lengths)))
+    c = TropicalCurve({v: 0 for v in names}, edges)
+    points = st.one_of(
+        st.sampled_from(names).map(c.point),
+        st.builds(lambda e, k: c.point(e, c.length(e) * k),
+                  st.sampled_from(c.edges()),
+                  st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3)])))
+
+    def witness():
+        D = Divisor(c, draw(st.lists(st.tuples(points, st.integers(-3, 3)),
+                                     max_size=4)))
+        return reduced_divisor(c, D, draw(points))[1]
+
+    def build():
+        f = witness()
+        for op in draw(st.lists(st.sampled_from(
+                ["add", "neg", "mul", "min", "clamp"]), max_size=3)):
+            if op == "add":
+                f = f + witness()
+            elif op == "neg":
+                f = -f
+            elif op == "mul":
+                f = draw(st.integers(-3, 3)) * f
+            elif op == "min":
+                f = f.min_const(f.value(draw(points)) + draw(st.sampled_from(
+                    [F(0), F(1, 3), F(-1, 2)])))
+            else:
+                e = draw(st.sampled_from(c.edges()))
+                a, b = sorted(draw(st.lists(st.sampled_from(
+                    [F(0), F(1, 4), F(1, 2), F(1)]), min_size=2, max_size=2,
+                    unique=True)))
+                region = Subcurve(c, segments={e: [(a * c.length(e),
+                                                    b * c.length(e))]})
+                bps = region.boundary_points()
+                if bps:
+                    f = clamp(f, min(f.value(p) for p in bps)
+                              - draw(st.sampled_from([F(0), F(1, 2)])), region)
+        return f
+
+    return c, build(), build()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=pl_function_pairs())
+def test_divisor_and_slope_bound_from_the_pieces(case):
+    """div(f) and the largest |slope| read from the stored pieces equal
+    what one-sided difference quotients of f's values give, and div is
+    additive with degree 0."""
+    c, f, g = case
+    assert f.divisor() == reference_divisor(f)
+    assert f.max_abs_slope() == max(
+        (abs(s) for ss in reference_slopes(f).values() for s in ss), default=0)
+    assert (f + g).divisor() == f.divisor() + g.divisor()
+    assert f.divisor().degree() == 0

@@ -74,6 +74,15 @@ def test_subcurves_disjoint():
     assert subcurves_disjoint(a, inner)
 
 
+def test_subcurves_disjoint_refuses_two_curves():
+    # vertex names alone would read {a} and {b} disjoint and {a}, {a} not
+    c = banana(1, 2)
+    c2 = TropicalCurve({"a": 0, "b": 0}, [("e", ("a", "b"), 1)])
+    for other in (["a"], ["b"]):
+        with pytest.raises(ValueError, match="curve mismatch"):
+            subcurves_disjoint(Subcurve(c, ["a"]), Subcurve(c2, other))
+
+
 def test_push_trivial_cases():
     c = path(1, 1)
     D = Divisor(c, [("v0", 2)])
