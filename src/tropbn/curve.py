@@ -9,7 +9,6 @@ each edge.  All geometry is exact: offsets, lengths and distances are
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -18,7 +17,8 @@ RatLike = Union[Fraction, int, str]
 
 def _is_int(x) -> bool:
     """The integer rule of every entry point: an int that is not a bool.
-    `rat` and `io.parse_int`, which parsing calls per number, spell it out."""
+    `rat`, `io.parse_int` and the vertex check, which parsing calls per
+    number, spell it out."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -28,12 +28,9 @@ def rat(x: RatLike) -> Fraction:
     Anything else (booleans included), and a string with a zero
     denominator, is a ValueError.  Strings of ASCII digits, or two such
     separated by '/' with a nonzero denominator, skip `Fraction`'s regular
-    expression; every other string goes through ``Fraction(x)``.
+    expression; every other string goes through ``Fraction(x)``.  Strings
+    are tested first: they are what parsing hands in, once per number.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
         num, slash, den = x.partition("/")
         if num.isascii() and num.isdigit():
@@ -45,27 +42,68 @@ def rat(x: RatLike) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             pass
+    elif isinstance(x, Fraction):
+        return x
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
     raise ValueError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# a Point's fields are set through object's own __setattr__: its own refuses
+_setattr = object.__setattr__
+
+
 class Point:
     """A location on a curve: a vertex, or an interior position on an edge.
 
     Interior offsets are measured from the edge's first endpoint and lie
     strictly between 0 and the edge length.  Use ``TropicalCurve.point`` to
     build canonicalized points (endpoint offsets collapse to vertices).
+
+    A point is immutable: assigning or deleting a field raises
+    `AttributeError`.  Two points are equal when their fields are, and the
+    hash is that of the tuple ``(vertex, edge, offset)``.  It is worked out
+    on the first `hash` and stored in a slot, so a point that keys many
+    dicts hashes its `Fraction` offset, which takes a modular inverse, only
+    once.  It is not worked out in the constructor, so a point with a field
+    that cannot be hashed still reaches `TropicalCurve.point`'s check.
     """
 
-    vertex: Optional[str] = None
-    edge: Optional[str] = None
-    offset: Optional[Fraction] = None
+    __slots__ = ("vertex", "edge", "offset", "_hash")
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+    def __init__(self, vertex: Optional[str] = None, edge: Optional[str] = None,
+                 offset: Optional[Fraction] = None):
+        if (vertex is None) == (edge is None):
             raise ValueError("point is either a vertex or an edge interior")
-        if self.edge is not None and self.offset is None:
+        if edge is not None and offset is None:
             raise ValueError("interior point needs an offset")
+        _setattr(self, "vertex", vertex)
+        _setattr(self, "edge", edge)
+        _setattr(self, "offset", offset)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Point")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Point")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the point through the constructor
+        return Point, (self.vertex, self.edge, self.offset)
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return ((self.vertex, self.edge, self.offset)
+                == (other.vertex, other.edge, other.offset))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vertex, self.edge, self.offset))
+            _setattr(self, "_hash", h)
+            return h
 
     @property
     def is_vertex(self) -> bool:
@@ -75,6 +113,40 @@ class Point:
         if self.is_vertex:
             return f"Point({self.vertex!r})"
         return f"Point({self.edge!r}@{self.offset})"
+
+
+def _vertex_fault(vid, w, weights: Dict[str, int]) -> Optional[ValueError]:
+    """The error the curve constructor raises for a vertex ``(vid, w)``
+    that follows the vertices of `weights`, or None."""
+    if not isinstance(vid, str) or not vid:
+        return ValueError(f"vertex id must be a non-empty string: {vid!r}")
+    if vid in weights:
+        return ValueError(f"duplicate vertex id {vid!r}")
+    if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+        return ValueError(f"weight of {vid!r} must be a non-negative integer")
+    return None
+
+
+def _edge_entry(eid, ends, length, weights: Dict[str, int],
+                edges: Dict[str, Tuple[str, str, Fraction]]):
+    """The table entry ``(u, v, ℓ)`` of an edge that follows the given
+    vertices and edges, checked as the curve constructor checks it; the
+    error it raises is returned in place of the entry.  A `Fraction`
+    length is taken as it is."""
+    if not isinstance(eid, str) or not eid:
+        return ValueError(f"edge id must be a non-empty string: {eid!r}")
+    if eid in edges:
+        return ValueError(f"duplicate edge id {eid!r}")
+    try:
+        u, v = ends
+    except ValueError as exc:
+        return exc
+    if u not in weights or v not in weights:
+        return ValueError(f"edge {eid!r} has unknown endpoint")
+    ell = length if isinstance(length, Fraction) else rat(length)
+    if ell.numerator <= 0:   # one int test, not a Fraction comparison
+        return ValueError(f"edge {eid!r} must have positive length")
+    return u, v, ell
 
 
 class TropicalCurve:
@@ -103,38 +175,46 @@ class TropicalCurve:
             vitems = list(vertices.items())
         else:
             vitems = list(vertices)
-        self._weights: Dict[str, int] = {}
+        weights: Dict[str, int] = {}
         for vid, w in vitems:
-            if not isinstance(vid, str) or not vid:
-                raise ValueError(f"vertex id must be a non-empty string: {vid!r}")
-            if vid in self._weights:
-                raise ValueError(f"duplicate vertex id {vid!r}")
-            if not _is_int(w) or w < 0:
-                raise ValueError(f"weight of {vid!r} must be a non-negative integer")
-            self._weights[vid] = w
-        if not self._weights:
+            fault = _vertex_fault(vid, w, weights)
+            if fault is not None:
+                raise fault
+            weights[vid] = w
+        if not weights:
             raise ValueError("curve needs at least one vertex")
 
-        self._edges: Dict[str, Tuple[str, str, Fraction]] = {}
-        self._adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self._weights}
+        edge_table: Dict[str, Tuple[str, str, Fraction]] = {}
         for eid, ends, length in edges:
-            if not isinstance(eid, str) or not eid:
-                raise ValueError(f"edge id must be a non-empty string: {eid!r}")
-            if eid in self._edges:
-                raise ValueError(f"duplicate edge id {eid!r}")
-            u, v = ends
-            if u not in self._weights or v not in self._weights:
-                raise ValueError(f"edge {eid!r} has unknown endpoint")
-            ell = rat(length)
-            if ell <= 0:
-                raise ValueError(f"edge {eid!r} must have positive length")
-            self._edges[eid] = (u, v, ell)
-            self._adj[u].append((eid, v))
-            if u != v:
-                self._adj[v].append((eid, u))
-            else:
-                self._adj[u].append((eid, u))
+            entry = _edge_entry(eid, ends, length, weights, edge_table)
+            if isinstance(entry, ValueError):
+                raise entry
+            edge_table[eid] = entry
+        self._build(weights, edge_table)
 
+    @classmethod
+    def _of_tables(cls, weights: Dict[str, int],
+                   edges: Dict[str, Tuple[str, str, Fraction]]) -> "TropicalCurve":
+        """The curve of tables that are checked as the public constructor
+        checks its arguments: a non-empty dict of vertex weights, and a dict
+        ``eid -> (u, v, length)`` of edges between those vertices with
+        positive `Fraction` lengths.  Only connectivity is checked here.
+        The curve takes both dicts over; `io.curve_from_json` builds them."""
+        curve = cls.__new__(cls)
+        curve._build(weights, edges)
+        return curve
+
+    def _build(self, weights: Dict[str, int],
+               edges: Dict[str, Tuple[str, str, Fraction]]):
+        """Take over the checked tables, build the adjacency lists and the
+        empty caches, and check that the curve is connected."""
+        self._weights = weights
+        self._edges = edges
+        self._adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in weights}
+        for eid, (u, v, _) in edges.items():
+            # a loop is listed twice at its vertex
+            self._adj[u].append((eid, v))
+            self._adj[v].append((eid, u))
         self._check_connected()
         self._vpoints: Dict[str, Point] = {}
         self._dist_cache: Dict[str, Dict[str, Fraction]] = {}
@@ -143,15 +223,13 @@ class TropicalCurve:
         self._lattice_slot: Optional[Tuple[tuple, dict]] = None
 
     def _check_connected(self):
-        seen = set()
-        stack = [next(iter(self._weights))]
+        first = next(iter(self._weights))
+        seen = {first}
+        stack = [first]
         while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for _, w in self._adj[v]:
+            for _, w in self._adj[stack.pop()]:
                 if w not in seen:
+                    seen.add(w)
                     stack.append(w)
         if len(seen) != len(self._weights):
             raise ValueError("curve must be connected")
@@ -214,6 +292,13 @@ class TropicalCurve:
         vertex, endpoint collapses included, is that object.  It is made on
         first use, not when the curve is built, so a curve that is never
         asked for a point allocates none."""
+        if offset is None and isinstance(spec, str):
+            p = self._vpoints.get(spec)
+            if p is not None:
+                return p
+            if spec not in self._weights:
+                raise ValueError(f"unknown vertex {spec!r}")
+            return self._vertex_point(spec)
         if isinstance(spec, Point):
             if spec.is_vertex:
                 if spec.vertex not in self._weights:
@@ -225,20 +310,18 @@ class TropicalCurve:
                     and 0 < offset < self._edges[spec][2]):
                 return pt   # already canonical
         elif offset is None:
-            if not isinstance(spec, str) or spec not in self._weights:
-                raise ValueError(f"unknown vertex {spec!r}")
-            return self._vertex_point(spec)
+            raise ValueError(f"unknown vertex {spec!r}")
         if not isinstance(spec, str) or spec not in self._edges:
             raise ValueError(f"unknown edge {spec!r}")
         u, v, ell = self._edges[spec]
-        off = rat(offset)
-        if off < 0 or off > ell:
-            raise ValueError(f"offset {off} outside [0, {ell}] on edge {spec!r}")
+        off = offset if isinstance(offset, Fraction) else rat(offset)
+        if 0 < off < ell:
+            return Point(edge=spec, offset=off)
         if off == 0:
             return self._vertex_point(u)
         if off == ell:
             return self._vertex_point(v)
-        return Point(edge=spec, offset=off)
+        raise ValueError(f"offset {off} outside [0, {ell}] on edge {spec!r}")
 
     def _vertex_point(self, v: str) -> Point:
         p = self._vpoints.get(v)
@@ -308,6 +391,8 @@ class TropicalCurve:
         return TropicalCurve(new, [(e, (u, v), ell) for e, (u, v, ell) in self._edges.items()])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, TropicalCurve):
             return NotImplemented
         return self._weights == other._weights and self._edges == other._edges

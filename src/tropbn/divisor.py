@@ -36,10 +36,11 @@ class Divisor:
     `TropicalCurve.point`, and in `io.point_from_json` and
     `io.divisor_from_json`.  Internal paths trust a divisor's points:
     `_of_canonical` takes points that are already canonical (the arithmetic
-    below, `PLFunction.divisor`, `restrict` and `star`, `io.divisor_from_json`
-    once it has checked each chip, and the lattice points of
-    `models.reduced_divisor`), and `models.IntegerModel` reads them without
-    checking them again.
+    below, `PLFunction.divisor`, `restrict` and `star`, the lattice points
+    and the marks of `models.reduced_divisor`, and `rank.canonical`, from
+    the curve's shared vertex points), `_of_sums` takes the summed chips
+    of `io.divisor_from_json` once it has checked each one, and
+    `models.IntegerModel` reads them without checking them again.
     """
 
     def __init__(self, curve: TropicalCurve, chips=()):
@@ -59,12 +60,18 @@ class Divisor:
                       chips: Iterable[Tuple[Point, int]]) -> "Divisor":
         """The divisor of (point, int) pairs whose points are canonical on
         the curve: repeated points sum and zeros drop, nothing is checked."""
-        D = cls.__new__(cls)
-        D.curve = curve
         data: Dict[Point, int] = {}
         for p, m in chips:
             data[p] = data.get(p, 0) + m
-        D._chips = _nonzero(data)
+        return cls._of_sums(curve, data)
+
+    @classmethod
+    def _of_sums(cls, curve: TropicalCurve, sums: Dict[Point, int]) -> "Divisor":
+        """The divisor of a dict from points canonical on the curve to
+        their summed multiplicities; the dict is taken over, zeros drop."""
+        D = cls.__new__(cls)
+        D.curve = curve
+        D._chips = _nonzero(sums)
         return D
 
     @classmethod
@@ -212,7 +219,10 @@ class PLFunction:
         return out
 
     def value(self, p) -> Fraction:
-        p = self.curve.point(p)
+        return self._value(self.curve.point(p))
+
+    def _value(self, p: Point) -> Fraction:
+        """`value` at a point that is canonical on the curve."""
         if p.is_vertex:
             return self._vv[p.vertex]
         return self._at(p.edge, [p.offset])[0]
@@ -343,7 +353,7 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
     if all(a == b for ivs in region.intervals.values() for a, b in ivs):
         return g
     for bp in region.boundary_points():
-        if f.value(bp) < mu:
+        if f._value(bp) < mu:
             raise ValueError(f"clamp would be discontinuous at {bp}: f < mu")
     vv = g.vertex_values()
     for v in region.vertices:

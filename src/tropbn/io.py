@@ -3,6 +3,17 @@ parsing of combinatorial types.
 
 All rational numbers are written as strings like "3/2" (integers as "3"),
 and emitted JSON is byte-deterministic: keys sorted, no float anywhere.
+
+Curves and divisors are read in one pass that builds the final objects.
+`curve_from_json` reads each field, parses each rational once, makes the
+curve constructor's own checks on it (`curve._vertex_fault`,
+`curve._edge_entry`) and fills the weight and edge tables, which
+`TropicalCurve._of_tables` takes over; an error of the constructor's kind
+is held until the document has been read, so the error raised is the one
+that reading first and constructing after would raise.
+`divisor_from_json` passes each chip's point through
+`TropicalCurve.point` once and adds its multiplicity to a dict that the
+divisor takes over (`Divisor._of_sums`).
 """
 
 from __future__ import annotations
@@ -10,7 +21,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .curve import CombinatorialType, Point, Subcurve, TropicalCurve, rat
+from .curve import (CombinatorialType, Point, Subcurve, TropicalCurve,
+                    _edge_entry, _vertex_fault, rat)
 from .divisor import Divisor
 
 
@@ -50,15 +62,42 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 
 
 def curve_from_json(obj: dict) -> TropicalCurve:
+    """The curve of a JSON document, read, checked and built in one pass.
+
+    A document that cannot be read (a missing key, a value of the wrong
+    type, a malformed rational) raises at once.  The curve constructor's
+    own checks (ids, duplicates, weights, endpoints, lengths) are made in
+    the same loop; the first one to fail is kept and raised once the whole
+    document has been read, which is the error that reading it first and
+    constructing the curve after would raise."""
+    weights = {}
+    edges = {}
+    fault = None
     try:
-        vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
-                    for v in obj["vertices"]]
-        edges = [(e["id"], tuple(parse_ids(e["ends"], "edge ends")),
-                  parse_frac(e["length"]))
-                 for e in obj.get("edges", [])]
+        for v in obj["vertices"]:
+            vid = v["id"]
+            w = parse_int(v.get("weight", 0), "weight")
+            if fault is None:
+                fault = _vertex_fault(vid, w, weights)
+                if fault is None:
+                    weights[vid] = w
+        if fault is None and not weights:
+            fault = ValueError("curve needs at least one vertex")
+        for e in obj.get("edges", []):
+            eid = e["id"]
+            ends = parse_ids(e["ends"], "edge ends")
+            ell = parse_frac(e["length"])
+            if fault is None:
+                entry = _edge_entry(eid, ends, ell, weights, edges)
+                if isinstance(entry, ValueError):
+                    fault = entry
+                else:
+                    edges[eid] = entry
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed curve JSON: {exc}") from exc
-    return TropicalCurve(vertices, edges)
+    if fault is not None:
+        raise fault
+    return TropicalCurve._of_tables(weights, edges)
 
 
 def type_from_json(obj: dict) -> CombinatorialType:
@@ -93,13 +132,24 @@ def divisor_to_json(D: Divisor) -> dict:
 
 
 def divisor_from_json(obj: dict, curve: TropicalCurve) -> Divisor:
+    """The divisor of a JSON document: each chip is checked once, and its
+    multiplicity added to its point's sum in the same loop."""
+    chips = {}
     try:
-        chips = [(point_from_json(c["at"], curve), parse_int(c["mult"], "mult"))
-                 for c in obj.get("chips", [])]
+        for c in obj.get("chips", []):
+            at = c["at"]
+            # vertex chips, the common case, skip point_from_json's dispatch
+            # and plain ints parse_int's call; both give the same results
+            p = (curve.point(at["vertex"]) if type(at) is dict and "vertex" in at
+                 else point_from_json(at, curve))
+            m = c["mult"]
+            if type(m) is not int:
+                m = parse_int(m, "mult")
+            chips[p] = chips.get(p, 0) + m
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed divisor JSON: {exc}") from exc
-    # each chip is checked above, once: its point is canonical on the curve
-    return Divisor._of_canonical(curve, chips)
+    # each point is checked above, once: it is canonical on the curve
+    return Divisor._of_sums(curve, chips)
 
 
 def subcurve_to_json(sub: Subcurve) -> dict:

@@ -295,10 +295,19 @@ def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFun
     """q-reduced form of D and witness f with reduced = D + div(f), f(q) = 0."""
     if D.curve != curve:
         raise ValueError("curve mismatch")
-    q = curve.point(q)
-    model = IntegerModel(curve, marks=list(D.support()) + [q])
+    return _reduced_divisor(curve, D, curve.point(q))
+
+
+def _reduced_divisor(curve: TropicalCurve, D: Divisor,
+                     q: Point) -> Tuple[Divisor, PLFunction]:
+    """`reduced_divisor` for a divisor of the curve and a point q that is
+    canonical on it: nothing is checked again."""
+    # the marks are D's support and q, as a divisor so that the model
+    # takes them as they are
+    marks = Divisor._of_canonical(curve, [(p, 1) for p in [*D._chips, q]])
+    model = IntegerModel(curve, marks=marks)
     vec = model.divisor_vector(D)
-    red, sigma = model.reduce_vector(vec, model.vertex_index(q))
+    red, sigma = model.reduce_vector(vec, model._index(q))
     # L·σ = vec − red, so the witness bends where the two differ
     chips = [(model.point_of_index(i), red[i]) for i in compress(count(), red)]
     return (Divisor._of_canonical(curve, chips),

@@ -62,30 +62,39 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .curve import Point, TropicalCurve, attach_loops, genus
+from .curve import TropicalCurve, attach_loops, genus
 from .divisor import Divisor
 from .models import IntegerModel
 
 
 def canonical(curve: TropicalCurve) -> Divisor:
     """K = Σ_v (deg(v) - 2 + 2 w(v)) · v; loop edges count twice."""
-    return Divisor(curve, {Point(vertex=v): curve.degree(v) - 2 + 2 * curve.weight(v)
-                           for v in curve.vertices()})
+    return Divisor._of_canonical(curve, [
+        (curve._vertex_point(v), curve.degree(v) - 2 + 2 * w)
+        for v, w in curve.weights().items()])
 
 
 class _RankEngine:
     """Shared model + memo for repeated rank queries on one curve.
 
-    All divisors passed to an engine must be supported on its lattice.
+    All divisors passed to an engine must be supported on its lattice.  The
+    model is built on first use: `weighted_rank` needs none when the rank
+    of every weighting it tries is forced.
     """
 
     def __init__(self, curve: TropicalCurve, marks=()):
         self.curve = curve
-        self.model = IntegerModel(curve, marks)
         self.genus = curve.betti()   # the model ignores vertex weights
         self.q = 0
-        self.rds = sorted(self.model.split_indices)
         self.memo: Dict[tuple, Tuple[int, bool]] = {}
+        self._marks = marks
+        self._model: Optional[IntegerModel] = None
+
+    @property
+    def model(self) -> IntegerModel:
+        if self._model is None:
+            self._model = IntegerModel(self.curve, self._marks)
+        return self._model
 
     def rank(self, D: Divisor) -> int:
         return self.rank_vector(self.model.divisor_vector(D))
@@ -128,7 +137,7 @@ class _RankEngine:
                 return cap
         best = cap
         # try chip-poor points first: they fail soonest
-        for a in sorted(self.rds, key=lambda i: (red[i], i)):
+        for a in sorted(self.model.split_indices, key=lambda i: (red[i], i)):
             if best == 1:
                 break
             if red[a]:
@@ -156,26 +165,49 @@ class _RankEngine:
         return best
 
     def weighted_rank(self, D: Divisor) -> int:
-        # (lattice index, weight) of each weighted vertex: the curve's
-        # vertices are the model's first indices, in curve order
-        weighted = [(i, w) for i, w in enumerate(self.curve.weights().values())
-                    if w > 0]
+        # lattice index and weight of each weighted vertex, by name: the
+        # curve's vertices are the model's first indices, in curve order
+        weighted = {v: (i, w) for i, (v, w) in enumerate(self.curve.weights().items())
+                    if w > 0}
         if not weighted:
             return self.rank(D)
-        dvec = self.model.divisor_vector(D)
-        idxs = [i for i, _ in weighted]
-        caps = [w for _, w in weighted]
-        best = self.rank_vector(dvec)   # F = 0
+        # D's chips at the weighted vertices, and whether it is effective
+        # elsewhere: with deg(D - 2F), they say whether the pure rank of
+        # D - 2F is forced, so such a weighting F needs no model
+        at = dict.fromkeys(weighted, 0)
+        effective_elsewhere = True
+        for p, m in D._chips.items():
+            if p.vertex in at:
+                at[p.vertex] = m
+            elif m < 0:
+                effective_elsewhere = False
+        d = D.degree()
+        dvec = None
+
+        def pure_rank(t: Sequence[int]) -> int:
+            """rank(Γ⁰, D - 2F) for F = Σ t_i·v_i over the weighted v_i."""
+            nonlocal dvec
+            effective = effective_elsewhere and all(
+                m >= 2 * c for m, c in zip(at.values(), t))
+            forced = _forced_rank(d - 2 * sum(t), self.genus, effective)
+            if forced is not None:
+                return forced
+            if dvec is None:
+                dvec = self.model.divisor_vector(D)
+            vec = list(dvec)
+            for (i, _), c in zip(weighted.values(), t):
+                vec[i] -= 2 * c
+            return self.rank_vector(vec)
+
+        caps = [w for _, w in weighted.values()]
+        best = pure_rank([0] * len(caps))   # F = 0
         # rank >= -1, so once best < deg F no F of that degree or more can
         # lower the minimum
         for degF in range(1, sum(caps) + 1):
             for t in _bounded_sums(degF, caps):
                 if best < degF:
                     return best
-                vec = list(dvec)
-                for i, c in zip(idxs, t):
-                    vec[i] -= 2 * c
-                best = min(best, degF + self.rank_vector(vec))
+                best = min(best, degF + pure_rank(t))
         return best
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .curve import (Point, Subcurve, TropicalCurve, _is_int, neighborhood,
                     deformation_retracts, rat)
 from .divisor import Divisor, PLFunction, _point_key, clamp, restrict, star
-from .models import IntegerModel, is_equivalent, reduced_divisor
+from .models import IntegerModel, _reduced_divisor, is_equivalent
 from .rank import rank_weighted
 
 
@@ -114,7 +114,8 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
         cuts[e] = sorted(cs)
 
     def fv(e, o):
-        return f.value(Point(edge=e, offset=o))
+        # o is a cut of edge e, its ends included; f is continuous there
+        return f._at(e, [o])[0]
 
     occupied = set()
     for e, cs in cuts.items():
@@ -149,7 +150,7 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
         if pt in seen:
             continue
         seen.add(pt)
-        fp = f.value(pt)
+        fp = f._value(pt)
         if fp <= mu:
             continue
         for e, i, from_left in adjacent(pt):
@@ -182,8 +183,8 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
         raise ValueError("curve mismatch")
     if not D.is_effective() or not E.is_effective():
         raise ValueError("push_single needs effective divisors")
-    for p in E.support():
-        if not lam.contains_point(p):
+    for p in E._chips:
+        if not lam._contains(p):
             raise ValueError("E must be supported on the subcurve")
     r = E.degree()
     if not rank_checked and rank_weighted(curve, D) < r:
@@ -192,9 +193,9 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
     if r == 0 or lam.is_whole_curve():
         return TransportResult(D, lam, zero)
     Es = star(E)
-    if all(D.multiplicity(p) >= m for p, m in Es.items()):
+    if all(D._chips.get(p, 0) >= m for p, m in Es._chips.items()):
         return TransportResult(D, lam, zero)
-    red, f = reduced_divisor(curve, D - Es, Es.support()[0])
+    red, f = _reduced_divisor(curve, D - Es, Es.support()[0])
     if not red.is_effective():
         raise ValueError("rank precondition violated: D - star(E) has no "
                          "effective representative")
@@ -203,7 +204,7 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
     bps = nbh.boundary_points()
     if not bps:
         return TransportResult(D, Subcurve.whole(curve), zero)
-    mu = min(f.value(p) for p in bps)
+    mu = min(f._value(p) for p in bps)
     fbar = clamp(f, mu, nbh)
     return TransportResult(D + fbar.divisor(), _descent_region(curve, f, lam, mu),
                            fbar)
@@ -306,7 +307,7 @@ def _dilute_evidence(curve: TropicalCurve, D: Divisor, lam: Subcurve, k: int,
     for v in order:
         if v in lam.vertices:
             continue
-        red, _ = reduced_divisor(curve, D, curve.point(v))
+        red, _ = _reduced_divisor(curve, D, curve.point(v))
         if restrict(red, lam).degree() < k:
             return red
     return None
@@ -512,7 +513,7 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
             raise ValueError("confinement search exhausted its budget")
         V = conf.divisor
         Vs = star(V)
-        red, fV = reduced_divisor(curve, work - Vs, Vs.support()[0])
+        red, fV = _reduced_divisor(curve, work - Vs, Vs.support()[0])
         if not red.is_effective():
             raise ValueError("rank precondition violated: cannot contain the "
                              "confined configuration")

@@ -18,6 +18,9 @@ it: the plain recursion, without the library's Clifford cap or its
 reductions at the removed chip's own base point.
 `reference_slopes` and `reference_divisor` read div(f) of a PL function off
 its values: one-sided difference quotients at each vertex and knot.
+`two_pass_curve` and `two_pass_divisor` are the reference JSON readers:
+read every field first, then build with the public constructors, which
+check and coerce all of it again.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from tropbn.curve import Point, Subcurve, TropicalCurve
 from tropbn.divisor import Divisor
+from tropbn.io import parse_frac, parse_ids, parse_int, point_from_json
 from tropbn.models import IntegerModel
 
 
@@ -492,3 +496,32 @@ def reference_divisor(f) -> Divisor:
         assert m.denominator == 1, (p, slopes)
         chips.append((p, int(m)))
     return Divisor(f.curve, chips)
+
+
+# -- two-pass JSON reading -----------------------------------------------------
+
+
+def two_pass_curve(obj) -> TropicalCurve:
+    """The curve of a JSON document: its fields read into lists first, then
+    passed to the public `TropicalCurve` constructor."""
+    try:
+        vertices = [(v["id"], parse_int(v.get("weight", 0), "weight"))
+                    for v in obj["vertices"]]
+        edges = [(e["id"], tuple(parse_ids(e["ends"], "edge ends")),
+                  parse_frac(e["length"]))
+                 for e in obj.get("edges", [])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed curve JSON: {exc}") from exc
+    return TropicalCurve(vertices, edges)
+
+
+def two_pass_divisor(obj, curve: TropicalCurve) -> Divisor:
+    """The divisor of a JSON document: its chips read into a list first,
+    each point through `io.point_from_json`, then passed to the public
+    `Divisor` constructor."""
+    try:
+        chips = [(point_from_json(c["at"], curve), parse_int(c["mult"], "mult"))
+                 for c in obj.get("chips", [])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed divisor JSON: {exc}") from exc
+    return Divisor(curve, chips)

@@ -375,6 +375,40 @@ def test_byte_determinism(files, capsys):
     assert reports[0] == reports[1]
 
 
+def test_bytes_do_not_depend_on_the_hash_seed(files):
+    """`reduce` and `transport push` print the same bytes under every
+    PYTHONHASHSEED: sets and dicts of points iterate in hash order, and a
+    point's hash mixes in the string hashes of its vertex or edge id."""
+    c = TropicalCurve({"x": 0, "y": 0},
+                      [("l1", ("x", "x"), 1), ("l2", ("y", "y"), 1),
+                       ("br", ("x", "y"), 3)])
+    D = Divisor(c, [(c.point("l1", F(1, 3)), 1), (c.point("l2", F(1, 4)), 1),
+                    (c.point("br", 1), 1), (c.point("br", 2), 1)])
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(D))
+    sf = files("s.json", subcurve_to_json(Subcurve(c, whole_edges=["l1"])))
+    ef = files("e.json", divisor_to_json(Divisor(c, [(c.point("l1", F(1, 2)), 1)])))
+    argvs = [["reduce", "--curve", cf, "--divisor", df, "--basepoint", "x"],
+             ["transport", "push", "--curve", cf, "--divisor", df,
+              "--subcurve", sf, "--aim", ef]]
+    script = ("import json, sys\n"
+              "from tropbn.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert '"offset"' in outs.pop()
+
+
 def test_out_flag(files, capsys, tmp_path):
     c = circle()
     cf = files("c.json", curve_to_json(c))

@@ -1,5 +1,7 @@
 """Curves, models, scaling maps, and subcurves."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +25,7 @@ from tropbn import (
     underlying_pure,
 )
 from tropbn.curve import rat
+from tropbn.io import divisor_from_json, point_from_json
 
 
 def theta(w1=0, w2=0, lengths=(1, 1, 1)):
@@ -187,6 +190,40 @@ def test_point_returns_canonical_points_as_they_are():
     # an int offset is coerced to a Fraction in a new point
     q = c.point(Point(edge="e2", offset=1))
     assert q == Point(edge="e2", offset=F(1)) and type(q.offset) is F
+
+
+def test_point_contract():
+    """A point is a value: equal points from the constructor,
+    `TropicalCurve.point` and parsing are equal and hash equal, with the
+    hash of their fields as a tuple; fields cannot be assigned or deleted;
+    copies and pickle round trips are equal points."""
+    c = theta(lengths=(1, 2, F(3, 2)))
+    chips = divisor_from_json(
+        {"chips": [{"at": {"edge": "e2", "offset": "1/3"}, "mult": 1},
+                   {"at": {"vertex": "v1"}, "mult": 1}]}, c).support()
+    for want, made in (
+            (Point(edge="e2", offset=F(1, 3)),
+             [c.point("e2", "1/3"), c.point(Point(edge="e2", offset=F(1, 3))),
+              point_from_json({"edge": "e2", "offset": "1/3"}, c), chips[1]]),
+            (Point(vertex="v1"),
+             [c.point("v1"), c.point("e2", 0), point_from_json("v1", c),
+              point_from_json({"vertex": "v1"}, c), chips[0]])):
+        for p in made:
+            assert p == want and hash(p) == hash(want)
+        assert hash(want) == hash((want.vertex, want.edge, want.offset))
+        # the hash, once stored, is not part of the point's state
+        for back in (copy.copy(want), copy.deepcopy(want),
+                     pickle.loads(pickle.dumps(want))):
+            assert back == want and hash(back) == hash(want)
+            assert {back: 1}[want] == 1
+        for field in ("vertex", "edge", "offset"):
+            with pytest.raises(AttributeError):
+                setattr(want, field, None)
+            with pytest.raises(AttributeError):
+                delattr(want, field)
+    assert Point(vertex="v1") != Point(vertex="v2")
+    assert Point(edge="e2", offset=F(1, 3)) != Point(edge="e2", offset=F(1, 2))
+    assert Point(vertex="v1") != ("v1", None, None)
 
 
 RAT_STRINGS = ["007", "0/5", "1/0", "1/00", "²", "١", " 3", "-1/2", "1.5",

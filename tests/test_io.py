@@ -1,10 +1,12 @@
 """JSON round-trips and deterministic serialization."""
 
+import copy
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import two_pass_curve, two_pass_divisor
 
 from tropbn import (BNQuery, CombinatorialType, CycleBasis, DegenerationSpec,
                     Divisor, PLFunction, Point, Subcurve, TorusPoint,
@@ -338,3 +340,130 @@ def test_trusted_divisors_equal_the_public_constructor(case, k):
                 model.divisor_vector(X)
         else:
             assert model.divisor_vector(X) == want
+
+
+# values that a changed document puts in place of a field, or appends to a
+# list: wrong types, bad rationals, empty, unknown and repeated ids, lengths
+# and offsets out of range, ends that are not a pair, a vertex no edge
+# reaches, and whole entries that repeat or clash
+_FAULTS = [True, False, 1.5, 2.0, None, "1/0", "x", "", "0", "-1", "-1/2",
+           "9/2", 0, -1, 2, "v0", "e0", "zz", [], {}, ["v0"],
+           ["v0", "v1", "v2"], ["v0", "zz"], {"vertex": "v0"},
+           {"id": "w"}, {"id": "v0"}, {"id": "w", "weight": -1},
+           {"id": "e0", "ends": ["v0", "v0"], "length": "1"},
+           {"at": {"edge": "e0", "offset": "9/2"}, "mult": 1},
+           {"at": "v0", "mult": 1}]
+# and, half of the time, a value aimed at the field it replaces
+_FIELD_FAULTS = {"length": ["0", "-1", 0, -2, "1/0", 1.5, "x"],
+                 "offset": ["-1/2", "9/2", 9, "1/0", 0.5, True],
+                 "weight": [-1, 1.5, True, "1"],
+                 "mult": [True, 1.5, "1", None],
+                 "id": ["", 1, None, "v0", "e0"]}
+
+
+def _places(node):
+    """Every (container, key) of a JSON tree, the containers themselves
+    included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from _places(child)
+
+
+@st.composite
+def parse_documents(draw):
+    """A curve document and a divisor document on it, well formed: 1-3
+    vertices, weights given or left out, loops and parallel edges, lengths
+    as strings and ints, chips at vertices (both spellings) and at offsets
+    0..ℓ of edges.  Then up to three changes, each one replacing, deleting,
+    repeating or appending an entry anywhere in the two documents."""
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    vertices = [{"id": v, "weight": draw(st.integers(0, 2))}
+                if draw(st.booleans()) else {"id": v} for v in vs]
+    ends = [[vs[draw(st.integers(0, i - 1))], vs[i]] for i in range(1, n)]
+    ends += draw(st.lists(st.lists(st.sampled_from(vs), min_size=2,
+                                   max_size=2), max_size=2))
+    edges = [{"id": f"e{i}", "ends": uv,
+              "length": draw(st.sampled_from(["1", "2", "1/2", "3/4", 1, 3]))}
+             for i, uv in enumerate(ends)]
+    spots = [{"vertex": v} for v in vs] + vs + [
+        {"edge": e["id"], "offset": frac_str(F(e["length"]) * j / 4)}
+        for e in edges for j in range(5)]
+    chips = [{"at": copy.deepcopy(draw(st.sampled_from(spots))),
+              "mult": draw(st.integers(-2, 2))}
+             for _ in range(draw(st.integers(0, 4)))]
+    doc = {"curve": {"vertices": vertices, "edges": edges},
+           "divisor": {"chips": chips}}
+    for _ in range(draw(st.integers(0, 3))):
+        places = [(node, key) for node, key in _places(doc) if node is not doc]
+        fields = [(node, key) for node, key in places if key in _FIELD_FAULTS]
+        if fields and draw(st.booleans()):
+            node, key = draw(st.sampled_from(fields))
+            how, pool = "replace", _FIELD_FAULTS[key]
+        else:
+            node, key = draw(st.sampled_from(places))
+            how = draw(st.sampled_from(["replace", "delete", "repeat",
+                                        "append"]))
+            pool = _FAULTS
+        fault = copy.deepcopy(draw(st.sampled_from(pool)))
+        if how == "replace":
+            node[key] = fault
+        elif how == "delete":
+            del node[key]
+        elif isinstance(node, list):
+            node.append(copy.deepcopy(node[key]) if how == "repeat" else fault)
+    return doc["curve"], doc["divisor"]
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return read(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(docs=parse_documents())
+# several faults: the first one the two passes meet is the one raised
+@example(docs=({"vertices": [{"id": "a"}, {"id": "a"}],
+                "edges": [{"id": "e", "ends": ["a", "a"], "length": "x"}]},
+               {}))
+@example(docs=({"vertices": [], "edges": [{"id": "e", "ends": ["a"],
+                                           "length": "1"}]}, {}))
+@example(docs=({"vertices": [{"id": "a", "weight": -1}, {"id": ""}],
+                "edges": [{"id": "e", "ends": ["a", "b", "c"],
+                           "length": "0"}]}, {}))
+@example(docs=({"vertices": [{"id": "a"}, {"id": "b"}],
+                "edges": [{"id": "e", "ends": ["a", "b"], "length": "1"},
+                          {"id": "e", "ends": ["a"], "length": "-1"},
+                          {"id": "f", "ends": ["a", "z"], "length": 1.5}]},
+               {}))
+@example(docs=({"vertices": [{"id": "a"}, {"id": "b"}], "edges": []}, {}))
+@example(docs=({"vertices": [{"id": "a"}],
+                "edges": [{"id": "l", "ends": ["a", "a"], "length": "2"}]},
+               {"chips": [{"at": {"edge": "l", "offset": "2"}, "mult": 1},
+                          {"at": "a", "mult": -1},
+                          {"at": {"edge": "l", "offset": "3"}, "mult": True}]}))
+def test_one_pass_reads_as_two_passes(docs):
+    """`curve_from_json` and `divisor_from_json` give what reading every
+    field first and then calling the public constructors gives
+    (`oracles.two_pass_curve`, `oracles.two_pass_divisor`): the same curve,
+    with its vertices, edges and adjacency in the same order, and the same
+    divisor; or the same exception type and message."""
+    cdoc, ddoc = docs
+    c, fault = _outcome(curve_from_json, cdoc)
+    want, want_fault = _outcome(two_pass_curve, cdoc)
+    assert fault == want_fault
+    if fault:
+        return
+    assert c == want
+    assert (c.vertices(), c.edges()) == (want.vertices(), want.edges())
+    assert all(c.incident(v) == want.incident(v) for v in c.vertices())
+    D, fault = _outcome(divisor_from_json, ddoc, c)
+    want_D, want_fault = _outcome(two_pass_divisor, ddoc, want)
+    assert fault == want_fault
+    if not fault:
+        assert D == want_D and D.items() == want_D.items()

@@ -108,6 +108,31 @@ def test_push_moves_chips_to_dominate():
     assert all(checks.values()), checks
 
 
+def test_push_checks_only_the_points_it_makes(monkeypatch):
+    """One push on a dumbbell passes through `TropicalCurve.point` only the
+    points it makes: the three boundary points of the neighborhood and
+    the far end of the one descent step.  The chips of D, E and E*, the
+    base point of the reduction, the model's marks and the points where
+    the witness is read are canonical already."""
+    c = dumbbell(bar=3)
+    D = Divisor(c, [("x", 1), ("y", 1)])
+    lam = Subcurve(c, whole_edges=["l1"])
+    E = Divisor(c, [(c.point("l1", F(1, 2)), 1)])
+    calls = []
+    point = TropicalCurve.point
+
+    def counted(self, *args):
+        calls.append(args)
+        return point(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "point", counted)
+    res = push_single(c, D, lam, E, rank_checked=True)
+    assert len(calls) == 4, calls
+    monkeypatch.undo()
+    checks = check_push(c, D, lam, E, res)
+    assert all(checks.values()), checks
+
+
 def test_push_respects_rank_precondition():
     c = circle_with_tail()
     D = Divisor(c, [("z", 1)])
