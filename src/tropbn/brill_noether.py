@@ -15,6 +15,14 @@ g = b1 + Σ w(v) the weighted genus.  So when d - g >= r every effective
 divisor of degree d already has rank at least r, every E extends, and
 rho = d - r exactly, at every resolution N.
 
+A second case needs no F search.  On a pure curve Riemann-Roch
+(Baker-Norine, arXiv:math/0608360) makes rank(D) >= r = d - g + 1 exactly
+when K - D is effective.  So for d <= 2g - 2, E extends exactly when K - E
+is equivalent to an effective divisor (of degree 2g - 2 - |E|; any part of
+degree d - |E| is an F, on the lattice or off it): one reduction per E.  As
+rank(K) = g - 1, the value is at least 2g - 2 - d, the metric one.  Weighted
+curves keep the F search: there K - E may need chips on the virtual loops.
+
 Two experiment drivers walk one-parameter families Gamma_{s_i} -> Gamma_s
 in which the lengths on a fixed edge set shrink geometrically to zero, with
 one walker that evaluates a value on each step and on the limit: the
@@ -43,7 +51,7 @@ from .curve import (
     rescale,
 )
 from .divisor import Divisor, _point_key, pushforward
-from .rank import _RankEngine, rank_weighted
+from .rank import _RankEngine, canonical, rank_weighted
 
 
 @dataclass(frozen=True)
@@ -73,12 +81,15 @@ def wdr_member(curve: TropicalCurve, D: Divisor, r: int) -> bool:
 
 
 class _BNEngine:
-    """Shared rank memo over the lattice of the underlying pure curve.
+    """Extension tests over the lattice of the underlying pure curve.
 
     E and its extensions live on the lattice of the curve itself —
     vertices plus N - 1 equispaced interior points per (real) edge —
-    while ranks are taken on the loop presentation.  Extension queries
-    are deduplicated by the q-reduced form of their class.
+    while ranks are taken on the loop presentation.  `_class_ok` hands
+    the rank engine the q-reduced form of each class, which keys its
+    memo, so the rank memo answers a class that comes back.  `canonical`
+    is K as a lattice vector in the Riemann-Roch case of the module
+    docstring (pure, r = d - g + 1 <= g - 1), where it decides each E.
     """
 
     def __init__(self, curve: TropicalCurve, query: BNQuery):
@@ -92,24 +103,26 @@ class _BNEngine:
             for j in range(1, query.resolution):
                 pts.append(Point(edge=e, offset=ell * j / query.resolution))
         pts.sort(key=_point_key)
-        self.points = pts
         self.engine = _RankEngine(gamma, marks=pts)
         self.lattice = [self.engine.model.vertex_index(p) for p in pts]
-        self._ok: Dict[tuple, bool] = {}
+        g = genus(curve)
+        self.canonical = None
+        if not curve.total_weight() and self.r == self.d - g + 1 <= g - 1:
+            self.canonical = self.engine.model.divisor_vector(canonical(curve))
 
     def _class_ok(self, vec: List[int]) -> bool:
         red, _ = self.engine.model.reduce_vector(vec, self.engine.q)
-        key = tuple(red)
-        hit = self._ok.get(key)
-        if hit is None:
-            hit = self.engine.rank_at_least(key, self.r)
-            self._ok[key] = hit
-        return hit
+        return self.engine.rank_at_least(tuple(red), self.r)
 
     def extendable(self, combo: Tuple[int, ...]) -> bool:
-        """Some effective lattice F of degree d - |E| gives rank(E+F) >= r."""
-        n = self.engine.model.n
-        base = [0] * n
+        """Some effective F of degree d - |E| gives rank(E+F) >= r; F is
+        on the lattice unless Riemann-Roch decides."""
+        if self.canonical is not None:
+            vec = list(self.canonical)
+            for i in combo:
+                vec[i] -= 1
+            return self.engine.model.effective_class(vec, self.engine.q)
+        base = [0] * self.engine.model.n
         for i in combo:
             base[i] += 1
         k = self.d - len(combo)
@@ -178,8 +191,9 @@ def bn_rank(curve: TropicalCurve, query: BNQuery) -> int:
     the grid can only raise it (fewer E to extend).  F is searched on the
     same grid only, so it can fall below the metric value: with mixed edge
     lengths the extension that exists may sit off the grid, and -1 can come
-    back although some class of degree d has rank r.  The Riemann-Roch
-    case of the module docstring, d - g >= r, is exact at every N.
+    back although some class of degree d has rank r.  The two Riemann-Roch
+    cases of the module docstring search no F and are at least the metric
+    value.
     """
     return bn_rank_detail(curve, query).rho
 

@@ -18,7 +18,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from io import StringIO
 from typing import Dict, Optional, Sequence
@@ -155,35 +154,6 @@ def _emit(payload: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-# -- run report --------------------------------------------------------------
-
-
-@dataclass
-class RunReport:
-    """Self-contained record of one CLI run; equal inputs produce
-    byte-identical output."""
-
-    command: str
-    inputs: Dict[str, str]
-    results: dict
-    version: str = __version__
-    parameters: Dict[str, object] = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "results": self.results,
-            "version": self.version,
-        }
-
-    @property
-    def passed(self) -> bool:
-        checks = self.results.get("checks", [])
-        return all(c["pass"] for c in checks)
 
 
 # -- selftest checks ---------------------------------------------------------
@@ -358,8 +328,9 @@ _CHECKS = [
 
 
 def selftest(filter: Optional[str] = None, inject_fault: Optional[str] = None,
-             seed: int = 0) -> RunReport:
-    """Run the embedded consistency suite and report per-check results."""
+             seed: int = 0) -> dict:
+    """Run the embedded consistency suite; returns the report that
+    `tropbn selftest` prints, with one entry per check."""
     checks = []
     for name, fn in _CHECKS:
         if filter and filter not in name:
@@ -382,8 +353,8 @@ def selftest(filter: Optional[str] = None, inject_fault: Optional[str] = None,
         params["filter"] = filter
     if inject_fault:
         params["inject_fault"] = inject_fault
-    return RunReport(command="selftest", inputs={}, results=results,
-                     parameters=params)
+    return {"command": "selftest", "inputs": {}, "parameters": params,
+            "results": results, "version": __version__}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -566,8 +537,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_selftest(args) -> int:
     report = selftest(filter=args.filter, inject_fault=args.inject_fault,
                       seed=args.seed)
-    _emit(report.payload(), args)
-    return 0 if report.passed else 2
+    _emit(report, args)
+    return 2 if report["results"]["counts"]["fail"] else 0
 
 
 # -- parser ------------------------------------------------------------------

@@ -8,6 +8,11 @@ The compiled kernel counts chips in int64 and raises `OverflowError` rather
 than wrap; `reduce_divisor` then reruns the input on `_kernel_py`, whose
 integers are exact, so callers always get the exact answer.  Without the
 extension, `reduce_divisor` is `_kernel_py.reduce_divisor` itself.
+
+Measured payoff of the compiled kernel (2026-10-20, 2 cores, Python
+3.11.7; `perfbench/run.py --workload W --seed 7 --seconds 10 --trace 0`,
+`wall_s` pure over compiled): 1.85x on `rank-rr`, 1.88x on
+`lattice-dumbbell`, and 0.99x on `bn-usc`, which makes no kernel call.
 """
 
 from . import _kernel_py

@@ -182,7 +182,8 @@ class IntegerModel:
     # -- reduction ---------------------------------------------------------
 
     def reduce_vector(self, vec: Sequence[int], qi: int) -> Tuple[List[int], List[int]]:
-        return kernel.reduce_divisor(self.indptr, self.nbrs, list(vec), qi)
+        """(vec reduced at index qi, σ); the kernel only reads vec."""
+        return kernel.reduce_divisor(self.indptr, self.nbrs, vec, qi)
 
     def effective_class(self, vec: Sequence[int], qi: int) -> bool:
         """Whether the class of vec contains an effective divisor."""

@@ -402,32 +402,17 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
 # -- confinement -------------------------------------------------------------
 
 
-@dataclass
-class ConfinementResult:
-    """First confined configuration found, with the falsification log.
-
-    ``divisor`` is None when the search exhausted its budget without a
-    surviving candidate (not a refutation: the certificate is bounded by the
-    lattice, the extra chips and the budget of `confinement_search`).
-    """
-
-    divisor: Optional[Divisor]
-    log: Tuple[dict, ...]
-
-    @property
-    def found(self) -> bool:
-        return self.divisor is not None
-
-
 def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
-                       budget: int = 4000) -> ConfinementResult:
+                       budget: int = 4000) -> Optional[Divisor]:
     """Search for k points of Λ that no equivalent divisor can evacuate.
 
     Candidates are degree-k configurations on the half-step lattice of Λ
     (the model at scale 2); each is attacked by reducing every effective
     extension E (candidate plus at most one outside chip) at every lattice
     basepoint and checking whether the restriction drops below k.  The
-    first survivor is returned.
+    first survivor is returned.  None means the budget of reductions ran
+    out first, which refutes nothing: the certificate is bounded by the
+    lattice, the extra chips and the budget.
     """
     if not _is_int(k) or not _is_int(budget):
         raise ValueError("k and budget must be integers")
@@ -437,8 +422,7 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
     if not (0 <= k <= h):
         raise ValueError(f"k = {k} out of range 0..{h}")
     if k == 0:
-        return ConfinementResult(Divisor.zero(curve),
-                                 ({"candidate": [], "falsified_by": None},))
+        return Divisor.zero(curve)
     model = IntegerModel(curve, marks=lam.boundary_points(), scale=2)
     lam_idx = set(model.indices_in(lam))
     inside = sorted(lam_idx)
@@ -448,42 +432,27 @@ def confinement_search(curve: TropicalCurve, lam: Subcurve, k: int, *,
     # deterministic bounded attack: original vertices plus a lattice stride
     stride = max(1, model.n // 24)
     basepoints = sorted(set(vertex_idx) | set(range(0, model.n, stride)))
-    extra_sites = sorted(set(i for i in vertex_idx if i not in lam_idx)
-                         | set(outside[::max(1, len(outside) // 24)] if outside
-                               else []))
-    log: List[dict] = []
+    extra_sites = sorted({i for i in vertex_idx if i not in lam_idx}
+                         | set(outside[::max(1, len(outside) // 24)]))
     trials = 0
     for combo in itertools.combinations_with_replacement(inside, k):
         candidate = [0] * model.n
         for i in combo:
             candidate[i] += 1
-        verdict = None
-        for extra_deg in (0, 1):
-            for extra in itertools.combinations_with_replacement(extra_sites,
-                                                                 extra_deg):
-                vec = list(candidate)
-                for i in extra:
-                    vec[i] += 1
-                for qi in basepoints:
-                    if trials >= budget:
-                        log.append({"candidate": combo, "falsified_by": None,
-                                    "status": "budget exhausted"})
-                        return ConfinementResult(None, tuple(log))
-                    trials += 1
-                    red, _ = model.reduce_vector(vec, qi)
-                    if sum(red[i] for i in lam_idx) < k:
-                        verdict = {"extra": extra, "basepoint": qi}
-                        break
-                if verdict:
-                    break
-            if verdict:
-                break
-        pts = [model.point_of_index(i) for i in combo]
-        log.append({"candidate": pts, "falsified_by": verdict})
-        if verdict is None:
-            return ConfinementResult(Divisor(curve, [(p, 1) for p in pts]),
-                                     tuple(log))
-    return ConfinementResult(None, tuple(log))
+        # the candidate, then with one more chip at each extra site
+        vecs = itertools.chain([candidate], (
+            candidate[:x] + [candidate[x] + 1] + candidate[x + 1:]
+            for x in extra_sites))
+        for vec, qi in ((vec, qi) for vec in vecs for qi in basepoints):
+            if trials >= budget:
+                return None
+            trials += 1
+            red, _ = model.reduce_vector(vec, qi)
+            if sum(red[i] for i in lam_idx) < k:
+                break   # evacuated
+        else:
+            return Divisor(curve, [(model.point_of_index(i), 1) for i in combo])
+    return None
 
 
 # -- arrangement -------------------------------------------------------------
@@ -508,10 +477,9 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     s = min(r, lam.betti())
     V = Divisor.zero(curve)
     if s > 0:
-        conf = confinement_search(curve, lam, s, budget=budget)
-        if not conf.found:
+        V = confinement_search(curve, lam, s, budget=budget)
+        if V is None:
             raise ValueError("confinement search exhausted its budget")
-        V = conf.divisor
         Vs = star(V)
         red, fV = _reduced_divisor(curve, work - Vs, Vs.support()[0])
         if not red.is_effective():

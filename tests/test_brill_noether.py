@@ -104,12 +104,40 @@ def test_class_ok_reduces_each_class_once():
                               counted(_BNEngine, "_class_ok")), \
             mock.patch.object(_RankEngine, "rank_at_least",
                               counted(_RankEngine, "rank_at_least")):
-        res = bn_rank_detail(k4(), BNQuery(d=4, r=2, resolution=2))
-    assert res.rho == 0
-    assert res.counterexample == Divisor(res.counterexample.curve,
-                                         [("a", 2), ("b", 1)])
+        res = bn_rank_detail(k4(), BNQuery(d=2, r=1, resolution=2))
+    assert res.rho == -1
+    assert res.counterexample == Divisor(res.counterexample.curve, [("a", 1)])
     assert own and engine_inputs
     assert not own.intersection(engine_inputs)
+
+
+def test_rank_memo_answers_a_repeated_class():
+    """A class that `_class_ok` meets again costs one kernel call, its own
+    reduction: the rank engine's memo, keyed by the q-reduced form, answers
+    it, for the same vector and for another vector of the class."""
+    eng = _BNEngine(k4(), BNQuery(d=2, r=1, resolution=2))
+    model = eng.engine.model
+    vec = [0] * model.n
+    vec[model.vertex_index("a")] = vec[model.vertex_index("b")] = 1
+    # fire vertex a once: another vector of the same class
+    a = model.vertex_index("a")
+    fired = list(vec)
+    for j in model.nbrs[model.indptr[a]:model.indptr[a + 1]]:
+        fired[a] -= 1
+        fired[j] += 1
+    real_reduce, calls = kernel.reduce_divisor, []
+
+    def reduce_divisor(*args):
+        calls.append(args)
+        return real_reduce(*args)
+
+    with mock.patch.object(kernel, "reduce_divisor", reduce_divisor):
+        first = eng._class_ok(vec)
+        assert len(calls) > 1   # the reduction, then the rank search
+        for again in (vec, fired):
+            del calls[:]
+            assert eng._class_ok(again) == first
+            assert len(calls) == 1
 
 
 def test_rose_consistency():
@@ -155,9 +183,12 @@ def small_curves(draw):
     return TropicalCurve(weights, edges)
 
 
-def enumerated(curve, query):
-    """The lattice enumeration, run without the Riemann-Roch answers."""
+def enumerated(curve, query, f_search=False):
+    """The lattice enumeration, run without the Riemann-Roch answers of
+    `bn_rank_detail`; with `f_search`, every E is extended by the F search."""
     eng = _BNEngine(curve, query)
+    if f_search:
+        eng.canonical = None
     for level in range(query.d - query.r + 1):
         bad = eng.first_failure(level)
         if bad is not None:
@@ -176,6 +207,109 @@ def test_riemann_roch_answer_matches_enumeration(curve, d, r, resolution):
     assert (res.rho, res.counterexample) == enumerated(curve, query)
     assert (res.rho, res.counterexample) == (d - r, None)
     event(f"weighted={bool(curve.total_weight())}")
+
+
+def chain_of_loops(arcs):
+    """Loop i joins a_i and b_i by arcs of lengths 1 and arcs[i]; bridges
+    b_{i-1}-a_i have length 1."""
+    weights, edges = {}, []
+    for i, ell in enumerate(arcs):
+        weights[f"a{i}"] = weights[f"b{i}"] = 0
+        edges += [(f"u{i}", (f"a{i}", f"b{i}"), 1),
+                  (f"l{i}", (f"a{i}", f"b{i}"), ell)]
+        if i:
+            edges.append((f"br{i}", (f"b{i - 1}", f"a{i}"), 1))
+    return TropicalCurve(weights, edges)
+
+
+@pytest.mark.parametrize("resolution", [1, 2])
+def test_riemann_roch_family_on_a_chain_of_loops(resolution):
+    """With r = d - g + 1 on a pure curve the value is 2g - 2 - d: an
+    extension exists for each E of degree g - 1, off the grid too."""
+    c = chain_of_loops([F(7, 3), F(11, 5), F(13, 4)])
+    assert bn_rank(c, BNQuery(d=4, r=2, resolution=resolution)) == 0
+    assert bn_rank(c, BNQuery(d=3, r=1, resolution=resolution)) == 1
+
+
+def test_riemann_roch_family_on_a_genus_four_chain():
+    c = chain_of_loops([F(7, 3), F(11, 5), F(13, 4), F(17, 6)])
+    assert bn_rank(c, BNQuery(d=5, r=2, resolution=1)) == 1
+
+
+def test_riemann_roch_family_keeps_k4_counterexamples():
+    a2b = Divisor(k4(), [("a", 2), ("b", 1)])
+    for d, r, n, rho in [(4, 2, 2, 0), (3, 1, 3, 1)]:
+        res = bn_rank_detail(k4(), BNQuery(d=d, r=r, resolution=n))
+        assert (res.rho, res.counterexample) == (rho, a2b)
+
+
+def test_riemann_roch_family_stops_at_the_canonical_degree():
+    """Above 2g - 2 no class has rank d - g + 1, although K - E can be
+    effective: on a bouquet of two loops at N = 1 the grid is the vertex v,
+    K = 2v, and for d = 3, r = 2 the only E of degree 2 is K itself."""
+    c = TropicalCurve({"v": 0}, [("x", ("v", "v"), 1), ("y", ("v", "v"), 2)])
+    assert bn_rank(c, BNQuery(d=3, r=2, resolution=1)) == -1
+
+
+@pytest.mark.parametrize("resolution", [1, 2])
+def test_weighted_curves_keep_the_f_search(resolution):
+    """A weighted curve with r = d - g + 1 is outside the Riemann-Roch
+    family: its E and F live on the metric graph, while K - E may need
+    chips on the virtual loops."""
+    c = TropicalCurve({"v0": 0, "v1": 1},
+                      [("e0", ("v0", "v1"), 1), ("e1", ("v0", "v0"), 1),
+                       ("e2", ("v1", "v0"), F(1, 2))])
+    query = BNQuery(d=4, r=2, resolution=resolution)
+    res = bn_rank_detail(c, query)
+    assert (res.rho, res.counterexample) == enumerated(c, query, f_search=True)
+    if resolution == 1:   # the counterexample lives on the loop presentation
+        assert res.rho == 0
+        assert res.counterexample == Divisor(res.counterexample.curve,
+                                             [("v0", 3)])
+
+
+@st.composite
+def pure_curves(draw, lengths):
+    """Pure curves of genus 2 or 3: 1-3 vertices on a path and g more
+    edges (loops allowed), with lengths drawn from `lengths`."""
+    n = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(n)]
+    ends = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+    ends += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)),
+                          min_size=2, max_size=3))
+    edges = [(f"e{i}", uv, draw(lengths)) for i, uv in enumerate(ends)]
+    return TropicalCurve({v: 0 for v in vs}, edges)
+
+
+MIXED = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(5, 3),
+                         F(3, 4)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(curve=pure_curves(MIXED), data=st.data())
+def test_riemann_roch_family_reaches_the_metric_value(curve, data):
+    """For r = d - g + 1 and d <= 2g - 2 the answer is at least 2g - 2 - d
+    at N = 1 and 2, whatever the edge lengths."""
+    g = curve.betti()
+    d = data.draw(st.integers(g, 2 * g - 2), label="d")
+    for resolution in (1, 2):
+        got = bn_rank(curve, BNQuery(d=d, r=d - g + 1, resolution=resolution))
+        assert got >= 2 * g - 2 - d, (d, resolution, got)
+    event(f"g={g}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve=pure_curves(st.just(F(1))), data=st.data())
+def test_riemann_roch_family_matches_the_f_search_on_unit_lengths(curve, data):
+    """On unit lengths at N = 2 the one-reduction test gives the F search's
+    answer and counterexample (measured, not proven)."""
+    g = curve.betti()
+    d = data.draw(st.integers(g, 2 * g - 2), label="d")
+    query = BNQuery(d=d, r=d - g + 1, resolution=2)
+    res = bn_rank_detail(curve, query)
+    assert (res.rho, res.counterexample) == enumerated(curve, query,
+                                                       f_search=True)
+    event(f"g={g}")
 
 
 def test_monotone_in_r():

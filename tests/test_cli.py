@@ -181,6 +181,22 @@ def test_transport_push(files, capsys):
     assert payload["operation"] == "push"
 
 
+def test_transport_arrange_refuses_when_the_budget_runs_out(files, capsys):
+    """A confinement search that runs out of budget is a domain error."""
+    c = TropicalCurve({"u": 0, "v": 0, "z": 0},
+                      [("e1", ("u", "v"), 1), ("e2", ("u", "v"), 1),
+                       ("e3", ("u", "v"), 2), ("t", ("u", "z"), 1)])
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [("u", 2), ("v", 2)])))
+    sf = files("sub.json", subcurve_to_json(
+        Subcurve(c, whole_edges=["e1", "e2", "e3"])))
+    code, out, err = run(capsys, "transport", "arrange", "--curve", cf,
+                         "--divisor", df, "--subcurves", sf, "--targets", "2",
+                         "--budget", "1")
+    assert code == 1 and out == ""
+    assert err == "error: confinement search exhausted its budget\n"
+
+
 def test_transport_dilute_finds_f(files, capsys):
     c = path3()
     cf = files("c.json", curve_to_json(c))

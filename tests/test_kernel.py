@@ -152,6 +152,17 @@ def test_backends_agree(compiled):
         assert list(sig_c) == list(sig_p)
 
 
+def test_kernels_only_read_div(kernel_backend):
+    """`IntegerModel.reduce_vector` hands its vector to the kernel as it is,
+    so neither kernel may write into `div`, a list or a tuple."""
+    for indptr, nbrs, div, q in backend_cases():
+        want = kernel_backend.reduce_divisor(indptr, nbrs, list(div), q)
+        for arg in (list(div), tuple(div)):
+            got = kernel_backend.reduce_divisor(indptr, nbrs, arg, q)
+            assert list(arg) == div
+            assert [list(x) for x in got] == [list(x) for x in want]
+
+
 def corridor_cases(seed=103, trials=12):
     """Two cycles joined by a long path, with chips on both cycles.
 

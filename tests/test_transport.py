@@ -42,6 +42,12 @@ def circle_with_tail():
                           ("t", ("u", "z"), 1)])
 
 
+def theta_with_tail():
+    return TropicalCurve({"u": 0, "v": 0, "z": 0},
+                         [("e1", ("u", "v"), 1), ("e2", ("u", "v"), 1),
+                          ("e3", ("u", "v"), 2), ("t", ("u", "z"), 1)])
+
+
 def test_slope_bound_check():
     c = path(1, 1)
     assert slope_bound_check(PLFunction.constant(c), 0)
@@ -239,22 +245,19 @@ def test_dilute_radius_caps_stubs():
 def test_confinement_on_cycle():
     c = circle_with_tail()
     lam = Subcurve(c, whole_edges=["c1", "c2"])
-    conf = confinement_search(c, lam, 1)
-    assert conf.found
-    V = conf.divisor
-    assert V.degree() == 1
+    V = confinement_search(c, lam, 1)
     # a cycle point is confined iff it cannot slide to the tail: V - u must
     # have no effective representative
     assert rank_weighted(c, V - Divisor(c, [("u", 1)])) == -1
-    falsified = [entry for entry in conf.log
-                 if entry["falsified_by"] is not None]
-    assert falsified   # the attachment vertex u is evacuated through the tail
+    # the first candidate, the attachment vertex u, is evacuated through
+    # the tail, so the search returns the next one
+    assert V == Divisor(c, [("b", 1)])
 
 
 def test_confinement_k0_and_range():
     c = circle_with_tail()
     lam = Subcurve(c, whole_edges=["c1", "c2"])
-    assert confinement_search(c, lam, 0).found
+    assert confinement_search(c, lam, 0) == Divisor.zero(c)
     with pytest.raises(ValueError, match="out of range"):
         confinement_search(c, lam, 2)
 
@@ -284,16 +287,30 @@ def test_subcurve_of_another_curve_is_refused():
 def test_confinement_pair_on_theta():
     # theta block with a tail: evacuating a pair below degree 2 means the
     # class of V - u is effective, which the search must have ruled out
-    c = TropicalCurve({"u": 0, "v": 0, "z": 0},
-                      [("e1", ("u", "v"), 1), ("e2", ("u", "v"), 1),
-                       ("e3", ("u", "v"), 2), ("t", ("u", "z"), 1)])
+    c = theta_with_tail()
     lam = Subcurve(c, whole_edges=["e1", "e2", "e3"])
-    conf = confinement_search(c, lam, 2, budget=20000)
-    assert conf.found
-    V = conf.divisor
+    V = confinement_search(c, lam, 2, budget=20000)
     assert V.degree() == 2
     assert restrict(V, lam).degree() == 2
     assert rank_weighted(c, V - Divisor(c, [("u", 1)])) == -1
+
+
+def test_confinement_budget_runs_out():
+    c = theta_with_tail()
+    lam = Subcurve(c, whole_edges=["e1", "e2", "e3"])
+    # a survivor must withstand every attack, which takes more than one
+    # reduction; with none, no candidate is tried
+    assert confinement_search(c, lam, 2, budget=1) is None
+    assert confinement_search(c, lam, 1, budget=0) is None
+
+
+def test_arrange_refuses_when_the_budget_runs_out():
+    c = theta_with_tail()
+    lam = Subcurve(c, whole_edges=["e1", "e2", "e3"])
+    D = Divisor(c, [("u", 2), ("v", 2)])
+    assert rank_weighted(c, D) >= 2
+    with pytest.raises(ValueError, match="exhausted its budget"):
+        arrange_multi(c, D, [lam], [2], budget=1)
 
 
 def test_arrange_on_path_endpoints():
