@@ -9,11 +9,15 @@ vertices plus N - 1 equispaced interior points per edge — so every result
 is tagged with its resolution N.  Whether the lattice value stabilises to
 the metric one is recorded as an observation, never asserted.
 
-One case needs no lattice.  Weighted Riemann-Roch (Amini-Caporaso,
+Two cases need no lattice.  Weighted Riemann-Roch (Amini-Caporaso,
 arXiv:1112.5134) gives rank(D) >= deg D - g for every class, with
 g = b1 + Σ w(v) the weighted genus.  So when d - g >= r every effective
 divisor of degree d already has rank at least r, every E extends, and
-rho = d - r exactly, at every resolution N.
+rho = d - r exactly, at every resolution N.  Below that, W^r_d is empty
+when r exceeds the largest rank of a degree-d class: d // 2 for
+d <= 2g - 2 (Clifford, on the loop presentation) and d - g above it
+(Riemann-Roch).  Then no E extends, rho = -1 at every N, and the
+counterexample is the enumeration's first E, r times the least vertex.
 
 A second case needs no F search.  On a pure curve Riemann-Roch
 (Baker-Norine, arXiv:math/0608360) makes rank(D) >= r = d - g + 1 exactly
@@ -80,6 +84,11 @@ def wdr_member(curve: TropicalCurve, D: Divisor, r: int) -> bool:
     return rank_weighted(curve, D) >= r
 
 
+def _loop_presentation(curve: TropicalCurve) -> TropicalCurve:
+    """The pure curve whose ranks are the weighted ranks of `curve`."""
+    return attach_loops(curve, 1) if curve.total_weight() else curve
+
+
 class _BNEngine:
     """Extension tests over the lattice of the underlying pure curve.
 
@@ -95,8 +104,7 @@ class _BNEngine:
     def __init__(self, curve: TropicalCurve, query: BNQuery):
         self.d = query.d
         self.r = query.r
-        gamma = attach_loops(curve, 1) if curve.total_weight() else curve
-        self.gamma = gamma
+        self.gamma = gamma = _loop_presentation(curve)
         pts = [Point(vertex=v) for v in curve.vertices()]
         for e in curve.edges():
             ell = curve.length(e)
@@ -169,6 +177,13 @@ def bn_rank_detail(curve: TropicalCurve, query: BNQuery) -> BNResult:
     if d - g >= r:
         # Riemann-Roch: every E of degree d already has rank >= d - g >= r
         return BNResult(d - r, query.resolution, None)
+    if r > (d // 2 if d <= 2 * g - 2 else d - g):
+        # W^r_d is empty (Clifford, or Riemann-Roch above 2g - 2): no E
+        # extends, so the first E of the enumeration, r times the least
+        # vertex, stops it
+        return BNResult(-1, query.resolution,
+                        Divisor(_loop_presentation(curve),
+                                [(min(curve.vertices()), r)]))
     eng = _BNEngine(curve, query)
     rho = -1
     counter = None
@@ -193,7 +208,7 @@ def bn_rank(curve: TropicalCurve, query: BNQuery) -> int:
     lengths the extension that exists may sit off the grid, and -1 can come
     back although some class of degree d has rank r.  The two Riemann-Roch
     cases of the module docstring search no F and are at least the metric
-    value.
+    value; the empty W^r_d case builds no lattice and is exact.
     """
     return bn_rank_detail(curve, query).rho
 

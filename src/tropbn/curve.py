@@ -329,11 +329,6 @@ class TropicalCurve:
             p = self._vpoints[v] = Point(vertex=v)
         return p
 
-    def point_weight(self, p: Point) -> int:
-        """Vertex weight at p; interior points weigh 0."""
-        p = self.point(p)
-        return self._weights[p.vertex] if p.is_vertex else 0
-
     # -- metric ----------------------------------------------------------
 
     def vertex_distances(self, source: str) -> Dict[str, Fraction]:

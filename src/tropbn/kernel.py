@@ -11,8 +11,9 @@ extension, `reduce_divisor` is `_kernel_py.reduce_divisor` itself.
 
 Measured payoff of the compiled kernel (2026-10-20, 2 cores, Python
 3.11.7; `perfbench/run.py --workload W --seed 7 --seconds 10 --trace 0`,
-`wall_s` pure over compiled): 1.85x on `rank-rr`, 1.88x on
-`lattice-dumbbell`, and 0.99x on `bn-usc`, which makes no kernel call.
+`wall_s` pure over compiled): 1.75x on `rank-rr` (0.616/0.353 s), 1.48x
+on `lattice-dumbbell` (3.46/2.33 ms), and 1.01x on `bn-usc`, which makes
+no kernel call.
 """
 
 from . import _kernel_py

@@ -9,6 +9,16 @@ vertices of the loopless model form a rank-determining set (Luo,
 arXiv:0906.2807).  Firing vectors convert back into piecewise-linear
 witnesses on the original curve.
 
+The loop midpoints serve the rank search only.  A model built with
+``loops=False`` leaves every unmarked loop out, and only reduces: a loop C
+at v that holds no chip and not the basepoint q changes no q-reduced
+form.  Dhar's fire from q burns the rest of the curve, reaches v and burns
+C, which holds no chip; and the witness, extended to C by its value at v,
+has slope 0 into C.  The q-reduced divisor and its witness with f(q) = 0
+are unique (Baker–Norine, arXiv:math/0608360), so the reduction on the
+smaller lattice is the reduction on the curve.  On a dumbbell whose loops
+are one unit long this halves λ and the lattice.
+
 The model is never built as a curve: lattice points are numbered by a fixed
 layout (see `IntegerModel`), and each edge keeps one list, the lattice
 index at each tick, so index ↔ point conversions are integer arithmetic.
@@ -25,10 +35,12 @@ its contraction pass, its fill of σ and its length-n vectors are O(n) per
 call.
 
 `reduced_divisor` and `is_equivalent` are the divisor-level entry points:
-they are the only routes from a `Divisor` to the chip-firing kernel.  The
-rank search, Brill–Noether enumeration and confinement search work on
-lattice vectors through `divisor_vector`, `reduce_vector`,
-`effective_class` and `sigma_to_pl`.
+they are the only routes from a `Divisor` to the chip-firing kernel, and
+they build their models with ``loops=False``.  The rank search,
+Brill–Noether enumeration and confinement search work on lattice vectors
+through `divisor_vector`, `reduce_vector`, `effective_class` and
+`sigma_to_pl`, on models with every loop, since they need the
+rank-determining set or lattice points on loops.
 
 `divisor_vector`, and a model whose marks are a `Divisor`, trust the
 divisor's points: they are canonical on its curve (see `Divisor`), so a
@@ -50,7 +62,9 @@ from . import kernel
 from .curve import Point, Subcurve, TropicalCurve, _is_int
 from .divisor import Divisor, PLFunction
 
-# Largest lattice a model may have.  Under tracemalloc, a cold
+# Largest lattice a model may have, counted on the lattice that is built:
+# a ``loops=False`` model leaves unmarked loops out, so a curve may reduce
+# where its rank search is refused.  Under tracemalloc, a cold
 # `reduced_divisor` with the pure kernel peaks at about 175 bytes a lattice
 # point: 97 for the model (its paths and CSR arrays) and 76 for the
 # kernel's vectors in and out, so this is about 350 MB.  The kernel's
@@ -68,45 +82,56 @@ class IntegerModel:
     support is the marks, taken as they are (its points are canonical).
     scale: a positive integer that multiplies λ, refining the lattice;
     `transport.confinement_search` searches the lattice at scale 2.
+    loops: with False, every loop without interior marks is left out: it
+    has no midpoint stop, adds nothing to λ, and has no path and no CSR
+    entries, so its points are not lattice points.  Such a model serves
+    reductions whose divisor and basepoint are marks (see the module
+    docstring); ranks need the default.
 
     The stops of an edge are its interior marks, merged and ascending, or
-    its midpoint when it is a loop without interior marks.  A piece runs
-    between consecutive stops (or an endpoint); λ is ``scale`` times the lcm
-    of the denominators of all piece lengths, so every stop is a lattice
-    point.  The stop offsets are partial sums of the piece lengths, so that
-    lcm is also the lcm of the stop offsets' denominators, which is how λ is
-    computed; a stop at offset a/b is then the integer tick a·(λ/b).
-    Lattice points are numbered in this order:
+    its midpoint when it is a loop without interior marks and ``loops`` is
+    True.  A piece runs between consecutive stops (or an endpoint); λ is
+    ``scale`` times the lcm of the denominators of all piece lengths, so
+    every stop is a lattice point.  The stop offsets are partial sums of the
+    piece lengths, so that lcm is also the lcm of the stop offsets'
+    denominators, which is how λ is computed; a stop at offset a/b is then
+    the integer tick a·(λ/b).  Lattice points are numbered in this order:
 
     1. the curve's vertices, in curve order;
     2. the interior marks, edge by edge in curve order, offsets ascending;
-    3. the midpoint of each loop without interior marks, in edge order;
+    3. the midpoint of each loop without interior marks, in edge order
+       (only with ``loops``);
     4. all other lattice points, edge by edge, then piece by piece, with
        offsets t/λ ascending.
 
-    Indices of the first three groups are ``split_indices``: the vertices of
-    the loopless model.  The graph joins points 1/λ apart along an edge; the
-    CSR arrays ``indptr``/``nbrs`` list each point's neighbours in the order
-    in which a walk over the edges (curve order, each from its first end to
-    its second) meets the unit steps.  A model of more than
-    ``MAX_LATTICE_POINTS`` points raises ``ValueError`` before it allocates.
+    Indices of the first three groups are ``split_indices``: with ``loops``,
+    the vertices of the loopless model.  The graph joins points 1/λ apart
+    along an edge that is kept; the CSR arrays ``indptr``/``nbrs`` list each
+    point's neighbours in the order in which a walk over the kept edges
+    (curve order, each from its first end to its second) meets the unit
+    steps.  A model of more than ``MAX_LATTICE_POINTS`` points raises
+    ``ValueError`` before it allocates.
 
-    The lattice depends only on ``scale`` and the set of interior cuts
-    (edge, offset) that the marks make; vertex marks do not change it.  The
-    curve keeps the last lattice built on it in one slot,
-    ``TropicalCurve._lattice_slot``, as (key, fields) with that pair as the
-    key, so a model built again on the same curve object and cuts, as the
-    Riemann–Roch pair rank(D), rank(K − D) does, copies the stored fields
-    instead of rebuilding them.  A model with another key empties the slot
-    before it builds and then takes it over, so a curve never holds two
-    lattices.  The fields are curve-free (``n``, ``lam``, the numbering, the
-    paths, the piece tables and the CSR arrays), so the slot holds no
-    reference back to the curve, a model or a divisor: there is no cycle,
-    and a dropped curve is freed by reference counting.  The stored lists
-    are shared between the models of one key and are never mutated.
+    The lattice depends only on ``scale``, the set of interior cuts
+    (edge, offset) that the marks make, and ``loops``; vertex marks do not
+    change it.  The curve keeps the last lattice built on it in one slot,
+    ``TropicalCurve._lattice_slot``, as (key, fields) with those three as
+    the key, so a model built again on the same curve object and cuts, as
+    the Riemann–Roch pair rank(D), rank(K − D) does, copies the stored
+    fields instead of rebuilding them.  A rank model and a reduction model
+    on one curve have different keys even when their cuts agree: the rank
+    search must not find a lattice without points on a loop.  A model with
+    another key empties the slot before it builds and then takes it over,
+    so a curve never holds two lattices.  The fields are curve-free (``n``,
+    ``lam``, the numbering, the paths, the piece tables and the CSR arrays),
+    so the slot holds no reference back to the curve, a model or a divisor:
+    there is no cycle, and a dropped curve is freed by reference counting.
+    The stored lists are shared between the models of one key and are never
+    mutated.
     """
 
-    def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1):
+    def __init__(self, curve: TropicalCurve, marks=(), scale: int = 1, *,
+                 loops: bool = True):
         if not _is_int(scale) or scale < 1:
             raise ValueError("scale must be a positive integer")
         self.curve = curve
@@ -117,11 +142,12 @@ class IntegerModel:
         else:
             points = map(curve.point, marks)
         cuts = frozenset((p.edge, p.offset) for p in points if not p.is_vertex)
-        key = (scale, cuts)
+        key = (scale, cuts, loops)
         slot = curve._lattice_slot
         if slot is None or slot[0] != key:
             curve._lattice_slot = None   # never hold two lattices at once
-            slot = curve._lattice_slot = (key, _lattice(curve, cuts, scale))
+            fields = _lattice(curve, cuts, scale, loops)
+            slot = curve._lattice_slot = (key, fields)
         self.__dict__.update(slot[1])
 
     # -- conversions -------------------------------------------------------
@@ -204,9 +230,10 @@ class IntegerModel:
         return sorted(out)
 
 
-def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
+def _lattice(curve: TropicalCurve, cuts, scale: int, loops: bool) -> dict:
     """The curve-free fields of an `IntegerModel`: its lattice for the
-    interior cuts, a set of (edge, offset) pairs, at this scale."""
+    interior cuts, a set of (edge, offset) pairs, at this scale, with or
+    without the loops that no cut falls on."""
     verts = curve.vertices()
     vindex = {v: i for i, v in enumerate(verts)}
     offsets_on: Dict[str, List[Fraction]] = {}
@@ -228,8 +255,9 @@ def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
         if e in offsets_on:
             add_stops(e, sorted(offsets_on[e]))
     for e in curve.edges():
-        if e not in layout:
+        if e not in layout and (loops or not curve.is_loop(e)):
             add_stops(e, [curve.length(e) / 2] if curve.is_loop(e) else [])
+    edges = [e for e in curve.edges() if e in layout]
 
     # the stop offsets are the partial sums of the piece lengths, so the lcm
     # of their denominators is that of the piece lengths' denominators
@@ -254,14 +282,14 @@ def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
     # o = 2(|E| + i − |V|), are the points one tick before and after it.
     # A piece's interior points have consecutive indices, so for them each
     # of the two is one strided slice of the path, sharing its ints.
-    nv, n_edges = len(verts), len(curve.edges())
+    nv, n_edges = len(verts), len(edges)
     nbrs = [0] * (2 * (n_edges + n - nv))
     ends: List[List[int]] = [[] for _ in verts]
     paths: Dict[str, List[int]] = {}
     piece_first: List[int] = []
     piece_at: List[Tuple[str, int]] = []
     first = len(stops)
-    for e in curve.edges():
+    for e in edges:
         ticks, nodes = ticks_of[e], layout[e][1]
         path = [nodes[0]]
         for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
@@ -293,7 +321,11 @@ def _lattice(curve: TropicalCurve, cuts, scale: int) -> dict:
 
 
 def reduced_divisor(curve: TropicalCurve, D: Divisor, q) -> Tuple[Divisor, PLFunction]:
-    """q-reduced form of D and witness f with reduced = D + div(f), f(q) = 0."""
+    """q-reduced form of D and witness f with reduced = D + div(f), f(q) = 0.
+
+    The model marks D's support and q, and leaves out the loops that hold
+    neither (``loops=False``), which changes neither answer; f is constant
+    on such a loop.  Its size limit counts the lattice without them."""
     if D.curve != curve:
         raise ValueError("curve mismatch")
     return _reduced_divisor(curve, D, curve.point(q))
@@ -304,9 +336,9 @@ def _reduced_divisor(curve: TropicalCurve, D: Divisor,
     """`reduced_divisor` for a divisor of the curve and a point q that is
     canonical on it: nothing is checked again."""
     # the marks are D's support and q, as a divisor so that the model
-    # takes them as they are
+    # takes them as they are; a loop that holds neither is left out
     marks = Divisor._of_canonical(curve, [(p, 1) for p in [*D._chips, q]])
-    model = IntegerModel(curve, marks=marks)
+    model = IntegerModel(curve, marks=marks, loops=False)
     vec = model.divisor_vector(D)
     red, sigma = model.reduce_vector(vec, model._index(q))
     # L·σ = vec − red, so the witness bends where the two differ
@@ -321,7 +353,8 @@ def is_equivalent(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]
     Returns (True, f) with D1 − D2 = div(f), or (False, None).  D1 ~ D2
     exactly when D1 − D2 reduces to 0 at the first vertex; f is then minus
     the reduction's witness, the one function with divisor D1 − D2 that
-    vanishes there.
+    vanishes there.  That is one `reduced_divisor` call, on the lattice
+    without the loops that hold no chip of D1 − D2.
     """
     if D1.curve != D2.curve:
         raise ValueError("divisors on different curves")

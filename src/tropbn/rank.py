@@ -269,21 +269,22 @@ def rank_weighted_loops(curve: TropicalCurve, D: Divisor, eps) -> int:
 
 def weighted_A_rank(curve: TropicalCurve, D: Divisor, A: Iterable) -> int:
     """Largest r with D - E* ~ effective for every effective E of degree r
-    supported on A (and -1 when D itself has no effective representative)."""
+    supported on A (and -1 when D itself has no effective representative).
+
+    Only reductions are needed, so the model leaves out the loops that hold
+    no mark (see `IntegerModel`)."""
     if D.curve != curve:
         raise ValueError("curve mismatch")
-    pts = []
-    for p in A:
-        p = curve.point(p)
-        if p not in pts:
-            pts.append(p)
-    model = IntegerModel(curve, marks=list(D.support()) + pts)
+    pts = list(dict.fromkeys(map(curve.point, A)))
+    # D's support and the A points, canonical: the model takes them as they are
+    marks = Divisor._of_canonical(curve, [(p, 1) for p in [*D._chips, *pts]])
+    model = IntegerModel(curve, marks=marks, loops=False)
     dvec = model.divisor_vector(D)
     d = D.degree()
     if d < 0 or not model.effective_class(dvec, 0):
         return -1
-    weights = [curve.point_weight(p) for p in pts]
-    idxs = [model.vertex_index(p) for p in pts]
+    weights = [curve.weight(p.vertex) if p.is_vertex else 0 for p in pts]
+    idxs = [model._index(p) for p in pts]
     r = 0
     while r < d:
         ok = True

@@ -20,7 +20,7 @@ from tropbn import (
     wdr_member,
 )
 from tropbn import kernel
-from tropbn.brill_noether import _BNEngine, bn_rank_detail
+from tropbn.brill_noether import BNResult, _BNEngine, bn_rank_detail
 from tropbn.rank import _RankEngine
 
 
@@ -206,6 +206,55 @@ def test_riemann_roch_answer_matches_enumeration(curve, d, r, resolution):
     res = bn_rank_detail(curve, query)
     assert (res.rho, res.counterexample) == enumerated(curve, query)
     assert (res.rho, res.counterexample) == (d - r, None)
+    event(f"weighted={bool(curve.total_weight())}")
+
+
+def first_failure_result(curve, query):
+    """`BNResult` of the enumeration when its first level already fails."""
+    eng = _BNEngine(curve, query)
+    return BNResult(-1, query.resolution, eng.divisor_of(eng.first_failure(0)))
+
+
+@pytest.mark.parametrize("curve, d, r", [
+    (k4(), 3, 2),                                    # Clifford: 2r > d
+    (TropicalCurve({"a": 1, "b": 0},
+                   [("e1", ("a", "b"), 1), ("e2", ("a", "b"), F(1, 2))]), 1, 1),
+    (TropicalCurve({"a": 1, "b": 0},
+                   [("e1", ("a", "b"), 1), ("e2", ("a", "b"), F(1, 2))]), 3, 2),
+], ids=["k4-clifford", "weighted-clifford", "weighted-above-canonical"])
+@pytest.mark.parametrize("resolution", [1, 2])
+def test_empty_brill_noether_locus_is_the_enumerations_answer(curve, d, r,
+                                                              resolution):
+    """Where no class of degree d has rank r, the answer built without a
+    lattice is the one the enumeration finds: rho = -1 and r times the
+    least vertex, on the loop presentation of a weighted curve."""
+    query = BNQuery(d=d, r=r, resolution=resolution)
+    res = bn_rank_detail(curve, query)
+    assert res == first_failure_result(curve, query)
+    assert (res.rho, res.counterexample.degree()) == (-1, r)
+
+
+def test_empty_brill_noether_locus_builds_no_engine():
+    """d - g < r above 2g - 2: every class has rank d - g, so W^r_d is
+    empty whatever d is, and nothing is enumerated."""
+    c = k4()
+    with mock.patch("tropbn.brill_noether._BNEngine",
+                    side_effect=AssertionError("enumerated")):
+        res = bn_rank_detail(c, BNQuery(d=10 ** 6, r=10 ** 6 - 2))
+    assert res == BNResult(-1, 1, Divisor(c, [("a", 10 ** 6 - 2)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(curve=small_curves(), d=st.integers(1, 5), r=st.integers(1, 3),
+       resolution=st.integers(1, 2))
+def test_empty_brill_noether_locus_matches_enumeration(curve, d, r, resolution):
+    """Where r exceeds d // 2 (d <= 2g - 2) or d - g (above), the answer is
+    the enumeration's, counterexample included."""
+    g = curve.betti() + curve.total_weight()
+    assume(d >= r > (d // 2 if d <= 2 * g - 2 else d - g))
+    query = BNQuery(d=d, r=r, resolution=resolution)
+    res = bn_rank_detail(curve, query)
+    assert (res.rho, res.counterexample) == enumerated(curve, query)
     event(f"weighted={bool(curve.total_weight())}")
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropbn import Divisor, Subcurve, TropicalCurve
-from tropbn import cli
+from tropbn import cli, models
 from tropbn.cli import main
 from tropbn.io import (canonical_dumps, curve_to_json, divisor_from_json,
                        divisor_to_json, subcurve_to_json)
@@ -251,11 +251,15 @@ def test_bn_rank_cli(files, capsys):
                        "-N", "2")
     assert code == 0
     assert json.loads(out) == {"rho": 1, "N": 2}
+    # W^1_1 is empty on the circle: no search, and the bytes of the
+    # enumeration's answer, with its first E as the counterexample
     code, out, _ = run(capsys, "bn-rank", "--curve", cf, "-d", "1", "-r", "1",
                        "-N", "2")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["rho"] == -1 and "counterexample_E" in payload
+    assert out == ('{\n  "N": 2,\n  "counterexample_E": {\n    "chips": [\n'
+                   '      {\n        "at": {\n          "vertex": "a"\n'
+                   '        },\n        "mult": 1\n      }\n    ]\n  },\n'
+                   '  "rho": -1\n}\n')
 
 
 def test_bn_rank_cli_huge_degree_by_riemann_roch(files, capsys):
@@ -543,6 +547,28 @@ def test_reduce_on_oversized_lattice_is_a_domain_error(files):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "lattice points" in proc.stderr
+
+
+def test_reduce_answers_where_rank_is_refused_by_the_size_limit(
+        files, capsys, monkeypatch):
+    """The size limit counts the lattice that is built.  On a dumbbell with
+    unit loops and a bar of 1000, `reduce` leaves the loops out (1001
+    points) and answers under a limit of 1500; `rank` needs the loop
+    midpoints (2003 points) and is refused."""
+    monkeypatch.setattr(models, "MAX_LATTICE_POINTS", 1500)
+    c = TropicalCurve({"x": 0, "y": 0},
+                      [("l1", ("x", "x"), 1), ("l2", ("y", "y"), 1),
+                       ("br", ("x", "y"), 1000)])
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", divisor_to_json(Divisor(c, [("y", 2)])))
+    code, out, _ = run(capsys, "reduce", "--curve", cf, "--divisor", df,
+                       "--basepoint", "x")
+    assert code == 0
+    assert divisor_from_json(json.loads(out)["divisor"], c) \
+        == Divisor(c, [("x", 2)])
+    code, out, err = run(capsys, "rank", "--curve", cf, "--divisor", df)
+    assert (code, out) == (1, "")
+    assert "lattice points" in err and "Traceback" not in err
 
 
 CIRCLE = {"vertices": [{"id": "a"}, {"id": "b"}],

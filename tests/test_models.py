@@ -408,7 +408,9 @@ def test_reduced_divisor_and_equivalence(case):
 @st.composite
 def reduction_cases(draw):
     """A pure curve with at least one loop, D with debts and interior
-    chips, and an interior basepoint q."""
+    chips, and a basepoint q at a vertex or inside an edge.  The bare loops
+    ``b0``, ``b1`` (0-2 of them) hold no chip and not q; other loops may
+    hold none either."""
     n = draw(st.integers(1, 3))
     names = [f"v{i}" for i in range(n)]
     lengths = st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])
@@ -419,25 +421,100 @@ def reduction_cases(draw):
     for j in range(draw(st.integers(0, 2))):
         uv = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
         edges.append((f"x{j}", uv, draw(lengths)))
+    bare = [f"b{j}" for j in range(draw(st.integers(0, 2)))]
+    for b in bare:
+        at = draw(st.sampled_from(names))
+        edges.append((b, (at, at), draw(st.sampled_from([F(1), F(1, 3), F(5, 2)]))))
     c = TropicalCurve({v: 0 for v in names}, edges)
     interior = st.builds(lambda e, k: c.point(e, c.length(e) * k),
-                         st.sampled_from(c.edges()),
+                         st.sampled_from([e for e in c.edges() if e not in bare]),
                          st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3)]))
     points = st.one_of(st.sampled_from(names).map(c.point), interior)
     D = Divisor(c, draw(st.lists(st.tuples(points, st.integers(-3, 3)), max_size=5)))
-    return c, D, draw(interior)
+    return c, D, draw(points)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=reduction_cases())
 def test_witness_is_the_kernels_sigma(case):
-    """The witness that `reduced_divisor` reads from where D and its
-    reduction differ is −σ/λ for the kernel's σ, read at every point."""
+    """`reduced_divisor` reduces on a lattice with no point inside a loop
+    that holds no chip and not q, and answers as the full lattice does:
+    its reduced divisor is the kernel's on the ``loops=True`` model, and
+    its witness is −σ/λ for that model's σ, read at every point."""
     c, D, q = case
     red, f = reduced_divisor(c, D, q)
     assert red == D + f.divisor()
     assert f.value(q) == 0
     marks = list(D.support()) + [q]
+    bare = {e for e in c.edges() if c.is_loop(e)} - {p.edge for p in marks}
+    # the lattice that `reduced_divisor` built, read from the curve's slot
+    key, fields = c._lattice_slot
+    assert key[2] is False
+    small = IntegerModel(c, marks, loops=False)
+    assert small.nbrs is fields["nbrs"]
+    assert bare.isdisjoint(small._paths)
+    assert all(small.point_of_index(i).edge not in bare for i in range(small.n))
     model, ref = IntegerModel(c, marks), ReferenceModel(c, marks)
-    _, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
+    full, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
+    assert red == Divisor(c, [(model.point_of_index(i), m)
+                              for i, m in enumerate(full) if m])
     assert f == ref.pl_from_unit_values(c, [F(-s, ref.lam) for s in sigma])
+
+
+def test_bouquet_without_marks_reduces_on_one_point(kernel_backend):
+    """Every loop of a bouquet is left out: one lattice point, no CSR
+    entries, and both kernels reduce on it."""
+    c = TropicalCurve({"v": 0}, [("a", ("v", "v"), 1), ("b", ("v", "v"), F(1, 3)),
+                                 ("c", ("v", "v"), 2)])
+    model = IntegerModel(c, ["v"], loops=False)
+    assert (model.n, model.lam, model.indptr, model.nbrs) == (1, 1, [0, 0], [])
+    for chips in (3, 0, -2):
+        red, sigma = kernel_backend.reduce_divisor(model.indptr, model.nbrs, [chips], 0)
+        assert (list(red), list(sigma)) == ([chips], [0])
+    red, f = reduced_divisor(c, Divisor(c, [("v", 3)]), "v")
+    assert red == Divisor(c, [("v", 3)]) and f == PLFunction.constant(c)
+
+
+def unit_dumbbell():
+    return TropicalCurve({"x": 0, "y": 0},
+                         [("l1", ("x", "x"), 1), ("l2", ("y", "y"), 1),
+                          ("br", ("x", "y"), 1000)])
+
+
+def test_reduction_lattice_on_the_dumbbell_is_half_the_rank_lattice():
+    """Unit loops need midpoints only for the rank search: the reduction
+    lattice has λ = 1 and n = 2 + 999, the rank lattice λ = 2 and
+    n = 4 + 1999."""
+    c = unit_dumbbell()
+    D = Divisor(c, [("y", 2)])
+    assert reduced_divisor(c, D, "x")[0] == Divisor(c, [("x", 2)])
+    assert (c._lattice_slot[1]["n"], c._lattice_slot[1]["lam"]) == (1001, 1)
+    assert rank_pure(c, D) == 1
+    assert (c._lattice_slot[1]["n"], c._lattice_slot[1]["lam"]) == (2003, 2)
+
+
+def test_slot_keeps_the_reduction_and_rank_lattices_apart():
+    """D = v + (l1 @ 1/2) on the genus-2 rose has rank 0: D − p has no
+    effective representative for p inside l2.  A reduction first leaves l2
+    out of its lattice with the same cuts; the rank search must not reuse
+    that lattice, where it would find no point on l2 and read 1."""
+    c = TropicalCurve({"v": 0}, [("l1", ("v", "v"), 1), ("l2", ("v", "v"), 1)])
+    D = Divisor(c, [("v", 1), (c.point("l1", F(1, 2)), 1)])
+    fresh = twin(c)
+    assert rank_pure(fresh, Divisor(fresh, D.items())) == 0
+    reduced_divisor(c, D, "v")
+    assert rank_pure(c, D) == 0
+    reduced_divisor(c, D, "v")
+    assert rank_weighted(c, D) == 0
+
+
+def test_size_limit_counts_the_lattice_that_is_built(monkeypatch):
+    """With a limit of 1500 points the unit dumbbell reduces (1001 points
+    without its loops) but its rank search (2003 points) is refused."""
+    monkeypatch.setattr(models, "MAX_LATTICE_POINTS", 1500)
+    c = unit_dumbbell()
+    D = Divisor(c, [("y", 2)])
+    assert reduced_divisor(c, D, "x")[0] == Divisor(c, [("x", 2)])
+    assert is_equivalent(D, Divisor(c, [("x", 2)]))[0]
+    with pytest.raises(ValueError, match="lattice points"):
+        rank_pure(c, D)

@@ -225,6 +225,35 @@ def test_a_rank_on_rose():
     assert weighted_A_rank(c, D, ["v"]) == rank_weighted(c, D)
 
 
+def test_a_rank_with_a_bare_loop(monkeypatch):
+    """A on loop l1 and at both vertices, while loop l2 at the weight-1
+    vertex y holds no mark: the model leaves l2 out, the A-rank agrees with
+    `rank_weighted`, and each A point passes through `TropicalCurve.point`
+    once."""
+    c = TropicalCurve({"x": 0, "y": 1},
+                      [("l1", ("x", "x"), 1), ("l2", ("y", "y"), F(3, 2)),
+                       ("br", ("x", "y"), 1)])
+    p, p2 = c.point("l1", F(1, 3)), c.point("l1", F(1, 2))
+    A = ["x", p, p2, "y"]
+    divisors = [canonical(c), Divisor(c, [("y", 3)]), Divisor(c, [("x", 1), (p, 1)]),
+                Divisor(c, [("y", 2)]), Divisor(c, [(p, 2), ("y", -1)]),
+                Divisor(c, [("x", 2), ("y", 1)]), Divisor(c, [(p2, 1), (p, 1)])]
+    want = [rank_weighted(c, D) for D in divisors]
+    calls = []
+    point = TropicalCurve.point
+
+    def counted(self, *args):
+        calls.append(args)
+        return point(self, *args)
+
+    monkeypatch.setattr(TropicalCurve, "point", counted)
+    for D, r in zip(divisors, want):
+        calls.clear()
+        assert weighted_A_rank(c, D, A) == r, D
+        assert len(calls) == len(A)
+        assert "l2" not in c._lattice_slot[1]["_paths"]
+
+
 def test_rank_matches_oracle_spot_checks():
     shapes = [
         (3, [(0, 1), (1, 2), (2, 0), (0, 1)]),
