@@ -1,8 +1,14 @@
 /* Compiled chip-firing kernel on the chain-contracted graph.
 
-   Mirrors `_kernel_py.reduce_divisor` step by step; see that module for
-   the algorithm notes.  Same interface: reduce_divisor(indptr, nbrs, div,
-   q) -> (reduced, sigma), with the same errors.
+   Mirrors `_kernel_py.reduce_divisor` on a CSR graph step by step; see
+   that module for the algorithm notes.  Same interface:
+   reduce_divisor(indptr, nbrs, div, q, *, pieces=None) -> (reduced,
+   sigma), with the same errors.  It takes the keyword-only piece table
+   and ignores it: this kernel always walks the CSR, whose pass is C code,
+   where the pure kernel builds from the pieces to skip a Python loop over
+   the lattice points.  Its debt clearing runs over every level with
+   arrays of length maxlev; the pure one works at event levels only, and
+   both fire the same balls the same number of times.
 
    One pass from q checks connectivity and contracts every maximal run of
    vertices that have degree 2, are not q and hold no chip into one edge of
@@ -702,9 +708,11 @@ fire_round(chains *g, const char *burnt, const i64 *cnt, idx *exits)
 }
 
 static PyObject *
-reduce_divisor(PyObject *self, PyObject *args)
+reduce_divisor(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *indptr_o, *nbrs_o, *div_o, *od, *os, *result = NULL;
+    static char *kwlist[] = {"indptr", "nbrs", "div", "q", "pieces", NULL};
+    PyObject *indptr_o, *nbrs_o, *div_o, *pieces_o = Py_None, *od, *os;
+    PyObject *result = NULL;
     long long q;
     i64 *ip = NULL, *nb = NULL, *div = NULL, *cnt = NULL, *dout = NULL;
     i64 *sout = NULL, base, sa, slope;
@@ -715,8 +723,11 @@ reduce_divisor(PyObject *self, PyObject *args)
 
     (void)self;
     memset(&g, 0, sizeof g);
-    if (!PyArg_ParseTuple(args, "OOOL:reduce_divisor",
-                          &indptr_o, &nbrs_o, &div_o, &q))
+    /* the piece table is accepted and not read: the walk over the CSR
+       below is C code already */
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOL|$O:reduce_divisor",
+                                     kwlist, &indptr_o, &nbrs_o, &div_o, &q,
+                                     &pieces_o))
         return NULL;
     if ((ip = read_ints(indptr_o, "indptr must be a sequence", &n)) == NULL)
         goto done;
@@ -800,10 +811,13 @@ done:
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"reduce_divisor", reduce_divisor, METH_VARARGS,
-     "reduce_divisor(indptr, nbrs, div, q) -> (reduced, sigma)\n\n"
+    {"reduce_divisor", (PyCFunction)(void (*)(void))reduce_divisor,
+     METH_VARARGS | METH_KEYWORDS,
+     "reduce_divisor(indptr, nbrs, div, q, *, pieces=None) -> "
+     "(reduced, sigma)\n\n"
      "q-reduce an integer divisor vector by chip-firing; see "
-     "tropbn._kernel_py.reduce_divisor."},
+     "tropbn._kernel_py.reduce_divisor.  pieces is accepted and ignored: "
+     "this kernel walks the CSR."},
     {NULL, NULL, 0, NULL}
 };
 

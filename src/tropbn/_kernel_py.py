@@ -6,7 +6,10 @@ extension is not built, and reruns an input here when the extension's int64
 arithmetic would overflow: Python integers are exact.  Graphs arrive in CSR
 form: `indptr[v]:indptr[v+1]` slices `nbrs` to the neighbours of v, with
 parallel edges repeated.  Loops are not allowed here — callers split them
-first.
+first.  A caller that knows the graph as stops joined by pieces, as
+`models.IntegerModel` does, also passes that piece table by keyword
+(`reduce_divisor`'s `pieces`); the kernel then builds from it and reads
+nothing of the CSR arrays.
 
 `reduce_divisor` q-reduces by the textbook algorithm on the unit graph: it
 clears the debt outside q by firing balls around q, then runs Dhar's burning
@@ -29,13 +32,18 @@ Dhar's criterion for a q-reduced divisor; that divisor, and sigma with
 sigma[q] == 0, are unique.  `tests/oracles.py` keeps this algorithm on the
 unit graph, walked vertex by vertex, as the reference.
 
-The kernel does not walk the unit graph in each round.  One pass from q
-checks connectivity and contracts every maximal run of vertices that have
-degree 2, are not q and hold no chip into one edge whose length L counts
-its unit steps; every other vertex is a node.  Any vertex that gets chips
-becomes a node by splitting its edge: a deposit of the debt clearing, or
-the landing point c_eps of a corridor.  Chips then sit on nodes only, and
-the contracted graph makes the unit graph's rounds, round for round:
+The kernel does not walk the unit graph in each round.  From a CSR graph,
+one pass from q checks connectivity and contracts every maximal run of
+vertices that have degree 2, are not q and hold no chip into one edge whose
+length L counts its unit steps; every other vertex is a node.  From a piece
+table no pass over the vertices is made: the stops are the nodes and the
+pieces the edges, and a vertex inside a piece that holds a chip or is q is
+made a node by splitting its piece.  A node may then be a vertex of degree
+2 with no chip, which a round treats as the unit graph treats that vertex.
+Any vertex that gets chips becomes a node by splitting its edge: a deposit
+of the debt clearing, or the landing point c_eps of a corridor.  Chips then
+sit on nodes only, and the contracted graph makes the unit graph's rounds,
+round for round:
 
 - the fire crosses a run from a burnt end, so a node's cnt counts its edges
   to burnt nodes, and U is the unburnt nodes and the runs between them;
@@ -48,24 +56,31 @@ the contracted graph makes the unit graph's rounds, round for round:
 
 So after every round d and sigma equal the unit graph's at every vertex,
 and Dhar's criterion argues correctness as above.  A round costs
-O(nodes + edges), whatever the lengths of the runs.  sigma is kept on nodes
-only: on a run, L @ sigma = div - d is 0, so sigma is linear between the
-run's two nodes.  It is filled in once, at the end, and read off that line
-where a corridor lands inside a run.
+O(nodes + edges), whatever the lengths of the runs; the debt clearing
+costs a sort more, since it works only at the levels where a node, a run's
+top or the start of a climb sits.  sigma is kept on nodes only: on a run, L @ sigma =
+div - d is 0, so sigma is linear between the run's two nodes.  It is filled
+in once, at the end, and read off that line where a corridor lands inside a
+run.  What is still O(n) a call is C-level list work: the length-n vectors
+out, and on the piece path one count over div for chips inside pieces.
 
 The contracted graph numbers its nodes densely: `vid` maps a node to its
 vertex, edge e has the half-edges 2e (at its first end) and 2e + 1, `hend`
 maps a half-edge to its node, `adj` lists each node's half-edges, and the
 run of e is `path[estart[e] : estart[e] + elen[e] - 1]`, from its first end
-on.
+on.  From a piece table `path` is `range(n)`: the vertices of a run are
+consecutive.
 """
 
 import heapq
-from bisect import bisect_left
-from itertools import accumulate, count
+from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate, compress, islice
+from operator import eq
 
 BACKEND = "python"
 _MALFORMED = "CSR must list each edge at both ends and have no loops"
+_BAD_PIECES = ("pieces must join two distinct stops each and number every "
+               "other vertex once")
 
 
 def _burn(adj, hend, d, q):
@@ -91,71 +106,21 @@ def _burn(adj, hend, d, q):
 
 
 class _Chains:
-    """The chain-contracted graph of a CSR graph; see the module notes."""
+    """The chain-contracted graph; see the module notes.  Built by `_walk`
+    from a CSR graph or by `_of_pieces` from a piece table."""
 
-    def __init__(self, indptr, nbrs, div, q):
-        self.n = n = len(indptr) - 1
-        vid = [v for v, a, b, x in zip(range(n), indptr, indptr[1:], div)
-               if x or b - a != 2 or v == q]
-        node = [-1] * n
-        for x, v in enumerate(vid):
-            node[v] = x
+    def __init__(self, n, vid, d, hend, elen, estart, path):
+        self.n = n
         self.vid = vid
-        self.d = [div[v] for v in vid]
+        self.d = d
         self.sigma = [0] * len(vid)
+        self.hend = hend
+        self.elen = elen
+        self.estart = estart
+        self.path = path
         self.adj = adj = [[] for _ in vid]
-        self.hend = hend = []
-        self.elen = elen = []
-        self.estart = estart = []
-        self.path = path = []
-        self.q = node[q]
-        # one walk from q checks connectivity and finds each run once: a
-        # direct edge from its end that the walk takes up first, a run from
-        # the end that first walks it
-        seen = bytearray(n)
-        done = bytearray(len(vid))
-        queue = [self.q]
-        seen[q] = 1
-        for a in queue:
-            done[a] = 1
-            u = vid[a]
-            for v in nbrs[indptr[u]:indptr[u + 1]]:
-                b = node[v]
-                start = len(path)
-                if b >= 0:
-                    if done[b]:
-                        continue
-                    length = 1
-                elif seen[v]:
-                    continue
-                else:
-                    prev = u
-                    while b < 0:
-                        if seen[v]:
-                            raise ValueError(_MALFORMED)
-                        seen[v] = 1
-                        path.append(v)
-                        j = indptr[v]
-                        w = nbrs[j]
-                        if w == prev:
-                            w = nbrs[j + 1]
-                        prev, v = v, w
-                        b = node[v]
-                    length = len(path) - start + 1
-                e = len(elen)
-                hend += (a, b)
-                elen.append(length)
-                estart.append(start)
-                adj[a].append(2 * e)
-                adj[b].append(2 * e + 1)
-                if not seen[v]:
-                    seen[v] = 1
-                    queue.append(b)
-        if any(len(hs) > indptr[v + 1] - indptr[v]
-               for v, hs in zip(vid, adj) if hs):
-            raise ValueError(_MALFORMED)
-        if len(queue) + len(path) != n:
-            raise ValueError("graph must be connected")
+        for h, x in enumerate(hend):
+            adj[x].append(h)
 
     def split(self, h, t, chips, sigma):
         """Make the vertex t steps along half-edge h from its node a node.
@@ -214,25 +179,33 @@ class _Chains:
         vertex on a climb owes m_l when ball l has fired, so m_(l-1) >= m_l
         there.  Its chips, m_(l-1) - m_l, are 0 unless m changes at l, so
         chips fall only at such levels and at the top.
+
+        m and S are computed only at the event levels: where a node sits,
+        where a run has its top, and where a climb starts.  That is exact.
+        Every level from 0 to the top holds a vertex, and one at a level
+        with no node and no run's top lies inside a run, on a climb; it
+        holds no chip and owes m_l, so m_(l-1) = m_l.  So between two event
+        levels m is constant and S is linear, and the count of climbing
+        runs changes only at event levels.  The balls fired, their m_j and
+        the splits are those of the loop over every level.
         """
         adj, hend, elen, d = self.adj, self.hend, self.elen, self.d
         lev = self.levels()
         # each run as (edge, first end's level, second end's, the level of
-        # its top, which is (a + b + L) // 2)
+        # its top, which is (a + b + L) // 2); climbs[l]: how many more runs
+        # climb through level l (from l - 1 to l + 1) than through l - 1
         runs = []
+        climbs = {}
         for e, L in enumerate(elen):
             if L > 1:
                 a, b = lev[hend[2 * e]], lev[hend[2 * e + 1]]
-                runs.append((e, a, b, (a + b + L) // 2))
-        maxlev = max([max(lev)] + [top for _, _, _, top in runs])
-        # climbs[l]: how many runs climb through level l, from l - 1 to l + 1
-        climbs = [0] * (maxlev + 2)
-        for _, a, b, top in runs:
-            for lo in (a, b):
-                if top > lo + 1:
-                    climbs[lo + 1] += 1
-                    climbs[top] -= 1
-        climbs = list(accumulate(climbs))
+                top = (a + b + L) // 2
+                runs.append((e, a, b, top))
+                climbs.setdefault(top, 0)
+                for lo in (a, b):
+                    if top > lo + 1:
+                        climbs[lo + 1] = climbs.get(lo + 1, 0) + 1
+                        climbs[top] -= 1
         down = [0] * len(adj)
         up = [0] * len(adj)
         at = {}
@@ -245,30 +218,39 @@ class _Chains:
                 elif lnext > lx:
                     up[x] += 1
             at.setdefault(lx, []).append(x)
-        # ms[j] = m_j; fired[l] = S(l); changes: the levels l with
-        # m_(l-1) != m_l, ascending
-        ms = [0] * (maxlev + 1)
-        fired = [0] * (maxlev + 1)
+        # at each event level l, from the top down: below[l] = m_(l-1),
+        # here[l] = m_l, fired[l] = S(l); changes: the levels l with
+        # m_(l-1) != m_l, ascending.  At the top level m and S are 0, and
+        # no run climbs through it; below it, m_l = m_(u-1) and S(l) =
+        # S(u) + (u - l) m_(u-1) for u the next event level up.
+        below, here, fired = {}, {}, {}
         changes = []
-        mnext = 0
-        for j in range(maxlev - 1, -1, -1):
-            mj = mnext if climbs[j + 1] else 0
-            for x in at.get(j + 1, ()):
-                owe = mnext * up[x] - d[x]
-                if owe > 0:
-                    need = -(-owe // down[x])
-                    if need > mj:
-                        mj = need
-            if mj != mnext:
-                changes.append(j + 1)
-            ms[j] = mnext = mj
-            fired[j] = fired[j + 1] + mj
+        c = m = s = 0   # climbing runs, m_l and S(l) at the level l
+        upper = None
+        for lv in sorted(at.keys() | climbs.keys(), reverse=True):
+            if upper is not None:
+                c -= climbs.get(upper, 0)
+                m = below[upper]
+                s = fired[upper] + (upper - lv) * m
+            here[lv], fired[lv] = m, s
+            if lv:
+                mj = m if c else 0
+                for x in at.get(lv, ()):
+                    owe = m * up[x] - d[x]
+                    if owe > 0:
+                        need = -(-owe // down[x])
+                        if need > mj:
+                            mj = need
+                below[lv] = mj
+                if mj != m:
+                    changes.append(lv)
+            upper = lv
         changes.reverse()
 
         for x, lx in enumerate(lev):
             if lx:
-                d[x] += ms[lx - 1] * down[x]
-            d[x] -= ms[lx] * up[x]
+                d[x] += below[lx] * down[x]
+            d[x] -= here[lx] * up[x]
             self.sigma[x] = fired[lx]
         split = self.split
         for e, a, b, top in runs:
@@ -280,15 +262,15 @@ class _Chains:
                               bisect_left(changes, top)]
             climb_b = changes[bisect_left(changes, b + 1):
                               bisect_left(changes, top)]
-            marks = [(lv - a, ms[lv - 1] - ms[lv], lv) for lv in climb_a]
+            marks = [(lv - a, below[lv] - here[lv], lv) for lv in climb_a]
             if (a + b + L) % 2:
                 # a flat pair at the top: each has one neighbour below
-                marks += [(i, ms[top - 1], top) for i in (steps, steps + 1)
+                marks += [(i, below[top], top) for i in (steps, steps + 1)
                           if 0 < i < L]
             elif 0 < steps < L:
                 # a peak: both neighbours below
-                marks.append((steps, 2 * ms[top - 1], top))
-            marks += [(L + b - lv, ms[lv - 1] - ms[lv], lv)
+                marks.append((steps, 2 * below[top], top))
+            marks += [(L + b - lv, below[lv] - here[lv], lv)
                       for lv in reversed(climb_b)]
             h, offset = 2 * e, 0
             for i, chips, lv in marks:
@@ -340,7 +322,9 @@ class _Chains:
 
     def unit_vectors(self):
         """(d, sigma) on the unit vertices, sigma filled in along the runs
-        and normalized to sigma[q] == 0."""
+        and normalized to sigma[q] == 0.  Each run's sigma is one range;
+        when `path` is the identity (a piece table's numbering) it is
+        written with one slice assignment."""
         n = self.n
         base = self.sigma[self.q]
         sig = [s - base for s in self.sigma]
@@ -354,28 +338,152 @@ class _Chains:
             if L > 1:
                 sa = sig[hend[2 * e]]
                 slope = (sig[hend[2 * e + 1]] - sa) // L
-                for v, s in zip(path[start:start + L - 1],
-                                count(sa + slope, slope)):
-                    sigma[v] = s
+                vals = (range(sa + slope, sa + slope * L, slope) if slope
+                        else [sa] * (L - 1))
+                run = path[start:start + L - 1]
+                if type(run) is range:
+                    sigma[run.start:run.stop] = vals
+                else:
+                    for v, x in zip(run, vals):
+                        sigma[v] = x
         return d, sigma
 
 
-def reduce_divisor(indptr, nbrs, div, q):
+def _walk(indptr, nbrs, div, q):
+    """The contracted graph of a CSR graph, by one walk from q.
+
+    The walk checks connectivity and finds each run once: a direct edge
+    from its end that the walk takes up first, a run from the end that
+    first walks it."""
+    n = len(indptr) - 1
+    vid = [v for v, a, b, x in zip(range(n), indptr, indptr[1:], div)
+           if x or b - a != 2 or v == q]
+    node = [-1] * n
+    for x, v in enumerate(vid):
+        node[v] = x
+    hend, elen, estart, path = [], [], [], []
+    seen = bytearray(n)
+    done = bytearray(len(vid))
+    queue = [node[q]]
+    seen[q] = 1
+    for a in queue:
+        done[a] = 1
+        u = vid[a]
+        for v in nbrs[indptr[u]:indptr[u + 1]]:
+            b = node[v]
+            start = len(path)
+            if b >= 0:
+                if done[b]:
+                    continue
+                length = 1
+            elif seen[v]:
+                continue
+            else:
+                prev = u
+                while b < 0:
+                    if seen[v]:
+                        raise ValueError(_MALFORMED)
+                    seen[v] = 1
+                    path.append(v)
+                    j = indptr[v]
+                    w = nbrs[j]
+                    if w == prev:
+                        w = nbrs[j + 1]
+                    prev, v = v, w
+                    b = node[v]
+                length = len(path) - start + 1
+            hend += (a, b)
+            elen.append(length)
+            estart.append(start)
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(b)
+    g = _Chains(n, vid, [div[v] for v in vid], hend, elen, estart, path)
+    g.q = node[q]
+    if any(len(hs) > indptr[v + 1] - indptr[v]
+           for v, hs in zip(vid, g.adj) if hs):
+        raise ValueError(_MALFORMED)
+    if len(queue) + len(path) != n:
+        raise ValueError("graph must be connected")
+    return g
+
+
+def _of_pieces(n, pieces, div, q):
+    """The contracted graph of a piece table, with no walk over the points.
+
+    The stops are the nodes and the pieces the edges; a chip or q inside a
+    piece becomes a node by `split`, its piece found by bisection on the
+    first interior indices."""
+    ends, lengths, firsts = pieces[:3]
+    stops = firsts[0] if firsts else n
+    sizes = [length - 1 for length in lengths]
+    if (len(ends) != 2 * len(sizes) or min(sizes, default=0) < 0
+            or [*accumulate(sizes, initial=stops)] != [*firsts, n]
+            or min(ends, default=0) < 0 or max(ends, default=0) >= stops
+            or any(map(eq, ends[::2], ends[1::2]))):
+        raise ValueError(_BAD_PIECES)
+    g = _Chains(n, list(range(stops)), list(islice(div, stops)), list(ends),
+                list(lengths), list(firsts), range(n))
+    adj, hend = g.adj, g.hend
+    seen = bytearray(stops)
+    seen[0] = 1
+    queue = [0]
+    for x in queue:
+        for h in adj[x]:
+            y = hend[h ^ 1]
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    if len(queue) != stops:
+        raise ValueError("graph must be connected")
+    g.q = q
+    # the vertices inside pieces with chips: none, most often, which one
+    # count over a copy tells faster than a scan for their indices
+    rest = div[stops:]
+    inner = (list(compress(range(stops, n), rest))
+             if rest.count(0) < len(rest) else [])
+    if q >= stops and not div[q]:
+        insort(inner, q)
+    k = -1
+    for v in inner:
+        j = bisect_right(firsts, v) - 1
+        t = v - firsts[j] + 1   # steps from the piece's first stop
+        if j != k:
+            k, h, at = j, 2 * j, 0
+        h = g.split(h, t - at, div[v], 0)
+        at = t
+        if v == q:
+            g.q = len(g.vid) - 1
+    return g
+
+
+def reduce_divisor(indptr, nbrs, div, q, *, pieces=None):
     """q-reduce an integer divisor vector by chip-firing.
 
     Returns (reduced, sigma) with reduced = div - L @ sigma for the graph
     Laplacian L, sigma normalized so sigma[q] == 0.  The reduced vector is
     non-negative away from q and unburnable from q (Dhar's criterion).
+
+    pieces: the same graph as a piece table, whose first three columns the
+    kernel reads: (ends, lengths, firsts).  Vertices 0 .. S - 1 are the
+    stops; piece k joins stops ends[2k] and ends[2k + 1] by lengths[k] unit
+    steps, and its lengths[k] - 1 interior vertices are numbered firsts[k],
+    firsts[k] + 1, ... from its first stop on, so firsts runs from S up
+    and the pieces number every vertex from S to n - 1 once.  With it the
+    CSR arrays are not read, only len(indptr) for n.
     """
     n = len(indptr) - 1
     if not 0 <= q < n:
         raise ValueError("q out of range")
     if len(div) != n:
         raise ValueError("div needs one entry per vertex")
-    if (min(indptr) < 0 or max(indptr) > len(nbrs)
+    if pieces is not None:
+        g = _of_pieces(n, pieces, div, q)
+    elif (min(indptr) < 0 or max(indptr) > len(nbrs)
             or (nbrs and (min(nbrs) < 0 or max(nbrs) >= n))):
         raise ValueError("CSR index out of range")
-    g = _Chains(indptr, nbrs, div, q)
+    else:
+        g = _walk(indptr, nbrs, div, q)
     if min(g.d[:g.q] + g.d[g.q + 1:], default=0) < 0:
         g.clear_debt()
     while True:

@@ -118,11 +118,13 @@ def point_to_json(p: Point) -> dict:
 
 
 def point_from_json(obj, curve: TropicalCurve) -> Point:
+    """A vertex id, {"vertex": id} or {"edge": id, "offset": rational};
+    an object that names both a vertex and an edge is refused."""
     if isinstance(obj, str):
         return curve.point(obj)
-    if "vertex" in obj:
+    if "vertex" in obj and "edge" not in obj:
         return curve.point(obj["vertex"])
-    if "edge" in obj:
+    if "edge" in obj and "vertex" not in obj:
         return curve.point(obj["edge"], parse_frac(obj["offset"]))
     raise ValueError(f"malformed point JSON: {obj!r}")
 
@@ -139,8 +141,10 @@ def divisor_from_json(obj: dict, curve: TropicalCurve) -> Divisor:
         for c in obj.get("chips", []):
             at = c["at"]
             # vertex chips, the common case, skip point_from_json's dispatch
-            # and plain ints parse_int's call; both give the same results
-            p = (curve.point(at["vertex"]) if type(at) is dict and "vertex" in at
+            # and plain ints parse_int's call; both give the same results.
+            # A point with any other key (an edge too) takes the dispatch.
+            p = (curve.point(at["vertex"])
+                 if type(at) is dict and len(at) == 1 and "vertex" in at
                  else point_from_json(at, curve))
             m = c["mult"]
             if type(m) is not int:

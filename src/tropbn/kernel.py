@@ -9,11 +9,15 @@ than wrap; `reduce_divisor` then reruns the input on `_kernel_py`, whose
 integers are exact, so callers always get the exact answer.  Without the
 extension, `reduce_divisor` is `_kernel_py.reduce_divisor` itself.
 
+The compiled kernel walks the CSR arrays and ignores the keyword-only
+`pieces` table, which the pure kernel builds from (see `_kernel_py`).
+
 Measured payoff of the compiled kernel (2026-10-20, 2 cores, Python
 3.11.7; `perfbench/run.py --workload W --seed 7 --seconds 10 --trace 0`,
-`wall_s` pure over compiled): 1.75x on `rank-rr` (0.616/0.353 s), 1.48x
-on `lattice-dumbbell` (3.46/2.33 ms), and 1.01x on `bn-usc`, which makes
-no kernel call.
+`wall_s` pure over compiled): 1.62x on `rank-rr` (0.572/0.354 s), 1.09x
+on `lattice-dumbbell` (2.62/2.40 ms), since the pure kernel builds from
+the model's piece table, and 1.02x on `bn-usc`, which makes no kernel
+call.
 """
 
 from . import _kernel_py
@@ -24,12 +28,14 @@ except ImportError:
     _kernel = None
 
 
-def _compiled_or_exact(indptr, nbrs, div, q):
-    """The compiled kernel's answer, or the pure kernel's on int64 overflow."""
+def _compiled_or_exact(indptr, nbrs, div, q, *, pieces=None):
+    """The compiled kernel's answer, or the pure kernel's on int64 overflow.
+    The compiled kernel walks the CSR and ignores `pieces`; the pure one
+    reruns on the piece table when there is one."""
     try:
-        return _kernel.reduce_divisor(indptr, nbrs, div, q)
+        return _kernel.reduce_divisor(indptr, nbrs, div, q, pieces=pieces)
     except OverflowError:
-        return _kernel_py.reduce_divisor(indptr, nbrs, div, q)
+        return _kernel_py.reduce_divisor(indptr, nbrs, div, q, pieces=pieces)
 
 
 if _kernel is None:

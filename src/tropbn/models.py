@@ -30,9 +30,15 @@ not per lattice point.  Its O(n) passes are C-level list operations: a
 piece's interior points enter their edge's path as one `range`, and their
 CSR entries are two strided slices of that path; `reduced_divisor` finds
 the chips and the witness's knots with `compress` over the kernel's
-output.  Only the chip-firing kernel walks the lattice point by point:
-its contraction pass, its fill of σ and its length-n vectors are O(n) per
-call.
+output.  The model also keeps its lattice as stops joined by pieces, one
+curve-free table (``pieces``) that `point_of_index` reads and
+`reduce_vector` hands the kernel by keyword.  The pure kernel builds its
+contracted graph from that table, so no reduction walks the lattice in
+Python either: a kernel call's O(n) work is a count over the vector for
+chips inside pieces and the fill of its length-n vectors out, all C-level
+list operations.  The CSR arrays stay for the compiled kernel, whose walk
+over them is C code, and for callers that hand the kernel a graph of their
+own.
 
 `reduced_divisor` and `is_equivalent` are the divisor-level entry points:
 they are the only routes from a `Divisor` to the chip-firing kernel, and
@@ -65,12 +71,13 @@ from .divisor import Divisor, PLFunction
 # Largest lattice a model may have, counted on the lattice that is built:
 # a ``loops=False`` model leaves unmarked loops out, so a curve may reduce
 # where its rank search is refused.  Under tracemalloc, a cold
-# `reduced_divisor` with the pure kernel peaks at about 175 bytes a lattice
-# point: 97 for the model (its paths and CSR arrays) and 76 for the
-# kernel's vectors in and out, so this is about 350 MB.  The kernel's
-# rounds work on runs of points rather than on points, but its vectors
-# still hold one entry per point, and it contracts the lattice in one pass
-# over them; so n still bounds a call's memory and time.
+# `reduced_divisor` with the pure kernel on one edge of 200,000 unit steps
+# peaks at about 169 bytes a lattice point: 97 for the model (its paths and
+# CSR arrays) and 72 for the kernel's vectors in and out, σ's values
+# included, so this is about 340 MB.  The pure kernel builds from the
+# piece table and its rounds work on runs of points, but its vectors still
+# hold one entry per point; so n still bounds a call's memory, and its
+# C-level list work bounds its time.
 MAX_LATTICE_POINTS = 2_000_000
 
 
@@ -112,6 +119,14 @@ class IntegerModel:
     steps.  A model of more than ``MAX_LATTICE_POINTS`` points raises
     ``ValueError`` before it allocates.
 
+    ``pieces`` is the same graph as stops joined by pieces, the piece table
+    ``(ends, lengths, firsts, edges)`` with one entry per piece, edge by
+    edge in that walk's order: its two stops at ``ends[2k]`` and
+    ``ends[2k + 1]``, its length in ticks, the index of its first interior
+    point (the others follow it, from the first stop on) and its edge.
+    `reduce_vector` passes it to the kernel (see
+    `tropbn._kernel_py.reduce_divisor`, which reads the first three).
+
     The lattice depends only on ``scale``, the set of interior cuts
     (edge, offset) that the marks make, and ``loops``; vertex marks do not
     change it.  The curve keeps the last lattice built on it in one slot,
@@ -123,7 +138,7 @@ class IntegerModel:
     search must not find a lattice without points on a loop.  A model with
     another key empties the slot before it builds and then takes it over,
     so a curve never holds two lattices.  The fields are curve-free (``n``,
-    ``lam``, the numbering, the paths, the piece tables and the CSR arrays),
+    ``lam``, the numbering, the paths, the piece table and the CSR arrays),
     so the slot holds no reference back to the curve, a model or a divisor:
     there is no cycle, and a dropped curve is freed by reference counting.
     The stored lists are shared between the models of one key and are never
@@ -171,10 +186,14 @@ class IntegerModel:
             raise IndexError(f"lattice index {i} out of range")
         if i < len(self._stops):
             return self._stops[i]
-        k = bisect_right(self._piece_first, i) - 1
-        e, s = self._piece_at[k]
-        return Point(edge=e, offset=Fraction(s + 1 + i - self._piece_first[k],
-                                             self.lam))
+        # the piece whose interior holds i, and the tick of its first stop:
+        # 0 at the edge's first end, else the stop's offset times λ
+        ends, _, firsts, edges = self.pieces
+        k = bisect_right(firsts, i) - 1
+        a = self._stops[ends[2 * k]]
+        s = 0 if a.is_vertex else int(a.offset * self.lam)
+        return Point(edge=edges[k],
+                     offset=Fraction(s + 1 + i - firsts[k], self.lam))
 
     def divisor_vector(self, D: Divisor) -> List[int]:
         """D as a lattice vector.  D's points are canonical on its curve
@@ -209,7 +228,8 @@ class IntegerModel:
 
     def reduce_vector(self, vec: Sequence[int], qi: int) -> Tuple[List[int], List[int]]:
         """(vec reduced at index qi, σ); the kernel only reads vec."""
-        return kernel.reduce_divisor(self.indptr, self.nbrs, vec, qi)
+        return kernel.reduce_divisor(self.indptr, self.nbrs, vec, qi,
+                                     pieces=self.pieces)
 
     def effective_class(self, vec: Sequence[int], qi: int) -> bool:
         """Whether the class of vec contains an effective divisor."""
@@ -274,29 +294,34 @@ def _lattice(curve: TropicalCurve, cuts, scale: int, loops: bool) -> dict:
                          f"than the limit of {MAX_LATTICE_POINTS}")
 
     # per edge, the lattice index at each tick t (offset t/λ) from its
-    # first end on; plus, for every piece with interior points, its first
-    # index, edge and start tick.  The CSR arrays are filled as the paths
-    # are laid.  Each curve vertex lists, edge by edge, the point one tick
-    # inside the edge from each of its ends.  Every other point i lies
-    # inside one edge and has degree 2: nbrs[o] and nbrs[o + 1], with
-    # o = 2(|E| + i − |V|), are the points one tick before and after it.
+    # first end on; plus the piece table, one row per piece: its two stops,
+    # its length in ticks, its first interior index and its edge.  The CSR
+    # arrays are filled as the paths are laid.  Each curve vertex lists,
+    # edge by edge, the point one tick inside the edge from each of its
+    # ends.  Every other point i lies inside one edge and has degree 2:
+    # nbrs[o] and nbrs[o + 1], with o = 2(|E| + i − |V|), are the points
+    # one tick before and after it.
     # A piece's interior points have consecutive indices, so for them each
     # of the two is one strided slice of the path, sharing its ints.
     nv, n_edges = len(verts), len(edges)
     nbrs = [0] * (2 * (n_edges + n - nv))
     ends: List[List[int]] = [[] for _ in verts]
     paths: Dict[str, List[int]] = {}
+    piece_ends: List[int] = []
+    piece_len: List[int] = []
     piece_first: List[int] = []
-    piece_at: List[Tuple[str, int]] = []
+    piece_edge: List[str] = []
     first = len(stops)
     for e in edges:
         ticks, nodes = ticks_of[e], layout[e][1]
         path = [nodes[0]]
-        for s, t, node in zip(ticks, ticks[1:], nodes[1:]):
+        for s, t, a, node in zip(ticks, ticks[1:], nodes, nodes[1:]):
             c = t - s - 1
+            piece_ends += (a, node)
+            piece_len.append(t - s)
+            piece_first.append(first)
+            piece_edge.append(e)
             if c > 0:
-                piece_first.append(first)
-                piece_at.append((e, s))
                 path += range(first, first + c)
                 path.append(node)
                 o = 2 * (n_edges + first - nv)
@@ -316,7 +341,7 @@ def _lattice(curve: TropicalCurve, cuts, scale: int, loops: bool) -> dict:
     indptr += range(2 * n_edges + 2, len(nbrs) + 1, 2)
     return {"n": n, "lam": lam, "_vindex": vindex, "_stops": stops,
             "split_indices": list(range(len(stops))), "_paths": paths,
-            "_piece_first": piece_first, "_piece_at": piece_at,
+            "pieces": (piece_ends, piece_len, piece_first, piece_edge),
             "indptr": indptr, "nbrs": nbrs}
 
 

@@ -80,10 +80,10 @@ def test_class_ok_reduces_each_class_once():
     inside = {"_class_ok": 0, "rank_at_least": 0}
     real_reduce = kernel.reduce_divisor
 
-    def reduce_divisor(indptr, nbrs, div, q):
+    def reduce_divisor(indptr, nbrs, div, q, **kwargs):
         if inside["rank_at_least"]:
             engine_inputs.append((tuple(div), q))
-        out = real_reduce(indptr, nbrs, div, q)
+        out = real_reduce(indptr, nbrs, div, q, **kwargs)
         if inside["_class_ok"] and not inside["rank_at_least"]:
             own.add((tuple(out[0]), q))
         return out
@@ -127,9 +127,9 @@ def test_rank_memo_answers_a_repeated_class():
         fired[j] += 1
     real_reduce, calls = kernel.reduce_divisor, []
 
-    def reduce_divisor(*args):
+    def reduce_divisor(*args, **kwargs):
         calls.append(args)
-        return real_reduce(*args)
+        return real_reduce(*args, **kwargs)
 
     with mock.patch.object(kernel, "reduce_divisor", reduce_divisor):
         first = eng._class_ok(vec)

@@ -217,7 +217,7 @@ def test_transport_dilute_refuses_negative_k_before_searching(files, capsys,
     no reduction runs."""
     from tropbn import kernel
 
-    def reduce_divisor(*args):
+    def reduce_divisor(*args, **kwargs):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(kernel, "reduce_divisor", reduce_divisor)
@@ -375,6 +375,21 @@ def test_usage_errors(files, capsys, tmp_path):
     cf = files("c.json", curve_to_json(c))
     code, _, err = run(capsys, "rank", "--curve", cf, "--divisor", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["rank"], ["reduce", "--basepoint", "a"]],
+                         ids=["rank", "reduce"])
+def test_point_naming_a_vertex_and_an_edge_is_refused(files, capsys, argv):
+    """A chip at {"vertex": "a", "edge": "e1", "offset": "1/2"} is
+    malformed: the command exits 1 and counts no chip at a."""
+    c = circle()
+    cf = files("c.json", curve_to_json(c))
+    df = files("d.json", {"chips": [{"at": {"vertex": "a", "edge": "e1",
+                                            "offset": "1/2"}, "mult": 1}]})
+    code, out, err = run(capsys, argv[0], "--curve", cf, "--divisor", df,
+                         *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed point JSON")
 
 
 def test_byte_determinism(files, capsys):

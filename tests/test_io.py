@@ -154,6 +154,21 @@ def test_point_round_trip():
         point_from_json({"offset": "1/2"}, c)
 
 
+@pytest.mark.parametrize("at", [{"vertex": "a", "edge": "e1", "offset": "1/2"},
+                                {"vertex": "a", "edge": "e1"}])
+def test_point_naming_a_vertex_and_an_edge_is_refused(at):
+    """Neither the vertex nor the edge point is taken, in a point or in a
+    divisor's chip; a vertex with a key that names no place is read as the
+    vertex, as before."""
+    c = sample_curve()
+    with pytest.raises(ValueError, match="malformed point JSON"):
+        point_from_json(at, c)
+    with pytest.raises(ValueError, match="malformed point JSON"):
+        divisor_from_json({"chips": [{"at": at, "mult": 1}]}, c)
+    assert divisor_from_json({"chips": [{"at": {"vertex": "a", "note": 1},
+                                         "mult": 2}]}, c) == Divisor(c, [("a", 2)])
+
+
 def test_divisor_round_trip():
     c = sample_curve()
     D = Divisor(c, [("a", 2), (c.point("l", F(1, 3)), -1)])

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import (event, example, given, reject, settings,
                         strategies as st)
 
-from tropbn import _kernel_py
+from tropbn import Divisor, TropicalCurve, _kernel_py
 from tropbn import kernel
+from tropbn.models import IntegerModel
 
 import oracles
 
@@ -244,6 +245,65 @@ def assert_rejects_bad_input(reduce_divisor):
     # edge listed at one end only
     with pytest.raises(ValueError, match="CSR must list each edge"):
         reduce_divisor([0, 3, 5, 7], [1, 2, 2, 2, 1, 1, 1], [0, 0, 0], 0)
+
+
+def test_pure_kernel_checks_the_piece_table():
+    """The piece path reads len(indptr) and the table, not the CSR: q and
+    len(div) are checked against n, and the stops and piece sizes must
+    number 0..n-1 once, with every piece between two distinct stops of a
+    connected graph."""
+    reduce_divisor = _kernel_py.reduce_divisor
+    path = ([0, 1], [2], [2])   # stops 0 and 1, joined through vertex 2
+    # CSR arrays of the right length that are never read
+    assert reduce_divisor([0] * 4, [], [0, -1, 1], 0, pieces=path) \
+        == reduce_divisor([0, 1, 2, 4], [2, 2, 0, 1], [0, -1, 1], 0) \
+        == ([0, 0, 0], [0, -1, 0])
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="q out of range"):
+            reduce_divisor([0] * 4, [], [0, 0, 0], q, pieces=path)
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        reduce_divisor([0] * 4, [], [0, 0], 0, pieces=path)
+    for table in (([0, 1], [3], [2]),       # sizes add up to 4, not 3
+                  ([0, 1], [2], [1]),       # first interior index not 2
+                  ([0, 2], [2], [2]),       # stop 2 is an interior vertex
+                  ([0, -1], [2], [2]),
+                  ([0, 0, 0, 1], [1, 2], [2, 2]),   # a loop at stop 0
+                  ([0, 1], [0], [3]),       # a piece of length 0
+                  ([0, 1, 1], [2], [2])):   # half an end pair
+        with pytest.raises(ValueError, match="pieces must"):
+            reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=table)
+    with pytest.raises(ValueError, match="connected"):
+        reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=([0, 1], [1], [3]))
+
+
+def test_pieces_is_a_keyword_only_argument(kernel_backend):
+    """Both kernels take the piece table by keyword only; the compiled
+    one ignores it and walks the CSR."""
+    indptr, nbrs = [0, 1, 2, 4], [2, 2, 0, 1]   # 0 - 2 - 1
+    table = ([0, 1], [2], [2])
+    want = _kernel_py.reduce_divisor(indptr, nbrs, [0, 3, 0], 0)
+    got = kernel_backend.reduce_divisor(indptr, nbrs, [0, 3, 0], 0,
+                                        pieces=table)
+    assert [list(x) for x in got] == [list(x) for x in want]
+    with pytest.raises(TypeError):
+        kernel_backend.reduce_divisor(indptr, nbrs, [0, 3, 0], 0, table)
+
+
+def test_debt_deep_inside_a_long_run(kernel_backend):
+    """A debt 2,345 steps inside a run of 5,000 on a cycle, chips at its
+    far end: both kernels, walking the CSR, give the pure kernel's answer
+    from the piece table, and it is q-reduced with div - L·sigma."""
+    c = TropicalCurve({"a": 0, "b": 0},
+                      [("e", ("a", "b"), 5000), ("f", ("a", "b"), 3)])
+    model = IntegerModel(c, ["a", "b"])
+    vec = model.divisor_vector(Divisor(c, [("b", 4)]))
+    vec[model.vertex_index(c.point("e", 2345))] = -3
+    q = model.vertex_index("a")
+    want = _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q,
+                                     pieces=model.pieces)
+    got = kernel_backend.reduce_divisor(model.indptr, model.nbrs, vec, q)
+    assert [list(x) for x in got] == [list(x) for x in want]
+    check_reduction(model.indptr, model.nbrs, vec, q, *want)
 
 
 def test_compiled_kernel_rejects_bad_input(compiled):

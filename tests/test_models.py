@@ -26,11 +26,13 @@ from tropbn import (Divisor, PLFunction, Point, Subcurve, TropicalCurve,
                     subdivide)
 from tropbn import (canonical, concentrate, models, rank_pure, rank_weighted,
                     rank_weighted_loops, weighted_A_rank)
+from tropbn import _kernel_py, kernel
 from tropbn.brill_noether import wdr_member
 from tropbn.models import IntegerModel
-from tropbn.transport import check_concentrate, check_push, push_single
+from tropbn.transport import (check_concentrate, check_push,
+                              confinement_search, push_single)
 
-from oracles import piece_scale
+from oracles import piece_scale, unit_reduce_divisor
 
 
 class ReferenceModel:
@@ -518,3 +520,66 @@ def test_size_limit_counts_the_lattice_that_is_built(monkeypatch):
     assert is_equivalent(D, Divisor(c, [("x", 2)]))[0]
     with pytest.raises(ValueError, match="lattice points"):
         rank_pure(c, D)
+
+
+@st.composite
+def piece_cases(draw):
+    """A model of a random curve and marks, at scale 1 or 2, with or
+    without its unmarked loops, and a vector on it: chips and debts at
+    stops and inside pieces, and q at a stop or inside a piece."""
+    rng = draw(st.randoms(use_true_random=False))
+    c = random_curve(rng)
+    model = IntegerModel(c, random_marks(rng, c), draw(st.integers(1, 2)),
+                         loops=draw(st.booleans()))
+    spots = st.integers(0, model.n - 1)
+    stops = len(model.split_indices)
+    if model.n > stops:
+        spots = st.integers(stops, model.n - 1) | spots
+    vec = [0] * model.n
+    for i, x in draw(st.lists(st.tuples(spots, st.integers(-3, 3)),
+                              max_size=6)):
+        vec[i] += x
+    return model, vec, draw(spots)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=piece_cases())
+def test_piece_table_reduces_as_the_csr_walk_and_the_unit_oracle(case):
+    """The pure kernel gives the same (reduced, sigma) from the model's
+    piece table as from its CSR arrays, and both are the unit-graph
+    oracle's; `reduce_vector` hands the kernel the table."""
+    model, vec, q = case
+    want = unit_reduce_divisor(model.indptr, model.nbrs, vec, q)
+    assert _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q) == want
+    assert _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q,
+                                     pieces=model.pieces) == want
+    assert [list(x) for x in model.reduce_vector(vec, q)] == list(want)
+
+
+def test_model_reductions_never_walk_the_csr(monkeypatch):
+    """Every model reduction builds the pure kernel's graph from the piece
+    table: with the CSR walk patched to raise, `reduced_divisor` (q inside
+    an edge), `is_equivalent`, `rank_pure` and `confinement_search` give
+    the answers they give without the patch."""
+    c = TropicalCurve({"u": 0, "b": 0, "z": 0},
+                      [("c1", ("u", "b"), 1), ("c2", ("u", "b"), F(3, 2)),
+                       ("t", ("u", "z"), 2)])
+    p = c.point("c2", F(1, 2))
+    D = Divisor(c, [("z", 2), (p, 1), ("b", -1)])
+
+    def answers():
+        red, f = reduced_divisor(c, D, c.point("t", F(1, 3)))
+        return (red, f, is_equivalent(D, red)[0],
+                rank_pure(c, Divisor(c, [("u", 1), (p, 1)])),
+                confinement_search(c, Subcurve(c, whole_edges=["c1", "c2"]), 1))
+
+    want = answers()
+
+    def walk(*args):
+        raise AssertionError("the CSR walk ran")
+
+    monkeypatch.setattr(kernel, "reduce_divisor", _kernel_py.reduce_divisor)
+    monkeypatch.setattr(_kernel_py, "_walk", walk)
+    assert answers() == want
+    with pytest.raises(AssertionError, match="CSR walk"):
+        _kernel_py.reduce_divisor([0, 1, 2], [1, 0], [0, 0], 0)

@@ -532,10 +532,10 @@ def test_search_reductions_carry_no_debt(tmp_path):
     depth = {"_minfail": 0, "rank_vector": 0}
     real_reduce = kernel.reduce_divisor
 
-    def reduce_divisor(indptr, nbrs, div, q):
+    def reduce_divisor(indptr, nbrs, div, q, **kwargs):
         debt = min(div[:q] + div[q + 1:], default=0) < 0
         calls.append((debt, depth["_minfail"] > 0, depth["rank_vector"] > 0))
-        return real_reduce(indptr, nbrs, div, q)
+        return real_reduce(indptr, nbrs, div, q, **kwargs)
 
     def counted(name):
         real = getattr(_RankEngine, name)

@@ -13,7 +13,6 @@ from tropbn import (
     concentrate,
     confinement_search,
     dilute,
-    kernel,
     push_single,
     rank_weighted,
     restrict,
@@ -337,8 +336,6 @@ def test_arrange_validates_inputs():
         arrange_multi(c, D, clash, [1, 1])
 
 
-@pytest.mark.skipif(kernel.BACKEND != "compiled",
-                    reason="large lattice models need the compiled kernel")
 def test_arrange_on_dumbbell_loops():
     # bar longer than twice the concentration radius 1 * (3*4)^4 keeps the
     # two loop neighborhoods disjoint
