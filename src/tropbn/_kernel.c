@@ -1,18 +1,18 @@
 /* Compiled chip-firing kernel on the chain-contracted graph.
 
-   Mirrors `_kernel_py.reduce_divisor` on a CSR graph step by step; see
-   that module for the algorithm notes.  Same interface:
-   reduce_divisor(indptr, nbrs, div, q, *, pieces=None) -> (reduced,
-   sigma), with the same errors.  It takes the keyword-only piece table
-   and ignores it: this kernel always walks the CSR, whose pass is C code,
-   where the pure kernel builds from the pieces to skip a Python loop over
-   the lattice points.  Its debt clearing runs over every level with
-   arrays of length maxlev; the pure one works at event levels only, and
+   Mirrors `_kernel_py.reduce_divisor` step by step; see that module for
+   the algorithm notes.  Same interface: reduce_divisor(div, q, pieces) ->
+   (reduced, sigma), with the same errors; `tropbn.kernel.reduce_divisor`
+   calls it.  Like the pure kernel it builds its contracted graph from the
+   piece table only (`of_pieces`, which mirrors `_kernel_py._of_pieces`
+   and makes the same checks before it allocates anything sized by the
+   table's entries): the stops are the nodes and the pieces the edges, an edge's
+   length its number of unit steps, and a vertex inside a piece that holds
+   a chip or is q becomes a node by splitting its piece.  The one step
+   that differs is the debt clearing: here it runs over every level, with
+   arrays of length maxlev, where the pure one works at event levels only;
    both fire the same balls the same number of times.
 
-   One pass from q checks connectivity and contracts every maximal run of
-   vertices that have degree 2, are not q and hold no chip into one edge of
-   integer length, its number of unit steps; every other vertex is a node.
    A vertex that gets chips becomes a node by splitting its edge: a deposit
    of the debt clearing, or the landing point of a corridor.  The debt
    clearing fires the same balls around q, the same number of times, as on
@@ -25,17 +25,17 @@
    The contracted graph (struct chains) numbers its nodes densely.  Edge e
    has the half-edges 2e (at its first end) and 2e + 1; hend[] gives a
    half-edge's node, and node x lists its half-edges in
-   adjv[adjs[x] .. adjs[x] + adjn[x]).  A node of the input has room for
-   as many half-edges as its degree, a split node for two.  The run of e is
-   path[estart[e] .. estart[e] + elen[e] - 1), from its first end on.
+   adjv[adjs[x] .. adjs[x] + adjn[x]).  A stop has room for as many
+   half-edges as the table gives it ends, a split node for two.  The run
+   of e is the vertices estart[e] .. estart[e] + elen[e] - 2, from its
+   first end on: a piece table numbers a piece's vertices consecutively.
 
    Chip counts and firing multiplicities are C long long.  Every add,
    subtract and multiply on them is checked, and an overflow raises
    OverflowError instead of wrapping; `tropbn.kernel` then reruns the input
-   on the pure-Python kernel, whose integers are exact.  The CSR arrays are
-   checked before use, so no index read leaves them, and a CSR that does
-   not list each edge at both ends raises ValueError where it would overfill
-   a node's list.
+   on the pure-Python kernel, whose integers are exact.  So does a table
+   entry or a chip count outside int64, which the pure kernel then refuses
+   or answers.
 
    Build: `python setup.py build` (an optional setuptools Extension).  This
    file is the source; nothing generates it.
@@ -92,10 +92,11 @@ overflow(void)
 }
 
 static int
-malformed(void)
+bad_pieces(void)
 {
     PyErr_SetString(PyExc_ValueError,
-                    "CSR must list each edge at both ends and have no loops");
+                    "pieces must join two distinct stops each and number "
+                    "every other vertex once");
     return -1;
 }
 
@@ -170,13 +171,12 @@ lower_bound(const idx *a, idx len, idx key)
 
 typedef struct {
     idx n, q;                   /* unit vertices; q's node */
-    idx nn, ne, npath, nslot;   /* nodes, edges, run vertices, slots used */
-    idx *vid, *adjs, *adjn, *adjcap;            /* per node */
+    idx nn, ne, nslot;          /* nodes, edges, slots used */
+    idx *vid, *adjs, *adjn;                     /* per node */
     i64 *d, *sigma;                             /* per node */
     idx *adjv;                                  /* half-edge slots */
     idx *hend;                                  /* per half-edge */
     idx *elen, *estart;                         /* per edge */
-    idx *path;                                  /* run vertices */
 } chains;
 
 static void
@@ -185,24 +185,12 @@ chains_free(chains *g)
     free(g->vid);
     free(g->adjs);
     free(g->adjn);
-    free(g->adjcap);
     free(g->d);
     free(g->sigma);
     free(g->adjv);
     free(g->hend);
     free(g->elen);
     free(g->estart);
-    free(g->path);
-}
-
-/* Half-edge h at node x, or -1 when x's list is full. */
-static int
-add_half(chains *g, idx x, idx h)
-{
-    if (g->adjn[x] >= g->adjcap[x])
-        return malformed();
-    g->adjv[g->adjs[x] + g->adjn[x]++] = h;
-    return 0;
 }
 
 /* The half-edge of the degree-2 node x that is not h. */
@@ -212,118 +200,6 @@ other_half(const chains *g, idx x, idx h)
     const idx *s = g->adjv + g->adjs[x];
 
     return s[0] == h ? s[1] : s[0];
-}
-
-/* Contract the graph; 0, or -1 with an exception set. */
-static int
-contract(chains *g, const i64 *ip, const i64 *nb, const i64 *div, idx q)
-{
-    idx n = g->n, v, x, a, b, u, w, i, iend, j, prev, len, start, head, tail;
-    idx deg, slots = 0, *node = NULL, *queue = NULL;
-    char *seen = NULL, *done = NULL;
-    int rc = -1;
-
-    if ((node = alloc(n, sizeof *node)) == NULL
-        || (seen = alloc(n, 1)) == NULL
-        || (g->vid = alloc(n, sizeof *g->vid)) == NULL
-        || (g->adjs = alloc(n, sizeof *g->adjs)) == NULL
-        || (g->adjn = alloc(n, sizeof *g->adjn)) == NULL
-        || (g->adjcap = alloc(n, sizeof *g->adjcap)) == NULL
-        || (g->d = alloc(n, sizeof *g->d)) == NULL
-        || (g->sigma = alloc(n, sizeof *g->sigma)) == NULL
-        || (g->path = alloc(n, sizeof *g->path)) == NULL)
-        goto done;
-    /* nodes: q, every vertex of degree other than 2, every vertex with
-       chips; a vertex that is not a node has exactly two CSR entries */
-    for (v = 0; v < n; v++) {
-        deg = (idx)(ip[v + 1] - ip[v]);
-        node[v] = -1;
-        if (v == q || div[v] != 0 || deg != 2) {
-            x = g->nn++;
-            node[v] = x;
-            g->vid[x] = v;
-            g->d[x] = div[v];
-            g->adjs[x] = slots;
-            g->adjcap[x] = deg > 0 ? deg : 0;
-            slots += g->adjcap[x];
-        }
-    }
-    /* each edge takes a slot at both ends, each split adds one edge and
-       two slots, and there are at most n nodes */
-    g->nslot = slots;
-    if ((g->adjv = alloc(slots + 2 * n, sizeof *g->adjv)) == NULL
-        || (g->hend = alloc(2 * (slots + n), sizeof *g->hend)) == NULL
-        || (g->elen = alloc(slots + n, sizeof *g->elen)) == NULL
-        || (g->estart = alloc(slots + n, sizeof *g->estart)) == NULL
-        || (queue = alloc(g->nn, sizeof *queue)) == NULL
-        || (done = alloc(g->nn, 1)) == NULL)
-        goto done;
-    g->q = node[q];
-
-    /* one walk from q checks connectivity and finds each run once: a
-       direct edge from its end that the walk takes up first, a run from
-       the end that first walks it */
-    seen[q] = 1;
-    queue[0] = g->q;
-    tail = 1;
-    for (head = 0; head < tail; head++) {
-        a = queue[head];
-        done[a] = 1;
-        u = g->vid[a];
-        for (i = (idx)ip[u], iend = (idx)ip[u + 1]; i < iend; i++) {
-            v = (idx)nb[i];
-            b = node[v];
-            start = g->npath;
-            if (b >= 0) {
-                if (done[b])
-                    continue;
-                len = 1;
-            }
-            else if (seen[v])
-                continue;
-            else {
-                prev = u;
-                len = 1;
-                while (b < 0) {
-                    if (seen[v]) {
-                        malformed();
-                        goto done;
-                    }
-                    seen[v] = 1;
-                    g->path[g->npath++] = v;
-                    j = (idx)ip[v];
-                    w = (idx)nb[j];
-                    if (w == prev)
-                        w = (idx)nb[j + 1];
-                    prev = v;
-                    v = w;
-                    b = node[v];
-                    len++;
-                }
-            }
-            if (add_half(g, a, 2 * g->ne) || add_half(g, b, 2 * g->ne + 1))
-                goto done;
-            g->hend[2 * g->ne] = a;
-            g->hend[2 * g->ne + 1] = b;
-            g->elen[g->ne] = len;
-            g->estart[g->ne++] = start;
-            if (!seen[v]) {
-                seen[v] = 1;
-                queue[tail++] = b;
-            }
-        }
-    }
-    if (tail + g->npath != n) {
-        PyErr_SetString(PyExc_ValueError, "graph must be connected");
-        goto done;
-    }
-    rc = 0;
-done:
-    free(node);
-    free(seen);
-    free(queue);
-    free(done);
-    return rc;
 }
 
 /* Make the vertex t steps along half-edge h from its node a node, with
@@ -336,11 +212,11 @@ split(chains *g, idx h, idx t, i64 chips, i64 sig)
     idx e = h >> 1, len = g->elen[e], i = (h & 1) ? len - t : t;
     idx x = g->nn++, f = g->ne++, b = g->hend[2 * e + 1], s, send;
 
-    g->vid[x] = g->path[g->estart[e] + i - 1];
+    g->vid[x] = g->estart[e] + i - 1;
     g->d[x] = chips;
     g->sigma[x] = sig;
     g->adjs[x] = g->nslot;
-    g->adjn[x] = g->adjcap[x] = 2;
+    g->adjn[x] = 2;
     g->nslot += 2;
     g->adjv[g->adjs[x]] = 2 * e + 1;
     g->adjv[g->adjs[x] + 1] = 2 * f;
@@ -356,6 +232,139 @@ split(chains *g, idx h, idx t, i64 chips, i64 sig)
     g->elen[f] = len - i;
     g->estart[f] = g->estart[e] + i;
     return 2 * f;
+}
+
+/* Build the contracted graph of the piece table `pieces` (see
+   `_kernel_py._of_pieces`): the stops are the nodes and the pieces the
+   edges, and a chip or q inside a piece becomes a node by `split`, its
+   piece found by lower_bound on the first interior indices.  The table is
+   checked before anything sized by its entries is allocated.  0, or -1
+   with an exception set (OverflowError for an entry outside int64). */
+static int
+of_pieces(chains *g, PyObject *pieces, const i64 *div, idx q)
+{
+    PyObject *fast = PySequence_Fast(pieces, "pieces must be a sequence");
+    i64 *ends = NULL, *lens = NULL, *firsts = NULL, stops, cur;
+    idx n = g->n, np = 0, nends, nfirsts, k, j, x, y, v, t, at = 0, h = 0;
+    idx s, send, tail, *queue = NULL;
+    char *seen = NULL;
+    int rc = -1;
+
+    if (fast == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(fast) < 3) {
+        bad_pieces();
+        goto done;
+    }
+    if ((ends = read_ints(PySequence_Fast_GET_ITEM(fast, 0),
+                          "piece ends must be a sequence", &nends)) == NULL
+        || (lens = read_ints(PySequence_Fast_GET_ITEM(fast, 1),
+                             "piece lengths must be a sequence",
+                             &np)) == NULL
+        || (firsts = read_ints(PySequence_Fast_GET_ITEM(fast, 2),
+                               "piece firsts must be a sequence",
+                               &nfirsts)) == NULL)
+        goto done;
+    /* the stops 0 .. stops - 1, then each piece's interior vertices from
+       its first index on, number 0 .. n - 1 once; no piece ends outside
+       the stops or at both ends on one stop */
+    stops = np ? firsts[0] : n;
+    if (nends != 2 * np || nfirsts != np || stops < 0 || stops > n) {
+        bad_pieces();
+        goto done;
+    }
+    for (k = 0, cur = stops; k < np; k++) {
+        if (lens[k] < 1 || firsts[k] != cur || lens[k] - 1 > n - cur
+            || ends[2 * k] < 0 || ends[2 * k] >= stops
+            || ends[2 * k + 1] < 0 || ends[2 * k + 1] >= stops
+            || ends[2 * k] == ends[2 * k + 1]) {
+            bad_pieces();
+            goto done;
+        }
+        cur += lens[k] - 1;
+    }
+    if (cur != n) {
+        bad_pieces();
+        goto done;
+    }
+
+    /* at most n nodes, and each split adds one edge and two slots */
+    if ((g->vid = alloc(n, sizeof *g->vid)) == NULL
+        || (g->adjs = alloc(n, sizeof *g->adjs)) == NULL
+        || (g->adjn = alloc(n, sizeof *g->adjn)) == NULL
+        || (g->d = alloc(n, sizeof *g->d)) == NULL
+        || (g->sigma = alloc(n, sizeof *g->sigma)) == NULL
+        || (g->adjv = alloc(2 * (np + n), sizeof *g->adjv)) == NULL
+        || (g->hend = alloc(2 * (np + n), sizeof *g->hend)) == NULL
+        || (g->elen = alloc(np + n, sizeof *g->elen)) == NULL
+        || (g->estart = alloc(np + n, sizeof *g->estart)) == NULL
+        || (queue = alloc(stops, sizeof *queue)) == NULL
+        || (seen = alloc(stops, 1)) == NULL)
+        goto done;
+    g->nn = (idx)stops;
+    g->ne = np;
+    g->nslot = 2 * np;
+    /* a stop's slots: one per piece end at it */
+    for (k = 0; k < 2 * np; k++)
+        g->adjs[ends[k]]++;
+    for (x = 0, cur = 0; x < g->nn; x++) {
+        g->vid[x] = x;
+        g->d[x] = div[x];
+        cur += g->adjs[x];
+        g->adjs[x] = (idx)cur - g->adjs[x];
+    }
+    for (k = 0; k < 2 * np; k++) {
+        x = (idx)ends[k];
+        g->adjv[g->adjs[x] + g->adjn[x]++] = k;
+        g->hend[k] = x;
+    }
+    for (k = 0; k < np; k++) {
+        g->elen[k] = (idx)lens[k];
+        g->estart[k] = (idx)firsts[k];
+    }
+
+    queue[0] = 0;
+    seen[0] = 1;
+    tail = 1;
+    for (j = 0; j < tail; j++)
+        for (s = g->adjs[queue[j]], send = s + g->adjn[queue[j]]; s < send;
+             s++) {
+            y = g->hend[g->adjv[s] ^ 1];
+            if (!seen[y]) {
+                seen[y] = 1;
+                queue[tail++] = y;
+            }
+        }
+    if (tail != g->nn) {
+        PyErr_SetString(PyExc_ValueError, "graph must be connected");
+        goto done;
+    }
+
+    g->q = q;
+    for (v = (idx)stops, k = -1; v < n; v++) {
+        if (div[v] == 0 && v != q)
+            continue;
+        j = lower_bound(g->estart, np, v + 1) - 1;
+        t = v - g->estart[j] + 1;   /* steps from the piece's first stop */
+        if (j != k) {
+            k = j;
+            h = 2 * j;
+            at = 0;
+        }
+        h = split(g, h, t - at, div[v], 0);
+        at = t;
+        if (v == q)
+            g->q = g->nn - 1;
+    }
+    rc = 0;
+done:
+    Py_DECREF(fast);
+    free(ends);
+    free(lens);
+    free(firsts);
+    free(queue);
+    free(seen);
+    return rc;
 }
 
 /* Distance in unit steps from q to each node, by Dijkstra with a binary
@@ -508,14 +517,9 @@ clear_debt(chains *g)
                 goto done;
             }
             if (cur < 0) {
-                if (down[x] == 0) {
-                    /* a CSR that does not list each edge at both ends;
-                       the pure kernel fails here the same way */
-                    PyErr_SetString(PyExc_ZeroDivisionError,
-                                    "integer division by zero");
-                    goto done;
-                }
-                /* ceil(-cur / down[x]), without negating cur */
+                /* ceil(-cur / down[x]), without negating cur; down[x] >= 1,
+                   since x, at level j + 1 > 0, has a neighbour one level
+                   down along the edge that sets its level */
                 need = cur / down[x];
                 if (need == LLONG_MIN) {
                     overflow();
@@ -710,58 +714,39 @@ fire_round(chains *g, const char *burnt, const i64 *cnt, idx *exits)
 static PyObject *
 reduce_divisor(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"indptr", "nbrs", "div", "q", "pieces", NULL};
-    PyObject *indptr_o, *nbrs_o, *div_o, *pieces_o = Py_None, *od, *os;
-    PyObject *result = NULL;
+    static char *kwlist[] = {"div", "q", "pieces", NULL};
+    PyObject *div_o, *pieces_o, *od, *os, *result = NULL;
     long long q;
-    i64 *ip = NULL, *nb = NULL, *div = NULL, *cnt = NULL, *dout = NULL;
-    i64 *sout = NULL, base, sa, slope;
+    i64 *div = NULL, *cnt = NULL, *dout = NULL, *sout = NULL, base, sa, slope;
     idx *queue = NULL, *exits = NULL;
     char *burnt = NULL;
-    idx n, m, nd, i, e, x, len;
+    idx n, i, e, x, len;
     chains g;
 
     (void)self;
     memset(&g, 0, sizeof g);
-    /* the piece table is accepted and not read: the walk over the CSR
-       below is C code already */
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOL|$O:reduce_divisor",
-                                     kwlist, &indptr_o, &nbrs_o, &div_o, &q,
-                                     &pieces_o))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OLO:reduce_divisor",
+                                     kwlist, &div_o, &q, &pieces_o))
         return NULL;
-    if ((ip = read_ints(indptr_o, "indptr must be a sequence", &n)) == NULL)
+    if ((div = read_ints(div_o, "div must be a sequence", &n)) == NULL)
         goto done;
-    n -= 1;
     if (q < 0 || q >= n) {
         PyErr_SetString(PyExc_ValueError, "q out of range");
         goto done;
     }
-    if ((nb = read_ints(nbrs_o, "nbrs must be a sequence", &m)) == NULL
-        || (div = read_ints(div_o, "div must be a sequence", &nd)) == NULL)
-        goto done;
-    if (nd != n) {
-        PyErr_SetString(PyExc_ValueError, "div needs one entry per vertex");
-        goto done;
-    }
-    for (i = 0; i <= n; i++)
-        if (ip[i] < 0 || ip[i] > m)
-            goto bad_csr;
-    for (i = 0; i < m; i++)
-        if (nb[i] < 0 || nb[i] >= n)
-            goto bad_csr;
-
     g.n = n;
-    if (contract(&g, ip, nb, div, (idx)q))
+    if (of_pieces(&g, pieces_o, div, (idx)q))
         goto done;
     for (x = 0; x < g.nn; x++)
         if (x != g.q && g.d[x] < 0)
             break;
     if (x < g.nn && clear_debt(&g))
         goto done;
+    /* every half-edge is an exit at most once a round */
     if ((cnt = alloc(n, sizeof *cnt)) == NULL
         || (queue = alloc(n, sizeof *queue)) == NULL
         || (burnt = alloc(n, 1)) == NULL
-        || (exits = alloc(2 * g.nslot + 2 * n, sizeof *exits)) == NULL)
+        || (exits = alloc(g.nslot + 2 * n, sizeof *exits)) == NULL)
         goto done;
     while (burn(&g, burnt, cnt, queue) < g.nn)
         if (fire_round(&g, burnt, cnt, exits))
@@ -784,7 +769,7 @@ reduce_divisor(PyObject *self, PyObject *args, PyObject *kwargs)
         sa = g.sigma[g.hend[2 * e]] - base;
         slope = (g.sigma[g.hend[2 * e + 1]] - base - sa) / len;
         for (i = 1; i < len; i++)
-            sout[g.path[g.estart[e] + i - 1]] = sa + slope * i;
+            sout[g.estart[e] + i - 1] = sa + slope * i;
     }
     od = to_list(dout, n);
     os = to_list(sout, n);
@@ -792,14 +777,8 @@ reduce_divisor(PyObject *self, PyObject *args, PyObject *kwargs)
         result = PyTuple_Pack(2, od, os);
     Py_XDECREF(od);
     Py_XDECREF(os);
-    goto done;
-
-bad_csr:
-    PyErr_SetString(PyExc_ValueError, "CSR index out of range");
 done:
     chains_free(&g);
-    free(ip);
-    free(nb);
     free(div);
     free(cnt);
     free(queue);
@@ -813,11 +792,9 @@ done:
 static PyMethodDef kernel_methods[] = {
     {"reduce_divisor", (PyCFunction)(void (*)(void))reduce_divisor,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_divisor(indptr, nbrs, div, q, *, pieces=None) -> "
-     "(reduced, sigma)\n\n"
-     "q-reduce an integer divisor vector by chip-firing; see "
-     "tropbn._kernel_py.reduce_divisor.  pieces is accepted and ignored: "
-     "this kernel walks the CSR."},
+     "reduce_divisor(div, q, pieces) -> (reduced, sigma)\n\n"
+     "q-reduce an integer divisor vector by chip-firing on a piece table; "
+     "see tropbn._kernel_py.reduce_divisor."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -1,15 +1,13 @@
 """Pure-Python chip-firing kernel on the chain-contracted graph.
 
 Same interface as the compiled extension `_kernel` (built from `_kernel.c`,
-which mirrors this module step by step).  `kernel` uses this module when the
-extension is not built, and reruns an input here when the extension's int64
-arithmetic would overflow: Python integers are exact.  Graphs arrive in CSR
-form: `indptr[v]:indptr[v+1]` slices `nbrs` to the neighbours of v, with
-parallel edges repeated.  Loops are not allowed here — callers split them
-first.  A caller that knows the graph as stops joined by pieces, as
-`models.IntegerModel` does, also passes that piece table by keyword
-(`reduce_divisor`'s `pieces`); the kernel then builds from it and reads
-nothing of the CSR arrays.
+which mirrors this module step by step).  `kernel.reduce_divisor` calls
+this module when the extension is not built, and reruns an input here when
+the extension's int64 arithmetic would overflow: Python integers are exact.
+A graph arrives as a piece table: stops joined by pieces, each piece a
+chain of unit steps (see `reduce_divisor`).  `models.IntegerModel` keeps
+its lattice in that form; `kernel.reduce_divisor` turns a bare CSR graph
+into the table of its unit edges, every vertex a stop.
 
 `reduce_divisor` q-reduces by the textbook algorithm on the unit graph: it
 clears the debt outside q by firing balls around q, then runs Dhar's burning
@@ -32,18 +30,15 @@ Dhar's criterion for a q-reduced divisor; that divisor, and sigma with
 sigma[q] == 0, are unique.  `tests/oracles.py` keeps this algorithm on the
 unit graph, walked vertex by vertex, as the reference.
 
-The kernel does not walk the unit graph in each round.  From a CSR graph,
-one pass from q checks connectivity and contracts every maximal run of
-vertices that have degree 2, are not q and hold no chip into one edge whose
-length L counts its unit steps; every other vertex is a node.  From a piece
-table no pass over the vertices is made: the stops are the nodes and the
-pieces the edges, and a vertex inside a piece that holds a chip or is q is
-made a node by splitting its piece.  A node may then be a vertex of degree
-2 with no chip, which a round treats as the unit graph treats that vertex.
-Any vertex that gets chips becomes a node by splitting its edge: a deposit
-of the debt clearing, or the landing point c_eps of a corridor.  Chips then
-sit on nodes only, and the contracted graph makes the unit graph's rounds,
-round for round:
+The kernel does not walk the unit graph in each round, nor once per call:
+`_of_pieces` makes the stops the nodes and the pieces the edges, an edge's
+length L the number of its unit steps, and a vertex inside a piece that
+holds a chip or is q a node by splitting its piece.  A node may then be a
+vertex of degree 2 with no chip, which a round treats as the unit graph
+treats that vertex.  Any vertex that gets chips becomes a node by splitting
+its edge: a deposit of the debt clearing, or the landing point c_eps of a
+corridor.  Chips then sit on nodes only, and the contracted graph makes the
+unit graph's rounds, round for round:
 
 - the fire crosses a run from a burnt end, so a node's cnt counts its edges
   to burnt nodes, and U is the unburnt nodes and the runs between them;
@@ -58,18 +53,20 @@ So after every round d and sigma equal the unit graph's at every vertex,
 and Dhar's criterion argues correctness as above.  A round costs
 O(nodes + edges), whatever the lengths of the runs; the debt clearing
 costs a sort more, since it works only at the levels where a node, a run's
-top or the start of a climb sits.  sigma is kept on nodes only: on a run, L @ sigma =
-div - d is 0, so sigma is linear between the run's two nodes.  It is filled
-in once, at the end, and read off that line where a corridor lands inside a
-run.  What is still O(n) a call is C-level list work: the length-n vectors
-out, and on the piece path one count over div for chips inside pieces.
+top or the start of a climb sits.  That is the one step in which
+`_kernel.c` differs: it clears the debt over every level, with arrays of
+one entry a level, and fires the same balls the same number of times.
+sigma is kept on nodes only: on a run, L @ sigma = div - d is 0, so sigma
+is linear between the run's two nodes.  It is filled in once, at the end,
+and read off that line where a corridor lands inside a run.  What is still
+O(n) a call is C-level list work: one count over div for chips inside
+pieces, and the length-n vectors out.
 
 The contracted graph numbers its nodes densely: `vid` maps a node to its
 vertex, edge e has the half-edges 2e (at its first end) and 2e + 1, `hend`
 maps a half-edge to its node, `adj` lists each node's half-edges, and the
-run of e is `path[estart[e] : estart[e] + elen[e] - 1]`, from its first end
-on.  From a piece table `path` is `range(n)`: the vertices of a run are
-consecutive.
+run of e is `range(estart[e], estart[e] + elen[e] - 1)`, from its first end
+on: a piece table numbers the vertices inside a piece consecutively.
 """
 
 import heapq
@@ -78,7 +75,6 @@ from itertools import accumulate, compress, islice
 from operator import eq
 
 BACKEND = "python"
-_MALFORMED = "CSR must list each edge at both ends and have no loops"
 _BAD_PIECES = ("pieces must join two distinct stops each and number every "
                "other vertex once")
 
@@ -106,10 +102,10 @@ def _burn(adj, hend, d, q):
 
 
 class _Chains:
-    """The chain-contracted graph; see the module notes.  Built by `_walk`
-    from a CSR graph or by `_of_pieces` from a piece table."""
+    """The chain-contracted graph; see the module notes.  Built by
+    `_of_pieces`."""
 
-    def __init__(self, n, vid, d, hend, elen, estart, path):
+    def __init__(self, n, vid, d, hend, elen, estart):
         self.n = n
         self.vid = vid
         self.d = d
@@ -117,7 +113,6 @@ class _Chains:
         self.hend = hend
         self.elen = elen
         self.estart = estart
-        self.path = path
         self.adj = adj = [[] for _ in vid]
         for h, x in enumerate(hend):
             adj[x].append(h)
@@ -136,7 +131,7 @@ class _Chains:
         x = len(adj)
         f = len(elen)
         b = hend[2 * e + 1]
-        self.vid.append(self.path[self.estart[e] + i - 1])
+        self.vid.append(self.estart[e] + i - 1)
         self.d.append(chips)
         self.sigma.append(sigma)
         adj.append([2 * e + 1, 2 * f])
@@ -322,8 +317,7 @@ class _Chains:
 
     def unit_vectors(self):
         """(d, sigma) on the unit vertices, sigma filled in along the runs
-        and normalized to sigma[q] == 0.  Each run's sigma is one range;
-        when `path` is the identity (a piece table's numbering) it is
+        and normalized to sigma[q] == 0.  Each run's sigma is one range,
         written with one slice assignment."""
         n = self.n
         base = self.sigma[self.q]
@@ -333,79 +327,15 @@ class _Chains:
         for v, dv, sv in zip(self.vid, self.d, sig):
             d[v] = dv
             sigma[v] = sv
-        hend, path = self.hend, self.path
+        hend = self.hend
         for e, (L, start) in enumerate(zip(self.elen, self.estart)):
             if L > 1:
                 sa = sig[hend[2 * e]]
                 slope = (sig[hend[2 * e + 1]] - sa) // L
-                vals = (range(sa + slope, sa + slope * L, slope) if slope
-                        else [sa] * (L - 1))
-                run = path[start:start + L - 1]
-                if type(run) is range:
-                    sigma[run.start:run.stop] = vals
-                else:
-                    for v, x in zip(run, vals):
-                        sigma[v] = x
+                sigma[start:start + L - 1] = (
+                    range(sa + slope, sa + slope * L, slope) if slope
+                    else [sa] * (L - 1))
         return d, sigma
-
-
-def _walk(indptr, nbrs, div, q):
-    """The contracted graph of a CSR graph, by one walk from q.
-
-    The walk checks connectivity and finds each run once: a direct edge
-    from its end that the walk takes up first, a run from the end that
-    first walks it."""
-    n = len(indptr) - 1
-    vid = [v for v, a, b, x in zip(range(n), indptr, indptr[1:], div)
-           if x or b - a != 2 or v == q]
-    node = [-1] * n
-    for x, v in enumerate(vid):
-        node[v] = x
-    hend, elen, estart, path = [], [], [], []
-    seen = bytearray(n)
-    done = bytearray(len(vid))
-    queue = [node[q]]
-    seen[q] = 1
-    for a in queue:
-        done[a] = 1
-        u = vid[a]
-        for v in nbrs[indptr[u]:indptr[u + 1]]:
-            b = node[v]
-            start = len(path)
-            if b >= 0:
-                if done[b]:
-                    continue
-                length = 1
-            elif seen[v]:
-                continue
-            else:
-                prev = u
-                while b < 0:
-                    if seen[v]:
-                        raise ValueError(_MALFORMED)
-                    seen[v] = 1
-                    path.append(v)
-                    j = indptr[v]
-                    w = nbrs[j]
-                    if w == prev:
-                        w = nbrs[j + 1]
-                    prev, v = v, w
-                    b = node[v]
-                length = len(path) - start + 1
-            hend += (a, b)
-            elen.append(length)
-            estart.append(start)
-            if not seen[v]:
-                seen[v] = 1
-                queue.append(b)
-    g = _Chains(n, vid, [div[v] for v in vid], hend, elen, estart, path)
-    g.q = node[q]
-    if any(len(hs) > indptr[v + 1] - indptr[v]
-           for v, hs in zip(vid, g.adj) if hs):
-        raise ValueError(_MALFORMED)
-    if len(queue) + len(path) != n:
-        raise ValueError("graph must be connected")
-    return g
 
 
 def _of_pieces(n, pieces, div, q):
@@ -423,7 +353,7 @@ def _of_pieces(n, pieces, div, q):
             or any(map(eq, ends[::2], ends[1::2]))):
         raise ValueError(_BAD_PIECES)
     g = _Chains(n, list(range(stops)), list(islice(div, stops)), list(ends),
-                list(lengths), list(firsts), range(n))
+                list(lengths), list(firsts))
     adj, hend = g.adj, g.hend
     seen = bytearray(stops)
     seen[0] = 1
@@ -457,33 +387,26 @@ def _of_pieces(n, pieces, div, q):
     return g
 
 
-def reduce_divisor(indptr, nbrs, div, q, *, pieces=None):
+def reduce_divisor(div, q, pieces):
     """q-reduce an integer divisor vector by chip-firing.
 
     Returns (reduced, sigma) with reduced = div - L @ sigma for the graph
     Laplacian L, sigma normalized so sigma[q] == 0.  The reduced vector is
     non-negative away from q and unburnable from q (Dhar's criterion).
 
-    pieces: the same graph as a piece table, whose first three columns the
-    kernel reads: (ends, lengths, firsts).  Vertices 0 .. S - 1 are the
-    stops; piece k joins stops ends[2k] and ends[2k + 1] by lengths[k] unit
-    steps, and its lengths[k] - 1 interior vertices are numbered firsts[k],
-    firsts[k] + 1, ... from its first stop on, so firsts runs from S up
-    and the pieces number every vertex from S to n - 1 once.  With it the
-    CSR arrays are not read, only len(indptr) for n.
+    div has one entry per vertex, so n = len(div).  pieces: the graph as a
+    piece table, whose first three columns the kernel reads: (ends,
+    lengths, firsts).  Vertices 0 .. S - 1 are the stops; piece k joins
+    stops ends[2k] and ends[2k + 1] by lengths[k] unit steps, and its
+    lengths[k] - 1 interior vertices are numbered firsts[k], firsts[k] + 1,
+    ... from its first stop on, so firsts runs from S up and the pieces
+    number every vertex from S to n - 1 once.  With no piece, every vertex
+    is a stop.
     """
-    n = len(indptr) - 1
+    n = len(div)
     if not 0 <= q < n:
         raise ValueError("q out of range")
-    if len(div) != n:
-        raise ValueError("div needs one entry per vertex")
-    if pieces is not None:
-        g = _of_pieces(n, pieces, div, q)
-    elif (min(indptr) < 0 or max(indptr) > len(nbrs)
-            or (nbrs and (min(nbrs) < 0 or max(nbrs) >= n))):
-        raise ValueError("CSR index out of range")
-    else:
-        g = _walk(indptr, nbrs, div, q)
+    g = _of_pieces(n, pieces, div, q)
     if min(g.d[:g.q] + g.d[g.q + 1:], default=0) < 0:
         g.clear_debt()
     while True:

@@ -1,46 +1,67 @@
 """Chip-firing kernel backend.
 
 Uses the compiled extension `_kernel` (built from `_kernel.c`) when it
-imports, and the pure-Python `_kernel_py` otherwise.  Both expose the same
-`reduce_divisor` interface; `BACKEND` names the one in use.
+imports, and the pure-Python `_kernel_py` otherwise; `BACKEND` names the
+one in use.  Both build their contracted graph from a piece table only
+(see `_kernel_py`), by the same checks, and fire it the same way.
 
-The compiled kernel counts chips in int64 and raises `OverflowError` rather
-than wrap; `reduce_divisor` then reruns the input on `_kernel_py`, whose
-integers are exact, so callers always get the exact answer.  Without the
-extension, `reduce_divisor` is `_kernel_py.reduce_divisor` itself.
-
-The compiled kernel walks the CSR arrays and ignores the keyword-only
-`pieces` table, which the pure kernel builds from (see `_kernel_py`).
+`reduce_divisor` is the one entry point on either backend.  It takes the
+piece table by keyword, as `models.IntegerModel.reduce_vector` passes it;
+a bare CSR graph, which only tests pass, is turned here into the table of
+its unit edges.  The compiled kernel counts chips in int64 and raises
+`OverflowError` rather than wrap; `reduce_divisor` then reruns the input on
+`_kernel_py`, whose integers are exact, so callers always get the exact
+answer.
 
 Measured payoff of the compiled kernel (2026-10-20, 2 cores, Python
 3.11.7; `perfbench/run.py --workload W --seed 7 --seconds 10 --trace 0`,
-`wall_s` pure over compiled): 1.62x on `rank-rr` (0.572/0.354 s), 1.09x
-on `lattice-dumbbell` (2.62/2.40 ms), since the pure kernel builds from
-the model's piece table, and 1.02x on `bn-usc`, which makes no kernel
-call.
+`wall_s` pure over compiled): 1.69x on `rank-rr` (0.598/0.355 s), 1.06x
+on `lattice-dumbbell` (2.44/2.30 ms), and 0.99x on `bn-usc`, which makes
+no kernel call.  `tests/test_transport.py::test_arrange_on_dumbbell_loops`
+(1,359 calls at n of about 83,000) takes 3.0-3.1 s compiled against
+4.3-4.5 s pure.
 """
 
 from . import _kernel_py
 
 try:
-    from . import _kernel
+    from . import _kernel as _backend
 except ImportError:
-    _kernel = None
+    _backend = _kernel_py
+
+BACKEND = _backend.BACKEND
 
 
-def _compiled_or_exact(indptr, nbrs, div, q, *, pieces=None):
-    """The compiled kernel's answer, or the pure kernel's on int64 overflow.
-    The compiled kernel walks the CSR and ignores `pieces`; the pure one
-    reruns on the piece table when there is one."""
+def _unit_pieces(indptr, nbrs):
+    """The piece table of a CSR graph: every vertex a stop, every edge a
+    piece of length 1.  `indptr[v]:indptr[v+1]` slices `nbrs` to the
+    neighbours of v, with parallel edges repeated and no loops."""
+    n = len(indptr) - 1
+    if (min(indptr) < 0 or max(indptr) > len(nbrs)
+            or (nbrs and (min(nbrs) < 0 or max(nbrs) >= n))):
+        raise ValueError("CSR index out of range")
+    pairs = [(u, v) for u, a, b in zip(range(n), indptr, indptr[1:])
+             for v in nbrs[a:b]]
+    edges = sorted(p for p in pairs if p[0] < p[1])
+    if (2 * len(edges) != len(pairs)
+            or edges != sorted((v, u) for u, v in pairs if u > v)):
+        raise ValueError("CSR must list each edge at both ends and have no "
+                         "loops")
+    return [x for e in edges for x in e], [1] * len(edges), [n] * len(edges)
+
+
+def reduce_divisor(indptr, nbrs, div, q, *, pieces=None):
+    """q-reduce the integer divisor vector `div` by chip-firing; returns
+    (reduced, sigma) as `_kernel_py.reduce_divisor` does.
+
+    n is len(indptr) - 1, and div needs one entry per vertex.  With
+    `pieces`, the graph's piece table, the CSR arrays are not read;
+    without it they are the graph."""
+    if len(indptr) - 1 != len(div):
+        raise ValueError("div needs one entry per vertex")
+    if pieces is None:
+        pieces = _unit_pieces(indptr, nbrs)
     try:
-        return _kernel.reduce_divisor(indptr, nbrs, div, q, pieces=pieces)
+        return _backend.reduce_divisor(div, q, pieces)
     except OverflowError:
-        return _kernel_py.reduce_divisor(indptr, nbrs, div, q, pieces=pieces)
-
-
-if _kernel is None:
-    reduce_divisor = _kernel_py.reduce_divisor
-    BACKEND = _kernel_py.BACKEND
-else:
-    reduce_divisor = _compiled_or_exact
-    BACKEND = _kernel.BACKEND
+        return _kernel_py.reduce_divisor(div, q, pieces)

@@ -32,13 +32,13 @@ CSR entries are two strided slices of that path; `reduced_divisor` finds
 the chips and the witness's knots with `compress` over the kernel's
 output.  The model also keeps its lattice as stops joined by pieces, one
 curve-free table (``pieces``) that `point_of_index` reads and
-`reduce_vector` hands the kernel by keyword.  The pure kernel builds its
-contracted graph from that table, so no reduction walks the lattice in
-Python either: a kernel call's O(n) work is a count over the vector for
-chips inside pieces and the fill of its length-n vectors out, all C-level
-list operations.  The CSR arrays stay for the compiled kernel, whose walk
-over them is C code, and for callers that hand the kernel a graph of their
-own.
+`reduce_vector` hands the kernel by keyword.  Both kernels build their
+contracted graph from that table only, so no reduction walks the lattice:
+a kernel call's O(n) work is a pass over the vector for chips inside
+pieces and the fill of its length-n vectors out, C-level list operations
+or C.  The CSR arrays now serve only the benchmark's tracer
+(`perfbench/spans.py`, which reads ``len(indptr)`` as the kernel's n) and
+the tests' unit-graph oracle (`tests/oracles.py`).
 
 `reduced_divisor` and `is_equivalent` are the divisor-level entry points:
 they are the only routes from a `Divisor` to the chip-firing kernel, and
@@ -74,8 +74,8 @@ from .divisor import Divisor, PLFunction
 # `reduced_divisor` with the pure kernel on one edge of 200,000 unit steps
 # peaks at about 169 bytes a lattice point: 97 for the model (its paths and
 # CSR arrays) and 72 for the kernel's vectors in and out, σ's values
-# included, so this is about 340 MB.  The pure kernel builds from the
-# piece table and its rounds work on runs of points, but its vectors still
+# included, so this is about 340 MB.  Both kernels build from the piece
+# table and their rounds work on runs of points, but their vectors still
 # hold one entry per point; so n still bounds a call's memory, and its
 # C-level list work bounds its time.
 MAX_LATTICE_POINTS = 2_000_000

@@ -49,17 +49,80 @@ def random_csr(rng, max_v=12, max_extra=15):
 def as_paths(n, edges, lengths):
     """Each edge made a path of the given length through new vertices.
 
-    Returns the new vertex count and edge list; the new vertices have degree
-    2, so a chip-free run of them is a corridor of the reduction.
+    Returns the new vertex count and edge list, and the stops of its piece
+    table (see `with_table`): the old vertices and the first new vertex of
+    each loop.  The new vertices have degree 2, so a chip-free run of them
+    is a corridor of the reduction, and each edge's are numbered on from
+    its first end, as a piece table numbers a piece's.
     """
     out = []
+    stops = list(range(n))
     for (u, v), length in zip(edges, lengths):
+        if u == v:
+            stops.append(n)
         for _ in range(length - 1):
             out.append((u, n))
             u = n
             n += 1
         out.append((u, v))
-    return n, out
+    return n, out, stops
+
+
+def with_table(n, edges, div, q, stops):
+    """(indptr, nbrs, div, q, pieces): the graph on vertices 0..n-1 with
+    these edges, renumbered as its piece table numbers it, and that table.
+
+    `stops` must hold every vertex whose degree is not 2, and split every
+    cycle into runs between two distinct stops.  They become vertices 0,
+    1, ... in their order; each run between two stops becomes a piece, and
+    its vertices are numbered on in the order it is walked.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    new = {v: i for i, v in enumerate(stops)}
+    ends, lengths, firsts = [], [], []
+    for u in stops:
+        for v in adj[u]:
+            if v in new and not new[u] < new[v] < len(stops):
+                continue    # taken from its other end
+            first, prev, length = len(new), u, 1
+            while v not in new:
+                new[v] = len(new)
+                a, b = adj[v]
+                prev, v = v, b if a == prev else a
+                length += 1
+            ends += (new[u], new[v])
+            lengths.append(length)
+            firsts.append(first)
+    order = list(new)   # the vertices in their new order
+    assert len(order) == n
+    return (*csr(n, [(new[u], new[v]) for u, v in edges]),
+            [div[v] for v in order], new[q], (ends, lengths, firsts))
+
+
+def reduce_on(backend, indptr, nbrs, div, q, pieces=None):
+    """`backend.reduce_divisor` as `kernel.reduce_divisor` calls it, on
+    `pieces` or on the unit table it makes of the bare CSR; an
+    OverflowError of the compiled kernel is not rerun."""
+    if pieces is None:
+        pieces = kernel._unit_pieces(indptr, nbrs)
+    return backend.reduce_divisor(div, q, pieces)
+
+
+def through_kernel(backend):
+    """`kernel.reduce_divisor` with `backend` behind it."""
+    def reduce_divisor(*args, **kwargs):
+        with mock.patch.object(kernel, "_backend", backend):
+            return kernel.reduce_divisor(*args, **kwargs)
+    return reduce_divisor
+
+
+def tables(case):
+    """The tables a case (indptr, nbrs, div, q[, pieces]) runs from: its
+    bare CSR (None) and, when it has one, its own piece table."""
+    return [None, *case[4:]]
 
 
 def laplacian_apply(indptr, nbrs, sigma):
@@ -106,7 +169,7 @@ def test_pure_kernel_invariants():
         n, indptr, nbrs = random_csr(rng)
         div = [rng.randint(-5, 6) for _ in range(n)]
         q = rng.randrange(n)
-        red, sigma = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
+        red, sigma = reduce_on(_kernel_py, indptr, nbrs, div, q)
         check_reduction(indptr, nbrs, div, q, red, sigma)
 
 
@@ -116,8 +179,8 @@ def test_pure_kernel_idempotent():
         n, indptr, nbrs = random_csr(rng)
         div = [rng.randint(-4, 5) for _ in range(n)]
         q = rng.randrange(n)
-        red, _ = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
-        again, sigma = _kernel_py.reduce_divisor(indptr, nbrs, red, q)
+        red, _ = reduce_on(_kernel_py, indptr, nbrs, div, q)
+        again, sigma = reduce_on(_kernel_py, indptr, nbrs, red, q)
         assert list(again) == list(red)
         assert all(x == 0 for x in sigma)
 
@@ -138,8 +201,8 @@ def backend_cases(seed=102, trials=300):
     for _ in range(trials):
         n = rng.randint(2, 6)
         edges = random_edges(rng, n, 5)
-        n, edges = as_paths(n, edges,
-                            [rng.choice((1, 2, 3, 5, 8)) for _ in edges])
+        n, edges, _ = as_paths(n, edges,
+                               [rng.choice((1, 2, 3, 5, 8)) for _ in edges])
         div = [rng.randint(-6, 7) if rng.random() < 0.3 else 0
                for _ in range(n)]
         yield (*csr(n, edges), div, rng.randrange(n))
@@ -147,8 +210,8 @@ def backend_cases(seed=102, trials=300):
 
 def test_backends_agree(compiled):
     for indptr, nbrs, div, q in backend_cases():
-        red_c, sig_c = compiled.reduce_divisor(indptr, nbrs, div, q)
-        red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
+        red_c, sig_c = reduce_on(compiled, indptr, nbrs, div, q)
+        red_p, sig_p = reduce_on(_kernel_py, indptr, nbrs, div, q)
         assert list(red_c) == list(red_p)
         assert list(sig_c) == list(sig_p)
 
@@ -157,9 +220,9 @@ def test_kernels_only_read_div(kernel_backend):
     """`IntegerModel.reduce_vector` hands its vector to the kernel as it is,
     so neither kernel may write into `div`, a list or a tuple."""
     for indptr, nbrs, div, q in backend_cases():
-        want = kernel_backend.reduce_divisor(indptr, nbrs, list(div), q)
+        want = reduce_on(kernel_backend, indptr, nbrs, list(div), q)
         for arg in (list(div), tuple(div)):
-            got = kernel_backend.reduce_divisor(indptr, nbrs, arg, q)
+            got = reduce_on(kernel_backend, indptr, nbrs, arg, q)
             assert list(arg) == div
             assert [list(x) for x in got] == [list(x) for x in want]
 
@@ -173,7 +236,9 @@ def corridor_cases(seed=103, trials=12):
     each; each firing is legal because c_i passes on the k chips that it
     just took in.  So chips cross the path in one round when it is the
     shortest corridor, and land partway along it when a cycle's run is
-    shorter.  Yields (indptr, nbrs, div, q).
+    shorter.  Yields (indptr, nbrs, div, q, pieces), numbered as the piece
+    table with the far ends of the cycles' first edges as extra stops
+    numbers the graph.
     """
     rng = random.Random(seed)
     for _ in range(trials):
@@ -185,28 +250,29 @@ def corridor_cases(seed=103, trials=12):
         edges = [(i, (i + 1) % near) for i in range(near)]
         edges += [(i, i + 1) for i in range(near - 1, far)]
         edges += [(far + i, far + (i + 1) % far_len) for i in range(far_len)]
-        indptr, nbrs = csr(n, edges)
         div = [0] * n
         div[far] = rng.randint(1, 5)
         div[rng.randrange(near)] += rng.randint(-2, 3)
         div[far + rng.randrange(far_len)] += rng.randint(0, 2)
         q = rng.choice([0, near - 1 + seg // 2, far + 1])
-        yield indptr, nbrs, div, q
+        yield with_table(n, edges, div, q, [near - 1, far, 0, far + 1])
 
 
 def test_pure_kernel_invariants_on_corridor():
-    for indptr, nbrs, div, q in corridor_cases():
-        red, sigma = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
-        check_reduction(indptr, nbrs, div, q, red, sigma)
+    for case in corridor_cases():
+        for pieces in tables(case):
+            red, sigma = reduce_on(_kernel_py, *case[:4], pieces)
+            check_reduction(*case[:4], red, sigma)
 
 
 def test_compiled_kernel_invariants_on_corridor(compiled):
-    for indptr, nbrs, div, q in corridor_cases():
-        red_c, sig_c = compiled.reduce_divisor(indptr, nbrs, div, q)
-        check_reduction(indptr, nbrs, div, q, red_c, sig_c)
-        red_p, sig_p = _kernel_py.reduce_divisor(indptr, nbrs, div, q)
-        assert list(red_c) == list(red_p)
-        assert list(sig_c) == list(sig_p)
+    for case in corridor_cases():
+        for pieces in tables(case):
+            red_c, sig_c = reduce_on(compiled, *case[:4], pieces)
+            check_reduction(*case[:4], red_c, sig_c)
+            red_p, sig_p = reduce_on(_kernel_py, *case[:4], pieces)
+            assert list(red_c) == list(red_p)
+            assert list(sig_c) == list(sig_p)
 
 
 def test_backend_reports_identity():
@@ -216,13 +282,13 @@ def test_backend_reports_identity():
 
 def test_q_out_of_range():
     with pytest.raises(ValueError):
-        _kernel_py.reduce_divisor([0, 1, 2], [1, 0], [0, 0], 5)
+        reduce_on(_kernel_py, [0, 1, 2], [1, 0], [0, 0], 5)
 
 
 def test_disconnected_rejected():
     # two vertices, no edges: burning from q can never finish
     with pytest.raises(ValueError, match="connected"):
-        _kernel_py.reduce_divisor([0, 0, 0], [], [1, 1], 0)
+        reduce_on(_kernel_py, [0, 0, 0], [], [1, 1], 0)
 
 
 def assert_rejects_bad_input(reduce_divisor):
@@ -245,14 +311,23 @@ def assert_rejects_bad_input(reduce_divisor):
     # edge listed at one end only
     with pytest.raises(ValueError, match="CSR must list each edge"):
         reduce_divisor([0, 3, 5, 7], [1, 2, 2, 2, 1, 1, 1], [0, 0, 0], 0)
+    # as many entries as two ends of each edge, but 0 - 1 and 2 - 1 are
+    # each listed at one end only
+    with pytest.raises(ValueError, match="CSR must list each edge"):
+        reduce_divisor([0, 1, 1, 2], [1, 1], [0, 0, 0], 0)
+    # the edge 0 - 1 at both ends, and a loop at 1 listed at both its ends
+    with pytest.raises(ValueError, match="CSR must list each edge"):
+        reduce_divisor([0, 1, 4], [1, 0, 1, 1], [0, 0], 0)
 
 
-def test_pure_kernel_checks_the_piece_table():
-    """The piece path reads len(indptr) and the table, not the CSR: q and
-    len(div) are checked against n, and the stops and piece sizes must
-    number 0..n-1 once, with every piece between two distinct stops of a
-    connected graph."""
-    reduce_divisor = _kernel_py.reduce_divisor
+def test_pure_kernel_checks_the_piece_table(kernel_backend):
+    """With a piece table `kernel.reduce_divisor` reads len(indptr) and the
+    table, not the CSR, and checks len(div) against n.  Each backend checks
+    q, and that the stops and piece sizes number 0..n-1 once, with every
+    piece between two distinct stops of a connected graph: both refuse the
+    same tables.  A table entry outside int64 ends in the pure kernel's
+    refusal, not in an OverflowError."""
+    reduce_divisor = through_kernel(kernel_backend)
     path = ([0, 1], [2], [2])   # stops 0 and 1, joined through vertex 2
     # CSR arrays of the right length that are never read
     assert reduce_divisor([0] * 4, [], [0, -1, 1], 0, pieces=path) \
@@ -260,10 +335,13 @@ def test_pure_kernel_checks_the_piece_table():
         == ([0, 0, 0], [0, -1, 0])
     for q in (-1, 3):
         with pytest.raises(ValueError, match="q out of range"):
-            reduce_divisor([0] * 4, [], [0, 0, 0], q, pieces=path)
-    with pytest.raises(ValueError, match="one entry per vertex"):
-        reduce_divisor([0] * 4, [], [0, 0], 0, pieces=path)
+            kernel_backend.reduce_divisor([0, 0, 0], q, path)
+    for indptr in ([0] * 4, [0] * 3):
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            reduce_divisor(indptr, [], [0] * (6 - len(indptr)), 0,
+                           pieces=path)
     for table in (([0, 1], [3], [2]),       # sizes add up to 4, not 3
+                  ([0, 1], [1], [2]),       # vertex 2 in no piece
                   ([0, 1], [2], [1]),       # first interior index not 2
                   ([0, 2], [2], [2]),       # stop 2 is an interior vertex
                   ([0, -1], [2], [2]),
@@ -271,47 +349,54 @@ def test_pure_kernel_checks_the_piece_table():
                   ([0, 1], [0], [3]),       # a piece of length 0
                   ([0, 1, 1], [2], [2])):   # half an end pair
         with pytest.raises(ValueError, match="pieces must"):
-            reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=table)
+            kernel_backend.reduce_divisor([0, 0, 0], 0, table)
     with pytest.raises(ValueError, match="connected"):
-        reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=([0, 1], [1], [3]))
+        kernel_backend.reduce_divisor([0, 0, 0], 0, ([0, 1], [1], [3]))
+    for table in (([0, 1], [2 ** 64], [2]), ([0, 2 ** 63], [2], [2]),
+                  ([0, 1], [2], [-2 ** 64])):
+        with pytest.raises(ValueError, match="pieces must"):
+            reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=table)
 
 
 def test_pieces_is_a_keyword_only_argument(kernel_backend):
-    """Both kernels take the piece table by keyword only; the compiled
-    one ignores it and walks the CSR."""
+    """`kernel.reduce_divisor` takes the piece table by keyword only, on
+    either backend, and answers from it as from the bare CSR."""
+    reduce_divisor = through_kernel(kernel_backend)
     indptr, nbrs = [0, 1, 2, 4], [2, 2, 0, 1]   # 0 - 2 - 1
     table = ([0, 1], [2], [2])
-    want = _kernel_py.reduce_divisor(indptr, nbrs, [0, 3, 0], 0)
-    got = kernel_backend.reduce_divisor(indptr, nbrs, [0, 3, 0], 0,
-                                        pieces=table)
+    want = reduce_on(_kernel_py, indptr, nbrs, [0, 3, 0], 0)
+    got = reduce_divisor(indptr, nbrs, [0, 3, 0], 0, pieces=table)
     assert [list(x) for x in got] == [list(x) for x in want]
     with pytest.raises(TypeError):
-        kernel_backend.reduce_divisor(indptr, nbrs, [0, 3, 0], 0, table)
+        reduce_divisor(indptr, nbrs, [0, 3, 0], 0, table)
 
 
 def test_debt_deep_inside_a_long_run(kernel_backend):
     """A debt 2,345 steps inside a run of 5,000 on a cycle, chips at its
-    far end: both kernels, walking the CSR, give the pure kernel's answer
-    from the piece table, and it is q-reduced with div - L·sigma."""
+    far end: both kernels, from the piece table and from the bare CSR,
+    give the pure kernel's answer from the table, and it is q-reduced with
+    div - L·sigma."""
     c = TropicalCurve({"a": 0, "b": 0},
                       [("e", ("a", "b"), 5000), ("f", ("a", "b"), 3)])
     model = IntegerModel(c, ["a", "b"])
     vec = model.divisor_vector(Divisor(c, [("b", 4)]))
     vec[model.vertex_index(c.point("e", 2345))] = -3
     q = model.vertex_index("a")
-    want = _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q,
-                                     pieces=model.pieces)
-    got = kernel_backend.reduce_divisor(model.indptr, model.nbrs, vec, q)
-    assert [list(x) for x in got] == [list(x) for x in want]
+    want = reduce_on(_kernel_py, model.indptr, model.nbrs, vec, q,
+                     model.pieces)
+    for pieces in (None, model.pieces):
+        got = reduce_on(kernel_backend, model.indptr, model.nbrs, vec, q,
+                        pieces)
+        assert [list(x) for x in got] == [list(x) for x in want]
     check_reduction(model.indptr, model.nbrs, vec, q, *want)
 
 
 def test_compiled_kernel_rejects_bad_input(compiled):
-    assert_rejects_bad_input(compiled.reduce_divisor)
+    assert_rejects_bad_input(through_kernel(compiled))
 
 
 def test_pure_kernel_rejects_bad_input():
-    assert_rejects_bad_input(_kernel_py.reduce_divisor)
+    assert_rejects_bad_input(through_kernel(_kernel_py))
 
 
 SMALL = st.integers(-8, 8)
@@ -325,7 +410,8 @@ NEAR_BOUNDS = (st.integers(2 ** 63 - 64, 2 ** 63 - 1)
 
 @st.composite
 def huge_divisors(draw):
-    """(indptr, nbrs, div, q) with chip counts up to 2^62 and beyond int64.
+    """(indptr, nbrs, div, q, pieces) with chip counts up to 2^62 and
+    beyond int64, numbered as the piece table `as_paths` gives numbers it.
 
     The graph is a random connected multigraph whose edges are paths of one
     to four edges, and many vertices hold no chip, so chips meet degree-2
@@ -337,21 +423,22 @@ def huge_divisors(draw):
                                         st.integers(0, n - 1)), max_size=8)):
         if u != v:
             edges.append((u, v))
-    n, edges = as_paths(n, edges, draw(st.lists(
+    n, edges, stops = as_paths(n, edges, draw(st.lists(
         st.integers(1, 4), min_size=len(edges), max_size=len(edges))))
     q = draw(st.integers(0, n - 1))
     off_q = SMALL | HUGE | BEYOND_INT64 if draw(st.booleans()) else SMALL
     div = draw(st.lists(st.just(0) | off_q, min_size=n, max_size=n))
     div[q] = draw(SMALL | HUGE | BEYOND_INT64 | NEAR_BOUNDS)
-    return (*csr(n, edges), div, q)
+    return with_table(n, edges, div, q, stops)
 
 
 class _Unfinished(Exception):
     pass
 
 
-def counted_reduction(case, rounds):
-    """The pure kernel's answer and its number of burns (one per round).
+def counted_reduction(case, rounds, pieces=None):
+    """The pure kernel's answer on the case, from `pieces` or from its bare
+    CSR, and its number of burns (one per round).
 
     Raises `_Unfinished` once the kernel starts burn number `rounds + 1`.
     """
@@ -366,7 +453,7 @@ def counted_reduction(case, rounds):
         return burn(*args)
 
     with mock.patch.object(_kernel_py, "_burn", counted):
-        return _kernel_py.reduce_divisor(*case), burns
+        return reduce_on(_kernel_py, *case[:4], pieces), burns
 
 
 def exact_reduction(case, rounds=2000):
@@ -437,14 +524,16 @@ def test_pile_behind_corridor_takes_few_rounds(case):
 @example(case=BACK_THROUGH_PILE)
 @example(case=LAND_ON_FULL_Q)
 def test_compiled_kernel_is_exact_or_overflows(compiled, case):
-    """int64 never wraps: the compiled answer is the exact one, or none."""
+    """int64 never wraps: the compiled answer is the exact one, or none,
+    from the bare CSR and from the piece table."""
     want = exact_reduction(case)
-    try:
-        got = compiled.reduce_divisor(*case)
-    except OverflowError:
-        event("overflow")
-        return
-    assert got == want
+    for pieces in tables(case):
+        try:
+            got = reduce_on(compiled, *case[:4], pieces)
+        except OverflowError:
+            event("overflow")
+            continue
+        assert got == want
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -453,13 +542,14 @@ def test_compiled_kernel_is_exact_or_overflows(compiled, case):
 def test_kernel_falls_back_to_exact_integers(compiled, case):
     """`kernel` answers exactly, rerunning on `_kernel_py` after overflow."""
     want = exact_reduction(case)
-    with mock.patch.object(kernel, "_kernel", compiled):
-        assert kernel._compiled_or_exact(*case) == want
+    for pieces in tables(case):
+        assert through_kernel(compiled)(*case[:4], pieces=pieces) == want
 
 
 @st.composite
 def chain_divisors(draw):
-    """(indptr, nbrs, div, q) on a multigraph whose edges are long paths.
+    """(indptr, nbrs, div, q, pieces) on a multigraph whose edges are long
+    paths, numbered as the piece table `as_paths` gives numbers it.
 
     One to five branch vertices; each edge, loops included, is a path of
     up to 60 steps.  Chips and debts sit on branch vertices and mid-chain,
@@ -471,14 +561,14 @@ def chain_divisors(draw):
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
                                      st.integers(0, n - 1)), max_size=5))
     lengths = [draw(st.integers(2 if u == v else 1, 60)) for u, v in edges]
-    n, edges = as_paths(n, edges, lengths)
+    n, edges, stops = as_paths(n, edges, lengths)
     if n == 1:
-        edges, n = [(0, 1)], 2
+        edges, n, stops = [(0, 1)], 2, [0, 1]
     div = [0] * n
     for v, x in draw(st.lists(st.tuples(st.integers(0, n - 1), SMALL),
                               max_size=6)):
         div[v] += x
-    return (*csr(n, edges), div, draw(st.integers(0, n - 1)))
+    return with_table(n, edges, div, draw(st.integers(0, n - 1)), stops)
 
 
 def oracle_reduction(case, rounds=300):
@@ -495,7 +585,7 @@ def oracle_reduction(case, rounds=300):
 
     with mock.patch.object(oracles, "_unit_burn", counted):
         try:
-            return oracles.unit_reduce_divisor(*case), burns
+            return oracles.unit_reduce_divisor(*case[:4]), burns
         except _Unfinished:
             reject()
 
@@ -503,25 +593,30 @@ def oracle_reduction(case, rounds=300):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=chain_divisors() | huge_divisors())
 def test_contracted_kernel_fires_the_oracles_rounds(case):
-    """The pure kernel answers as the unit-graph oracle, in as many rounds."""
+    """The pure kernel answers as the unit-graph oracle, in as many rounds,
+    from the piece table and from the bare CSR."""
     want, burns = oracle_reduction(case)
-    assert counted_reduction(case, burns) == (want, burns)
+    for pieces in tables(case):
+        assert counted_reduction(case, burns, pieces) == (want, burns)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=chain_divisors() | huge_divisors())
 def test_compiled_contracted_kernel_matches_the_oracle(compiled, case):
     """The compiled kernel answers as the unit-graph oracle, or refuses a
-    huge input with OverflowError."""
+    huge input with OverflowError, from the piece table and from the bare
+    CSR."""
     want, _ = oracle_reduction(case)
-    try:
-        assert compiled.reduce_divisor(*case) == want
-    except OverflowError:
-        assert max(map(abs, case[2])) > 2 ** 40
+    for pieces in tables(case):
+        try:
+            assert reduce_on(compiled, *case[:4], pieces) == want
+        except OverflowError:
+            assert max(map(abs, case[2])) > 2 ** 40
 
 
 def test_contracted_kernels_fire_the_oracles_rounds_on_corridors(compiled):
     for case in itertools.chain(corridor_cases(), backend_cases(trials=60)):
         want, burns = oracle_reduction(case)
-        assert counted_reduction(case, burns) == (want, burns)
-        assert compiled.reduce_divisor(*case) == want
+        for pieces in tables(case):
+            assert counted_reduction(case, burns, pieces) == (want, burns)
+            assert reduce_on(compiled, *case[:4], pieces) == want

@@ -16,6 +16,7 @@ import random
 import weakref
 from fractions import Fraction as F
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -463,15 +464,17 @@ def test_witness_is_the_kernels_sigma(case):
     assert f == ref.pl_from_unit_values(c, [F(-s, ref.lam) for s in sigma])
 
 
-def test_bouquet_without_marks_reduces_on_one_point(kernel_backend):
+def test_bouquet_without_marks_reduces_on_one_point(kernel_backend,
+                                                    monkeypatch):
     """Every loop of a bouquet is left out: one lattice point, no CSR
     entries, and both kernels reduce on it."""
+    monkeypatch.setattr(kernel, "_backend", kernel_backend)
     c = TropicalCurve({"v": 0}, [("a", ("v", "v"), 1), ("b", ("v", "v"), F(1, 3)),
                                  ("c", ("v", "v"), 2)])
     model = IntegerModel(c, ["v"], loops=False)
     assert (model.n, model.lam, model.indptr, model.nbrs) == (1, 1, [0, 0], [])
     for chips in (3, 0, -2):
-        red, sigma = kernel_backend.reduce_divisor(model.indptr, model.nbrs, [chips], 0)
+        red, sigma = kernel.reduce_divisor(model.indptr, model.nbrs, [chips], 0)
         assert (list(red), list(sigma)) == ([chips], [0])
     red, f = reduced_divisor(c, Divisor(c, [("v", 3)]), "v")
     assert red == Divisor(c, [("v", 3)]) and f == PLFunction.constant(c)
@@ -544,23 +547,29 @@ def piece_cases(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=piece_cases())
-def test_piece_table_reduces_as_the_csr_walk_and_the_unit_oracle(case):
-    """The pure kernel gives the same (reduced, sigma) from the model's
-    piece table as from its CSR arrays, and both are the unit-graph
-    oracle's; `reduce_vector` hands the kernel the table."""
+def test_piece_table_reduces_as_the_csr_walk_and_the_unit_oracle(compiled,
+                                                                  case):
+    """Each kernel gives the same (reduced, sigma) from the model's piece
+    table as from the unit table of its CSR arrays, and both are the
+    unit-graph oracle's; `reduce_vector` hands the kernel the table."""
     model, vec, q = case
     want = unit_reduce_divisor(model.indptr, model.nbrs, vec, q)
-    assert _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q) == want
-    assert _kernel_py.reduce_divisor(model.indptr, model.nbrs, vec, q,
-                                     pieces=model.pieces) == want
-    assert [list(x) for x in model.reduce_vector(vec, q)] == list(want)
+    for backend in (_kernel_py, compiled):
+        with mock.patch.object(kernel, "_backend", backend):
+            assert [list(x) for x in kernel.reduce_divisor(
+                model.indptr, model.nbrs, vec, q)] == list(want)
+            assert [list(x) for x in kernel.reduce_divisor(
+                model.indptr, model.nbrs, vec, q,
+                pieces=model.pieces)] == list(want)
+            assert [list(x) for x in model.reduce_vector(vec, q)] \
+                == list(want)
 
 
 def test_model_reductions_never_walk_the_csr(monkeypatch):
-    """Every model reduction builds the pure kernel's graph from the piece
-    table: with the CSR walk patched to raise, `reduced_divisor` (q inside
-    an edge), `is_equivalent`, `rank_pure` and `confinement_search` give
-    the answers they give without the patch."""
+    """Every model reduction hands the kernel its piece table: with the
+    adapter of `kernel.reduce_divisor` for a bare CSR patched to raise,
+    `reduced_divisor` (q inside an edge), `is_equivalent`, `rank_pure` and
+    `confinement_search` give the answers they give without the patch."""
     c = TropicalCurve({"u": 0, "b": 0, "z": 0},
                       [("c1", ("u", "b"), 1), ("c2", ("u", "b"), F(3, 2)),
                        ("t", ("u", "z"), 2)])
@@ -575,11 +584,10 @@ def test_model_reductions_never_walk_the_csr(monkeypatch):
 
     want = answers()
 
-    def walk(*args):
-        raise AssertionError("the CSR walk ran")
+    def adapt(*args):
+        raise AssertionError("a bare CSR was adapted")
 
-    monkeypatch.setattr(kernel, "reduce_divisor", _kernel_py.reduce_divisor)
-    monkeypatch.setattr(_kernel_py, "_walk", walk)
+    monkeypatch.setattr(kernel, "_unit_pieces", adapt)
     assert answers() == want
-    with pytest.raises(AssertionError, match="CSR walk"):
-        _kernel_py.reduce_divisor([0, 1, 2], [1, 0], [0, 0], 0)
+    with pytest.raises(AssertionError, match="bare CSR"):
+        kernel.reduce_divisor([0, 1, 2], [1, 0], [0, 0], 0)

@@ -365,8 +365,7 @@ def test_search_agrees_with_the_reference_search(kernel_backend, case):
     Clifford cap and debt-free child tests, answer as the plain search of
     `oracles.reference_rank` on the unit-graph kernel, on either kernel."""
     c, D = case
-    with mock.patch.object(kernel, "reduce_divisor",
-                           kernel_backend.reduce_divisor):
+    with mock.patch.object(kernel, "_backend", kernel_backend):
         engine = _RankEngine(c, marks=D)
         model = engine.model
         vec = model.divisor_vector(D)
@@ -477,8 +476,7 @@ def test_huge_pile_with_debt_reduces_in_few_burns():
             raise AssertionError("more than 10,000 burns")
         return real_burn(*args)
 
-    with mock.patch.object(kernel, "reduce_divisor",
-                           _kernel_py.reduce_divisor), \
+    with mock.patch.object(kernel, "_backend", _kernel_py), \
             mock.patch.object(_kernel_py, "_burn", burn):
         assert rank_weighted(c, Divisor(c, [("a", pile), ("b", -pile)])) == -1
     assert burns
