@@ -6,8 +6,8 @@ this module when the extension is not built, and reruns an input here when
 the extension's int64 arithmetic would overflow: Python integers are exact.
 A graph arrives as a piece table: stops joined by pieces, each piece a
 chain of unit steps (see `reduce_divisor`).  `models.IntegerModel` keeps
-its lattice in that form; `kernel.reduce_divisor` turns a bare CSR graph
-into the table of its unit edges, every vertex a stop.
+its lattice in that form; `tests/oracles.py` turns a hand-written CSR
+graph into the table of its unit edges, every vertex a stop.
 
 `reduce_divisor` q-reduces by the textbook algorithm on the unit graph: it
 clears the debt outside q by firing balls around q, then runs Dhar's burning

@@ -415,15 +415,21 @@ def underlying_pure(curve: TropicalCurve) -> TropicalCurve:
 def attach_loops(curve: TropicalCurve, eps: RatLike) -> TropicalCurve:
     """Replace each weight w(v) by w(v) loops of length eps at v.
 
-    The result is a pure curve of the same genus.
+    The result is a pure curve of the same genus.  Loop i at v is named
+    ``v!loop<i>``, with ``'`` appended until the id is unused.
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     edges = [(e, (u, v), ell) for e, (u, v, ell) in curve._edges.items()]
+    taken = set(curve._edges)
     for v in curve.vertices():
         for i in range(curve.weight(v)):
-            edges.append((f"{v}!loop{i}", (v, v), eps))
+            eid = f"{v}!loop{i}"
+            while eid in taken:
+                eid += "'"
+            taken.add(eid)
+            edges.append((eid, (v, v), eps))
     return TropicalCurve({v: 0 for v in curve.vertices()}, edges)
 
 

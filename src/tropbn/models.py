@@ -19,26 +19,24 @@ are unique (Baker–Norine, arXiv:math/0608360), so the reduction on the
 smaller lattice is the reduction on the curve.  On a dumbbell whose loops
 are one unit long this halves λ and the lattice.
 
-The model is never built as a curve: lattice points are numbered by a fixed
-layout (see `IntegerModel`), and each edge keeps one list, the lattice
-index at each tick, so index ↔ point conversions are integer arithmetic.
+The model is never built as a curve, and it keeps its lattice in one form,
+the piece table (see `IntegerModel`), whose pieces number their interior
+points consecutively.  Each edge keeps its rows of that table, so a
+point's index is a bisection over the edge's stop ticks plus integer
+arithmetic, and an index's point a bisection over the pieces.
 Subcurve diameters need no lattice: `subcurve_diameter` takes them in
 closed form from vertex distances.
 
 The model layer does Python work per curve vertex, edge, stop and chip,
-not per lattice point.  Its O(n) passes are C-level list operations: a
-piece's interior points enter their edge's path as one `range`, and their
-CSR entries are two strided slices of that path; `reduced_divisor` finds
-the chips and the witness's knots with `compress` over the kernel's
-output.  The model also keeps its lattice as stops joined by pieces, one
-curve-free table (``pieces``) that `point_of_index` reads and
-`reduce_vector` hands the kernel by keyword.  Both kernels build their
-contracted graph from that table only, so no reduction walks the lattice:
-a kernel call's O(n) work is a pass over the vector for chips inside
-pieces and the fill of its length-n vectors out, C-level list operations
-or C.  The CSR arrays now serve only the benchmark's tracer
-(`perfbench/spans.py`, which reads ``len(indptr)`` as the kernel's n) and
-the tests' unit-graph oracle (`tests/oracles.py`).
+not per lattice point.  Its O(n) passes are C-level list operations:
+`indices_in` adds one `range` per piece, the CSR arrays are two strided
+slices mended at each stop, and `reduced_divisor` finds the chips and the
+witness's knots with `compress` over the kernel's output.  Both kernels
+build their contracted graph from the piece table only, so no reduction
+walks the lattice: a kernel call's O(n) work is a pass over the vector for
+chips inside pieces and the fill of its length-n vectors out.  The CSR
+arrays serve only the benchmark's tracer (`perfbench/spans.py`, which reads
+``len(indptr)`` as the kernel's n) and the tests' unit-graph oracle.
 
 `reduced_divisor` and `is_equivalent` are the divisor-level entry points:
 they are the only routes from a `Divisor` to the chip-firing kernel, and
@@ -50,18 +48,18 @@ rank-determining set or lattice points on loops.
 
 `divisor_vector`, and a model whose marks are a `Divisor`, trust the
 divisor's points: they are canonical on its curve (see `Divisor`), so a
-chip's index is read from the vertex numbering or its edge's path without
+chip's index is read from the vertex numbering or its edge's rows without
 passing the point through `TropicalCurve.point` again.  Marks given as
 points are canonicalized, as `vertex_index` canonicalizes its argument.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, count
 from math import ceil, floor, lcm
-from operator import ne
+from operator import ne, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernel
@@ -72,12 +70,11 @@ from .divisor import Divisor, PLFunction
 # a ``loops=False`` model leaves unmarked loops out, so a curve may reduce
 # where its rank search is refused.  Under tracemalloc, a cold
 # `reduced_divisor` with the pure kernel on one edge of 200,000 unit steps
-# peaks at about 169 bytes a lattice point: 97 for the model (its paths and
-# CSR arrays) and 72 for the kernel's vectors in and out, σ's values
-# included, so this is about 340 MB.  Both kernels build from the piece
-# table and their rounds work on runs of points, but their vectors still
-# hold one entry per point; so n still bounds a call's memory, and its
-# C-level list work bounds its time.
+# peaks at about 160 bytes a lattice point: 88 for the model's CSR arrays
+# and 72 for the kernel's vectors in and out, σ's values included, so this
+# is about 320 MB.  Both kernels build from the piece table and their rounds
+# work on runs of points, but their vectors still hold one entry per point;
+# so n still bounds a call's memory, and its C-level list work its time.
 MAX_LATTICE_POINTS = 2_000_000
 
 
@@ -90,7 +87,7 @@ class IntegerModel:
     scale: a positive integer that multiplies λ, refining the lattice;
     `transport.confinement_search` searches the lattice at scale 2.
     loops: with False, every loop without interior marks is left out: it
-    has no midpoint stop, adds nothing to λ, and has no path and no CSR
+    has no midpoint stop, adds nothing to λ, and has no pieces and no CSR
     entries, so its points are not lattice points.  Such a model serves
     reductions whose divisor and basepoint are marks (see the module
     docstring); ranks need the default.
@@ -126,6 +123,8 @@ class IntegerModel:
     point (the others follow it, from the first stop on) and its edge.
     `reduce_vector` passes it to the kernel (see
     `tropbn._kernel_py.reduce_divisor`, which reads the first three).
+    ``_rows[e]`` is edge e's part of it: (stop ticks, stops, firsts), ends
+    included.
 
     The lattice depends only on ``scale``, the set of interior cuts
     (edge, offset) that the marks make, and ``loops``; vertex marks do not
@@ -138,7 +137,7 @@ class IntegerModel:
     search must not find a lattice without points on a loop.  A model with
     another key empties the slot before it builds and then takes it over,
     so a curve never holds two lattices.  The fields are curve-free (``n``,
-    ``lam``, the numbering, the paths, the piece table and the CSR arrays),
+    ``lam``, the numbering, the piece table and the CSR arrays),
     so the slot holds no reference back to the curve, a model or a divisor:
     there is no cycle, and a dropped curve is freed by reference counting.
     The stored lists are shared between the models of one key and are never
@@ -173,13 +172,16 @@ class IntegerModel:
 
     def _index(self, p: Point) -> int:
         """Lattice index of a point canonical on the curve, read from the
-        vertex numbering or its edge's path."""
+        vertex numbering or its edge's rows."""
         if p.is_vertex:
             return self._vindex[p.vertex]
         t = p.offset * self.lam
         if t.denominator != 1:
             raise ValueError(f"{p} is not a lattice point of this model")
-        return self._paths[p.edge][t.numerator]
+        ticks, nodes, firsts = self._rows[p.edge]
+        t = t.numerator
+        k = bisect_right(ticks, t) - 1
+        return nodes[k] if ticks[k] == t else firsts[k] + t - ticks[k] - 1
 
     def point_of_index(self, i: int) -> Point:
         if not 0 <= i < self.n:
@@ -241,12 +243,16 @@ class IntegerModel:
         if sub.parent != self.curve:
             raise ValueError("curve mismatch")
         # an interval that reaches an end of its edge puts that end into
-        # sub.vertices (closure), so the slices may include the ends
+        # sub.vertices (closure), so its stops may include the ends
         out = {self._vindex[v] for v in sub.vertices}
         for e, ivs in sub.intervals.items():
-            path = self._paths[e]
+            ticks, nodes, firsts = self._rows[e]
             for a, b in ivs:
-                out.update(path[ceil(a * self.lam):floor(b * self.lam) + 1])
+                lo, hi = ceil(a * self.lam), floor(b * self.lam)
+                out.update(nodes[bisect_left(ticks, lo):bisect_right(ticks, hi)])
+                for s, t, f in zip(ticks, ticks[1:], firsts):
+                    f -= s + 1   # inside this piece, tick x has index x + f
+                    out.update(range(max(lo, s + 1) + f, min(hi + 1, t) + f))
         return sorted(out)
 
 
@@ -293,55 +299,54 @@ def _lattice(curve: TropicalCurve, cuts, scale: int, loops: bool) -> dict:
         raise ValueError(f"integer model needs {n} lattice points, more "
                          f"than the limit of {MAX_LATTICE_POINTS}")
 
-    # per edge, the lattice index at each tick t (offset t/λ) from its
-    # first end on; plus the piece table, one row per piece: its two stops,
-    # its length in ticks, its first interior index and its edge.  The CSR
-    # arrays are filled as the paths are laid.  Each curve vertex lists,
-    # edge by edge, the point one tick inside the edge from each of its
-    # ends.  Every other point i lies inside one edge and has degree 2:
-    # nbrs[o] and nbrs[o + 1], with o = 2(|E| + i − |V|), are the points
-    # one tick before and after it.
-    # A piece's interior points have consecutive indices, so for them each
-    # of the two is one strided slice of the path, sharing its ints.
+    # the piece table, one row per piece: its two stops, its length in
+    # ticks, its first interior index and its edge; and each kept edge's
+    # rows of it.  In the CSR arrays each curve vertex lists, edge by edge,
+    # the point one tick inside the edge from each of its ends.  Every other
+    # point i lies inside one edge and has degree 2: nbrs[o + 2i] and
+    # nbrs[o + 2i + 1], with o = 2(|E| − |V|), are the points one tick
+    # before and after it.  Those are i − 1 and i + 1, two strided slices
+    # of one list of ints, except next to a stop, where each piece mends
+    # them.
     nv, n_edges = len(verts), len(edges)
-    nbrs = [0] * (2 * (n_edges + n - nv))
+    o = 2 * (n_edges - nv)
+    nbrs = [0] * (o + 2 * n)
+    inner = [*range(nv - 1, n + 1)]
+    nbrs[2 * n_edges::2], nbrs[2 * n_edges + 1::2] = inner[:-2], inner[2:]
     ends: List[List[int]] = [[] for _ in verts]
-    paths: Dict[str, List[int]] = {}
-    piece_ends: List[int] = []
-    piece_len: List[int] = []
-    piece_first: List[int] = []
-    piece_edge: List[str] = []
+    rows: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+    pieces = piece_ends, piece_len, piece_first, piece_edge = [], [], [], []
     first = len(stops)
     for e in edges:
         ticks, nodes = ticks_of[e], layout[e][1]
-        path = [nodes[0]]
-        for s, t, a, node in zip(ticks, ticks[1:], nodes, nodes[1:]):
+        firsts = []
+        for s, t, a, b in zip(ticks, ticks[1:], nodes, nodes[1:]):
+            piece_ends += (a, b)
+            firsts.append(first)
             c = t - s - 1
-            piece_ends += (a, node)
-            piece_len.append(t - s)
-            piece_first.append(first)
-            piece_edge.append(e)
-            if c > 0:
-                path += range(first, first + c)
-                path.append(node)
-                o = 2 * (n_edges + first - nv)
-                nbrs[o:o + 2 * c:2] = path[s:t - 1]
-                nbrs[o + 1:o + 2 * c:2] = path[s + 2:t + 1]
-                first += c
+            if c:   # its interior points first .. first + c − 1
+                nbrs[o + 2 * first] = a
+                nbrs[o + 2 * (first + c) - 1] = b
+            # the points one tick after a and one tick before b
+            after, before = (first, first + c - 1) if c else (b, a)
+            if s:
+                nbrs[o + 2 * a + 1] = after
             else:
-                path.append(node)
-            if s:   # the stop at tick s, now that path[s + 1] is laid
-                o = 2 * (n_edges + path[s] - nv)
-                nbrs[o], nbrs[o + 1] = path[s - 1], path[s + 1]
-        paths[e] = path
-        ends[nodes[0]].append(path[1])
-        ends[nodes[-1]].append(path[-2])
+                ends[a].append(after)
+            if t < ticks[-1]:
+                nbrs[o + 2 * b] = before
+            first += c
+        ends[nodes[-1]].append(before)
+        rows[e] = (ticks, nodes, firsts)
+        piece_len += map(sub, ticks[1:], ticks)
+        piece_first += firsts
+        piece_edge += [e] * len(firsts)
     nbrs[:2 * n_edges] = chain.from_iterable(ends)
     indptr = [0, *accumulate(map(len, ends))]
     indptr += range(2 * n_edges + 2, len(nbrs) + 1, 2)
     return {"n": n, "lam": lam, "_vindex": vindex, "_stops": stops,
-            "split_indices": list(range(len(stops))), "_paths": paths,
-            "pieces": (piece_ends, piece_len, piece_first, piece_edge),
+            "split_indices": list(range(len(stops))), "_rows": rows,
+            "pieces": pieces,
             "indptr": indptr, "nbrs": nbrs}
 
 

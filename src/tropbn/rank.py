@@ -8,8 +8,9 @@ set, with |D - E| empty.  That quantity satisfies
     minfail(C) = 1 + min_p minfail(C-p)  otherwise, p over the RDS,
 
 which is explored depth-first with memoization on q-reduced forms and an
-upper-bound cutoff.  The vertex set of a loopless model containing supp(D)
-is rank-determining, so no further points need to be considered.
+upper-bound cutoff.  The vertex set of any loopless model is
+rank-determining (Luo, arXiv:0906.2807), so no further points need to be
+considered; the model marks supp(D) only so that D is a lattice vector.
 
 Two facts keep the search small.
 

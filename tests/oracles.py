@@ -13,6 +13,8 @@ breadth-first search over a half-step lattice model of the curve.
 `piece_scale` is the lattice scale λ by its definition from piece lengths.
 `unit_reduce_divisor` is the reference chip-firing kernel: the same rounds
 as `tropbn._kernel_py`, each one walked over every vertex of the graph.
+`unit_pieces` turns such a CSR graph into the piece table that the
+library's kernels take.
 `reference_minfail` and `reference_rank` are the reference rank search on
 it: the plain recursion, without the library's Clifford cap or its
 reductions at the removed chip's own base point.
@@ -279,6 +281,24 @@ def piece_scale(curve: TropicalCurve, marks=(), scale: int = 1) -> int:
 
 
 # -- chip-firing on the unit graph ---------------------------------------------
+
+
+def unit_pieces(indptr, nbrs):
+    """The piece table of a CSR graph: every vertex a stop, every edge a
+    piece of length 1.  `indptr[v]:indptr[v+1]` slices `nbrs` to the
+    neighbours of v, with parallel edges repeated and no loops."""
+    n = len(indptr) - 1
+    if (min(indptr) < 0 or max(indptr) > len(nbrs)
+            or (nbrs and (min(nbrs) < 0 or max(nbrs) >= n))):
+        raise ValueError("CSR index out of range")
+    pairs = [(u, v) for u, a, b in zip(range(n), indptr, indptr[1:])
+             for v in nbrs[a:b]]
+    edges = sorted(p for p in pairs if p[0] < p[1])
+    if (2 * len(edges) != len(pairs)
+            or edges != sorted((v, u) for u, v in pairs if u > v)):
+        raise ValueError("CSR must list each edge at both ends and have no "
+                         "loops")
+    return [x for e in edges for x in e], [1] * len(edges), [n] * len(edges)
 
 
 def _unit_burn(indptr, nbrs, d, q):

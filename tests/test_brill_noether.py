@@ -227,10 +227,12 @@ def test_empty_brill_noether_locus_is_the_enumerations_answer(curve, d, r,
                                                               resolution):
     """Where no class of degree d has rank r, the answer built without a
     lattice is the one the enumeration finds: rho = -1 and r times the
-    least vertex, on the loop presentation of a weighted curve."""
+    least vertex, a divisor of the curve that was asked about, weighted or
+    not."""
     query = BNQuery(d=d, r=r, resolution=resolution)
     res = bn_rank_detail(curve, query)
     assert res == first_failure_result(curve, query)
+    assert res.counterexample.curve is curve
     assert (res.rho, res.counterexample.degree()) == (-1, r)
 
 
@@ -311,10 +313,9 @@ def test_weighted_curves_keep_the_f_search(resolution):
     query = BNQuery(d=4, r=2, resolution=resolution)
     res = bn_rank_detail(c, query)
     assert (res.rho, res.counterexample) == enumerated(c, query, f_search=True)
-    if resolution == 1:   # the counterexample lives on the loop presentation
+    if resolution == 1:   # a divisor of c, not of its loop presentation
         assert res.rho == 0
-        assert res.counterexample == Divisor(res.counterexample.curve,
-                                             [("v0", 3)])
+        assert res.counterexample == Divisor(c, [("v0", 3)])
 
 
 @st.composite

@@ -262,6 +262,27 @@ def test_bn_rank_cli(files, capsys):
                    '  "rho": -1\n}\n')
 
 
+def test_curve_edge_named_like_a_virtual_loop(files, capsys):
+    """A curve with an edge ``a!loop0`` and a weight at a is answered: the
+    virtual loop gets a fresh id, and at N = 1 the Brill-Noether JSON is
+    that of the same curve with the edge renamed."""
+    def curve(name):
+        return TropicalCurve({"a": 1, "b": 0},
+                             [(name, ("a", "b"), 1), ("x", ("a", "b"), 1)])
+
+    cf = files("c.json", curve_to_json(curve("a!loop0")))
+    renamed = files("r.json", curve_to_json(curve("y")))
+    df = files("d.json", divisor_to_json(Divisor(curve("y"), [("a", 2)])))
+    code, _, err = run(capsys, "rank", "--curve", cf, "--divisor", df,
+                       "--loops", "1")
+    assert code == 0, err
+    for d in ("2", "1"):
+        argv = ["bn-rank", "-d", d, "-r", "1", "-N", "1", "--curve"]
+        code, out, err = run(capsys, *argv, cf)
+        assert code == 0, err
+        assert out == run(capsys, *argv, renamed)[1]
+
+
 def test_bn_rank_cli_huge_degree_by_riemann_roch(files, capsys):
     """d - g >= r is answered without enumerating, whatever d is."""
     k4 = TropicalCurve({v: 0 for v in "abcd"},
@@ -350,6 +371,15 @@ def test_selftest_and_fault_injection(files, capsys):
     assert code == 2
     payload = json.loads(out)
     assert any(not c["pass"] for c in payload["results"]["checks"])
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_whole_selftest_passes(capsys, seed):
+    """Every embedded check passes, not only the filtered runs above."""
+    code, out, _ = run(capsys, "selftest", "--seed", seed)
+    assert code == 0
+    counts = json.loads(out)["results"]["counts"]
+    assert counts["fail"] == 0 and counts["pass"] == 5
 
 
 def test_selftest_csv(files, capsys):

@@ -104,18 +104,21 @@ def with_table(n, edges, div, q, stops):
 
 def reduce_on(backend, indptr, nbrs, div, q, pieces=None):
     """`backend.reduce_divisor` as `kernel.reduce_divisor` calls it, on
-    `pieces` or on the unit table it makes of the bare CSR; an
-    OverflowError of the compiled kernel is not rerun."""
+    `pieces` or on the unit table of the bare CSR; an OverflowError of the
+    compiled kernel is not rerun."""
     if pieces is None:
-        pieces = kernel._unit_pieces(indptr, nbrs)
+        pieces = oracles.unit_pieces(indptr, nbrs)
     return backend.reduce_divisor(div, q, pieces)
 
 
 def through_kernel(backend):
-    """`kernel.reduce_divisor` with `backend` behind it."""
-    def reduce_divisor(*args, **kwargs):
+    """`kernel.reduce_divisor` with `backend` behind it, on `pieces` or on
+    the unit table of the bare CSR."""
+    def reduce_divisor(indptr, nbrs, div, q, pieces=None):
+        if pieces is None:
+            pieces = oracles.unit_pieces(indptr, nbrs)
         with mock.patch.object(kernel, "_backend", backend):
-            return kernel.reduce_divisor(*args, **kwargs)
+            return kernel.reduce_divisor(indptr, nbrs, div, q, pieces=pieces)
     return reduce_divisor
 
 
@@ -298,7 +301,8 @@ def assert_rejects_bad_input(reduce_divisor):
             reduce_divisor(*path, [0, 0], q)
     with pytest.raises(ValueError, match="connected"):
         reduce_divisor([0, 0, 0], [], [1, 1], 0)
-    # indices that point outside the CSR arrays
+    # indices that point outside the CSR arrays; `oracles.unit_pieces`
+    # refuses a bad CSR before any kernel sees it
     for indptr, nbrs in (([0, 1, 3], [1, 0]), ([0, 1, -1], [1, 0]),
                          ([0, 1, 2], [1, 2]), ([0, 1, 2], [-1, 0])):
         with pytest.raises(ValueError, match="CSR"):
@@ -358,17 +362,20 @@ def test_pure_kernel_checks_the_piece_table(kernel_backend):
             reduce_divisor([0] * 4, [], [0, 0, 0], 0, pieces=table)
 
 
-def test_pieces_is_a_keyword_only_argument(kernel_backend):
-    """`kernel.reduce_divisor` takes the piece table by keyword only, on
-    either backend, and answers from it as from the bare CSR."""
-    reduce_divisor = through_kernel(kernel_backend)
+def test_pieces_is_a_keyword_only_argument(kernel_backend, monkeypatch):
+    """`kernel.reduce_divisor` takes the piece table by keyword only, and
+    needs it, on either backend; it answers from it as from the unit table
+    of the same graph's CSR."""
+    monkeypatch.setattr(kernel, "_backend", kernel_backend)
     indptr, nbrs = [0, 1, 2, 4], [2, 2, 0, 1]   # 0 - 2 - 1
     table = ([0, 1], [2], [2])
     want = reduce_on(_kernel_py, indptr, nbrs, [0, 3, 0], 0)
-    got = reduce_divisor(indptr, nbrs, [0, 3, 0], 0, pieces=table)
+    got = kernel.reduce_divisor(indptr, nbrs, [0, 3, 0], 0, pieces=table)
     assert [list(x) for x in got] == [list(x) for x in want]
     with pytest.raises(TypeError):
-        reduce_divisor(indptr, nbrs, [0, 3, 0], 0, table)
+        kernel.reduce_divisor(indptr, nbrs, [0, 3, 0], 0, table)
+    with pytest.raises(TypeError):
+        kernel.reduce_divisor(indptr, nbrs, [0, 3, 0], 0)
 
 
 def test_debt_deep_inside_a_long_run(kernel_backend):

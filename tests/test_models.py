@@ -33,7 +33,7 @@ from tropbn.models import IntegerModel
 from tropbn.transport import (check_concentrate, check_push,
                               confinement_search, push_single)
 
-from oracles import piece_scale, unit_reduce_divisor
+from oracles import piece_scale, unit_pieces, unit_reduce_divisor
 
 
 class ReferenceModel:
@@ -179,6 +179,24 @@ def test_marks_are_lattice_points():
         model = IntegerModel(c, marks, scale)
         idx = [model.vertex_index(m) for m in marks]
         assert all(i in model.split_indices for i in idx)
+
+
+def test_index_inverts_point_of_index_without_loops():
+    """A ``loops=False`` model leaves its unmarked loops out: no piece lies
+    on one, and each index's point reads back to that index through its
+    edge's rows."""
+    seen = 0
+    for _, c, marks, scale in cases(34, 200):
+        cut = {p.edge for p in map(c.point, marks) if not p.is_vertex}
+        bare = {e for e in c.edges() if c.is_loop(e)} - cut
+        if not bare:
+            continue
+        seen += 1
+        model = IntegerModel(c, marks, scale, loops=False)
+        assert bare.isdisjoint(model.pieces[3])
+        for i in range(model.n):
+            assert model._index(model.point_of_index(i)) == i
+    assert seen >= 50
 
 
 def test_off_lattice_point_raises():
@@ -455,7 +473,7 @@ def test_witness_is_the_kernels_sigma(case):
     assert key[2] is False
     small = IntegerModel(c, marks, loops=False)
     assert small.nbrs is fields["nbrs"]
-    assert bare.isdisjoint(small._paths)
+    assert bare.isdisjoint(small.pieces[3])
     assert all(small.point_of_index(i).edge not in bare for i in range(small.n))
     model, ref = IntegerModel(c, marks), ReferenceModel(c, marks)
     full, sigma = model.reduce_vector(model.divisor_vector(D), model.vertex_index(q))
@@ -474,7 +492,8 @@ def test_bouquet_without_marks_reduces_on_one_point(kernel_backend,
     model = IntegerModel(c, ["v"], loops=False)
     assert (model.n, model.lam, model.indptr, model.nbrs) == (1, 1, [0, 0], [])
     for chips in (3, 0, -2):
-        red, sigma = kernel.reduce_divisor(model.indptr, model.nbrs, [chips], 0)
+        red, sigma = kernel.reduce_divisor(model.indptr, model.nbrs, [chips], 0,
+                                           pieces=model.pieces)
         assert (list(red), list(sigma)) == ([chips], [0])
     red, f = reduced_divisor(c, Divisor(c, [("v", 3)]), "v")
     assert red == Divisor(c, [("v", 3)]) and f == PLFunction.constant(c)
@@ -557,7 +576,8 @@ def test_piece_table_reduces_as_the_csr_walk_and_the_unit_oracle(compiled,
     for backend in (_kernel_py, compiled):
         with mock.patch.object(kernel, "_backend", backend):
             assert [list(x) for x in kernel.reduce_divisor(
-                model.indptr, model.nbrs, vec, q)] == list(want)
+                model.indptr, model.nbrs, vec, q,
+                pieces=unit_pieces(model.indptr, model.nbrs))] == list(want)
             assert [list(x) for x in kernel.reduce_divisor(
                 model.indptr, model.nbrs, vec, q,
                 pieces=model.pieces)] == list(want)
@@ -566,10 +586,12 @@ def test_piece_table_reduces_as_the_csr_walk_and_the_unit_oracle(compiled,
 
 
 def test_model_reductions_never_walk_the_csr(monkeypatch):
-    """Every model reduction hands the kernel its piece table: with the
-    adapter of `kernel.reduce_divisor` for a bare CSR patched to raise,
-    `reduced_divisor` (q inside an edge), `is_equivalent`, `rank_pure` and
-    `confinement_search` give the answers they give without the patch."""
+    """Every model reduction hands the kernel its piece table and nothing
+    reads the CSR neighbours: with `kernel.reduce_divisor` patched to get
+    an ``nbrs`` that raises when read, `reduced_divisor` (q inside an
+    edge), `is_equivalent`, `rank_pure` and `confinement_search` give the
+    answers they give without the patch.  Without a piece table the kernel
+    refuses the call."""
     c = TropicalCurve({"u": 0, "b": 0, "z": 0},
                       [("c1", ("u", "b"), 1), ("c2", ("u", "b"), F(3, 2)),
                        ("t", ("u", "z"), 2)])
@@ -583,11 +605,18 @@ def test_model_reductions_never_walk_the_csr(monkeypatch):
                 confinement_search(c, Subcurve(c, whole_edges=["c1", "c2"]), 1))
 
     want = answers()
+    real = kernel.reduce_divisor
 
-    def adapt(*args):
-        raise AssertionError("a bare CSR was adapted")
+    class Unread:
+        def refuse(self, *args):
+            raise AssertionError("the CSR neighbours were read")
 
-    monkeypatch.setattr(kernel, "_unit_pieces", adapt)
+        __getitem__ = __iter__ = __len__ = refuse
+
+    def reduce_divisor(indptr, nbrs, div, q, *, pieces):
+        return real(indptr, Unread(), div, q, pieces=pieces)
+
+    monkeypatch.setattr(kernel, "reduce_divisor", reduce_divisor)
     assert answers() == want
-    with pytest.raises(AssertionError, match="bare CSR"):
-        kernel.reduce_divisor([0, 1, 2], [1, 0], [0, 0], 0)
+    with pytest.raises(TypeError):
+        real([0, 1, 2], [1, 0], [0, 0], 0)

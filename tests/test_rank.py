@@ -169,6 +169,21 @@ def test_weighted_equals_loop_presentation():
             assert rank_weighted_loops(c, D, eps) == w
 
 
+def test_loop_ids_avoid_the_curves_edge_ids():
+    """A curve may name an edge as `attach_loops` names a virtual loop: the
+    curve's edge is kept, the loop gets a fresh id, and the loop
+    presentation ranks as the weightings do."""
+    c = TropicalCurve({"a": 1, "b": 0},
+                      [("a!loop0", ("a", "b"), 1), ("x", ("a", "b"), 1)])
+    loops = tb.attach_loops(c, 1)
+    assert (loops.ends("a!loop0"), loops.length("a!loop0")) == (("a", "b"), 1)
+    assert [e for e in loops.edges() if loops.is_loop(e)] == ["a!loop0'"]
+    for chips in ([("a", 2)], [("a", 1)], [("a", 1), ("b", 1)], [("b", 3)],
+                  [(c.point("x", F(1, 2)), 2)], [("a", 2), ("b", -1)]):
+        D = Divisor(c, chips)
+        assert rank_weighted_loops(c, D, 1) == rank_weighted(c, D)
+
+
 def test_weighted_theta_example():
     c = TropicalCurve({"v1": 1, "v2": 0},
                       [("e1", ("v1", "v2"), 1), ("e2", ("v1", "v2"), 1),
@@ -251,7 +266,7 @@ def test_a_rank_with_a_bare_loop(monkeypatch):
         calls.clear()
         assert weighted_A_rank(c, D, A) == r, D
         assert len(calls) == len(A)
-        assert "l2" not in c._lattice_slot[1]["_paths"]
+        assert "l2" not in c._lattice_slot[1]["pieces"][3]
 
 
 def test_rank_matches_oracle_spot_checks():
