@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 RatLike = Union[Fraction, int, str]
@@ -334,12 +335,16 @@ class TropicalCurve:
     def vertex_distances(self, source: str) -> Dict[str, Fraction]:
         """Exact shortest-path distances from a vertex to every vertex."""
         if source not in self._dist_cache:
-            self._dist_cache[source] = self._dijkstra({source: Fraction(0)})
+            self._dist_cache[source] = self._dijkstra(
+                {source: Fraction(0)}, {e: ell for e, (_, _, ell) in self._edges.items()})
         return self._dist_cache[source]
 
-    def _dijkstra(self, sources: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-        """Exact distances to every vertex from sources that start at the
-        given distances (Dijkstra with several sources)."""
+    def _dijkstra(self, sources: Mapping[str, Fraction],
+                  lengths: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+        """Distances to every vertex from sources that start at the given
+        distances (Dijkstra with several sources), with the given edge
+        lengths: the curve's own, or the same lengths in ticks at one
+        scale, as `neighborhood` passes them."""
         dist = dict(sources)
         heap = [(d, v) for v, d in dist.items()]
         heapq.heapify(heap)
@@ -348,7 +353,7 @@ class TropicalCurve:
             if d > dist[v]:
                 continue
             for eid, w in self._adj[v]:
-                nd = d + self._edges[eid][2]
+                nd = d + lengths[eid]
                 if w not in dist or nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
@@ -731,6 +736,12 @@ class Subcurve:
     that reaches 0 or ℓ (closure), and verifies connectivity.  The
     read-only views ``whole_edges`` and ``segments`` split the intervals
     into entire edges and the rest, for JSON.
+
+    The fields are never mutated after construction, so the diameter is
+    worked out once, by the first `diameter` call, and kept.  Code that
+    knows its result is connected builds it with `_of_ticks`, which takes
+    integer intervals at one scale and merges and closes them, but checks
+    nothing.
     """
 
     def __init__(self, parent: TropicalCurve, vertices: Iterable[str] = (),
@@ -784,7 +795,44 @@ class Subcurve:
         if not vset and not self.intervals:
             raise ValueError("empty subcurve")
         self.vertices = frozenset(vset)
+        self._diameter: Optional[Fraction] = None
         self._check_connected()
+
+    @classmethod
+    def _of_ticks(cls, parent: TropicalCurve, vertices: set,
+                  ticks: Mapping[str, List[Tuple[int, int]]], m: int,
+                  lengths: Mapping[str, int]) -> "Subcurve":
+        """The connected subcurve with the given vertices (a set, which is
+        taken over) and, per edge, the closed intervals [A/m, B/m] of
+        integer ticks A <= B at scale m, in any order and possibly
+        overlapping; ``lengths`` holds each edge's length in ticks.  The
+        intervals are merged and closed as the constructor does it, in
+        integers, and converted to `Fraction` once.  Nothing is checked:
+        the caller knows the result is connected and on the curve."""
+        intervals: Dict[str, Tuple[Tuple[Fraction, Fraction], ...]] = {}
+        for e in sorted(ticks):
+            ell = lengths[e]
+            merged: List[List[int]] = []
+            for a, b in sorted(ticks[e]):
+                if merged and a <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], b)
+                else:
+                    merged.append([a, b])
+            u, v = parent.ends(e)
+            if merged[0][0] == 0:
+                vertices.add(u)
+            if merged[-1][1] == ell:
+                vertices.add(v)
+            kept = tuple((Fraction(a, m), Fraction(b, m)) for a, b in merged
+                         if a < b or 0 < a < ell)
+            if kept:
+                intervals[e] = kept
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.intervals = intervals
+        sub.vertices = frozenset(vertices)
+        sub._diameter = None
+        return sub
 
     @classmethod
     def whole(cls, parent: TropicalCurve) -> "Subcurve":
@@ -858,27 +906,35 @@ class Subcurve:
         The base is the point at that offset of the edge (a vertex at 0 or
         ℓ), and +1 points toward larger offsets.  Bases come vertices first,
         sorted, each with its edges sorted; then interval ends, edge by edge.
+
+        The intervals of an edge are merged, so they neither overlap nor
+        touch, and one that starts at 0 or ends at ℓ has positive length
+        (closure drops the others).  So a vertex end of an edge is an exit
+        unless the edge's first interval starts there (last interval ends
+        there); an inner end of an interval of positive length leaves on
+        its outer side, and an isolated point leaves both ways.
         """
-        cands = []
+        curve = self.parent
+        out = []
         for v in sorted(self.vertices):
-            for e in sorted({e for e, _ in self.parent.incident(v)}):
-                u, w = self.parent.ends(e)
-                if u == v:
-                    cands.append((e, Fraction(0), 1))
-                if w == v:
-                    cands.append((e, self.parent.length(e), -1))
+            for e in sorted({e for e, _ in curve._adj[v]}):
+                u, w, ell = curve._edges[e]
+                ivs = self.intervals.get(e)
+                if u == v and not (ivs and ivs[0][0] == 0):
+                    out.append((e, Fraction(0), 1))
+                if w == v and not (ivs and ivs[-1][1] == ell):
+                    out.append((e, ell, -1))
         for e, ivs in self.intervals.items():
-            ell = self.parent.length(e)
-            for t in dict.fromkeys(t for iv in ivs for t in iv if 0 < t < ell):
-                cands += [(e, t, 1), (e, t, -1)]
-
-        def leaves(e, t, d):
-            ivs = self.intervals.get(e, ())
-            if d > 0:
-                return not any(a <= t < b for a, b in ivs)
-            return not any(a < t <= b for a, b in ivs)
-
-        return [x for x in cands if leaves(*x)]
+            ell = curve._edges[e][2]
+            for a, b in ivs:
+                if a == b:
+                    out += [(e, a, 1), (e, a, -1)]
+                    continue
+                if a != 0:
+                    out.append((e, a, -1))
+                if b != ell:
+                    out.append((e, b, 1))
+        return out
 
     def boundary_points(self) -> List[Point]:
         """Points of the subcurve with a curve-direction leaving it."""
@@ -968,10 +1024,14 @@ class Subcurve:
                                  {v: Point(vertex=v) for v in self.vertices}, back_rules)
 
     def diameter(self) -> Fraction:
-        """Largest parent-metric distance between two points of the subcurve."""
-        from . import models
+        """Largest parent-metric distance between two points of the
+        subcurve: `models.subcurve_diameter`, worked out on the first call
+        and kept, since the subcurve never changes."""
+        if self._diameter is None:
+            from . import models
 
-        return models.subcurve_diameter(self)
+            self._diameter = models.subcurve_diameter(self)
+        return self._diameter
 
     def __eq__(self, other):
         if not isinstance(other, Subcurve):
@@ -1000,39 +1060,57 @@ class _PartialBack(PointMap):
         return self._image(p)
 
 
+def _ticks(x: Fraction, m: int) -> int:
+    """x·m for a `Fraction` x whose denominator divides m."""
+    return x.numerator * (m // x.denominator)
+
+
 def neighborhood(curve: TropicalCurve, lam: Subcurve, delta: RatLike) -> Subcurve:
-    """Closed delta-neighborhood N_delta(Λ) as a subcurve."""
+    """Closed delta-neighborhood N_delta(Λ) as a subcurve.
+
+    The work is done in integers at one scale m, the lcm of the
+    denominators of the edge lengths, of Λ's interval ends and of delta:
+    Dijkstra runs on the lengths ℓ·m, and each edge's intervals grow, merge
+    and close as integer ticks.  N_delta(Λ) of a connected Λ is connected,
+    so the result is built once, through `Subcurve._of_ticks`, and its
+    intervals become `Fraction`s only there.
+    """
     delta = rat(delta)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if lam.parent is not curve and lam.parent != curve:
         raise ValueError("subcurve belongs to a different curve")
+    edges = curve._edges
+    m = lcm(delta.denominator, *(ell.denominator for _, _, ell in edges.values()),
+            *(x.denominator for ivs in lam.intervals.values()
+              for iv in ivs for x in iv))
+    lengths = {e: _ticks(ell, m) for e, (_, _, ell) in edges.items()}
+    r = _ticks(delta, m)
+    held = {e: [(_ticks(a, m), _ticks(b, m)) for a, b in ivs]
+            for e, ivs in lam.intervals.items()}
 
-    # distance from every vertex to Λ
-    sources: Dict[str, Fraction] = {v: Fraction(0) for v in lam.vertices}
-    for e, ivs in lam.intervals.items():
-        u, v = curve.ends(e)
-        for vtx, d0 in ((u, ivs[0][0]), (v, curve.length(e) - ivs[-1][1])):
+    # distance in ticks from every vertex to Λ
+    sources: Dict[str, int] = {v: 0 for v in lam.vertices}
+    for e, ivs in held.items():
+        u, v, _ = edges[e]
+        for vtx, d0 in ((u, ivs[0][0]), (v, lengths[e] - ivs[-1][1])):
             if vtx not in sources or d0 < sources[vtx]:
                 sources[vtx] = d0
-    dist = curve._dijkstra(sources)
+    dist = curve._dijkstra(sources, lengths)
 
-    # the constructor merges the grown intervals and promotes full covers
-    segs: Dict[str, list] = {}
-    for e in curve.edges():
-        u, v = curve.ends(e)
-        ell = curve.length(e)
-        grown = [(max(Fraction(0), a - delta), min(ell, b + delta))
-                 for a, b in lam.covered_intervals(e)]
+    grown: Dict[str, List[Tuple[int, int]]] = {}
+    for e, (u, v, _) in edges.items():
+        ell = lengths[e]
+        ivs = [(max(0, a - r), min(ell, b + r)) for a, b in held.get(e, ())]
         du, dv = dist.get(u), dist.get(v)
-        if du is not None and delta - du >= 0:
-            grown.append((Fraction(0), min(ell, delta - du)))
-        if dv is not None and delta - dv >= 0:
-            grown.append((max(Fraction(0), ell - (delta - dv)), ell))
-        if grown:
-            segs[e] = grown
-    vset = {v for v, d in dist.items() if d <= delta}
-    return Subcurve(curve, vset, segments=segs)
+        if du is not None and du <= r:
+            ivs.append((0, min(ell, r - du)))
+        if dv is not None and dv <= r:
+            ivs.append((max(0, ell - (r - dv)), ell))
+        if ivs:
+            grown[e] = ivs
+    vset = {v for v, d in dist.items() if d <= r}
+    return Subcurve._of_ticks(curve, vset, grown, m, lengths)
 
 
 def deformation_retracts(n: Subcurve, lam: Subcurve) -> bool:

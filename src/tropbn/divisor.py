@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .curve import Point, PointMap, Subcurve, TropicalCurve, _is_int, rat
+from .curve import Point, PointMap, Subcurve, TropicalCurve, _is_int, _ticks, rat
 
 
 def _nonzero(data: Dict[Point, int]) -> Dict[Point, int]:
@@ -152,6 +153,12 @@ class PLFunction:
     is an integer and drops each knot where the slope does not change, so
     neighbouring pieces differ in slope.  Evaluation, `divisor`,
     `max_abs_slope` and the arithmetic read this table.
+
+    Code that already has such a table, with integer slopes and no knot
+    without a bend, builds the function through `_of_table`, which checks
+    nothing: `constant`, `min_const`, `clamp` and
+    `models.IntegerModel.sigma_to_pl`.  The last three work out the table
+    in integers at one scale and convert it with `_row_of_ticks`.
     """
 
     def __init__(self, curve: TropicalCurve,
@@ -197,8 +204,25 @@ class PLFunction:
             self._pieces[e] = (tuple(prof), tuple(slopes))
 
     @classmethod
+    def _of_table(cls, curve: TropicalCurve, vv: Dict[str, Fraction],
+                  pieces: Dict[str, Tuple[Tuple[Tuple[Fraction, Fraction], ...],
+                                          Tuple[int, ...]]]) -> "PLFunction":
+        """The function of a table in the constructor's form: a `Fraction`
+        per vertex, and per edge its profile from offset 0 to ℓ and the
+        integer slope of each piece, neighbouring slopes different.  Both
+        dicts are taken over and nothing is checked."""
+        f = cls.__new__(cls)
+        f.curve = curve
+        f._vv = vv
+        f._pieces = pieces
+        return f
+
+    @classmethod
     def constant(cls, curve: TropicalCurve, c=0) -> "PLFunction":
-        return cls(curve, {v: rat(c) for v in curve.vertices()})
+        c = rat(c)
+        return cls._of_table(curve, {v: c for v in curve.vertices()},
+                             {e: (((_ZERO, c), (ell, c)), (0,))
+                              for e, (_, _, ell) in curve._edges.items()})
 
     def vertex_values(self) -> Dict[str, Fraction]:
         return dict(self._vv)
@@ -227,15 +251,6 @@ class PLFunction:
             return self._vv[p.vertex]
         return self._at(p.edge, [p.offset])[0]
 
-    def crossings(self, e: str, level) -> List[Fraction]:
-        """Ascending offsets inside edge e where f crosses the level: points
-        of a linear piece whose ends lie strictly on either side of it."""
-        c = rat(level)
-        prof, slopes = self._pieces[e]
-        return [o0 + (c - v0) / s
-                for (o0, v0), (_, v1), s in zip(prof, prof[1:], slopes)
-                if (v0 - c) * (v1 - c) < 0]
-
     def max_abs_slope(self) -> int:
         return max((abs(s) for _, slopes in self._pieces.values() for s in slopes),
                    default=0)
@@ -254,12 +269,10 @@ class PLFunction:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _pointwise(self, op, *others, cuts=None) -> "PLFunction":
-        """op(f, *others) pointwise; a constant among the others is lifted.
-
-        The result is affine between the knots of its inputs and the
-        offsets ``cuts(e)`` on edge e, where op may switch branches (a min
-        switches where its arguments cross), so it is sampled there."""
+    def _pointwise(self, op, *others) -> "PLFunction":
+        """op(f, *others) pointwise, for an op that is affine on affine
+        arguments; a constant among the others is lifted.  The result is
+        affine between the knots of its inputs, so it is sampled there."""
         fs = [self]
         for g in others:
             if not isinstance(g, PLFunction):
@@ -271,8 +284,7 @@ class PLFunction:
         knots = {}
         for e in self.curve.edges():
             # ascending runs, so the sort merges them in linear time
-            offs = sorted([o for g in fs for o, _ in g.knots(e)]
-                          + (cuts(e) if cuts else []))
+            offs = sorted(o for g in fs for o, _ in g.knots(e))
             offs = [o for k, o in enumerate(offs) if not k or o != offs[k - 1]]
             if offs:
                 knots[e] = list(zip(offs, map(op, *(g._at(e, offs) for g in fs))))
@@ -297,10 +309,12 @@ class PLFunction:
     __mul__ = __rmul__
 
     def min_const(self, c) -> "PLFunction":
-        """Pointwise min with a constant."""
-        c = rat(c)
-        return self._pointwise(lambda a: min(a, c),
-                               cuts=lambda e: self.crossings(e, c))
+        """Pointwise min with a constant, worked out in integers at one
+        scale (see `_cut_at`)."""
+        m, level, vt, rows = _cut_at(self, rat(c))
+        return _of_rows(self.curve, m, {v: min(x, level) for v, x in vt.items()},
+                        {e: (ts, [min(x, level) for x in xs])
+                         for e, (ts, xs) in rows.items()})
 
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
@@ -311,6 +325,84 @@ class PLFunction:
     def __repr__(self):
         nk = sum(len(prof) - 2 for prof, _ in self._pieces.values())
         return f"PLFunction({len(self._vv)} vertex values, {nk} knots)"
+
+
+_ZERO = Fraction(0)
+
+
+def _row_of_ticks(ts: Sequence[int], xs: Sequence[int], m: int,
+                  first: Tuple[Fraction, Fraction],
+                  last: Tuple[Fraction, Fraction]):
+    """An edge's row of the `PLFunction` table from its profile in
+    integers at scale m: offsets ts[i]/m, strictly ascending from 0 to ℓ·m,
+    and values xs[i]/m.  ``first`` and ``last`` are the ends' (offset,
+    value) pairs as `Fraction`s, which the caller already has; a knot
+    without a bend is dropped, and each kept knot becomes `Fraction`s only
+    here.  Every slope must be an integer: one that is not is an invariant
+    violation of the caller."""
+    keep: List[int] = []
+    slopes: List[int] = []
+    for i in range(1, len(ts)):
+        s, rest = divmod(xs[i] - xs[i - 1], ts[i] - ts[i - 1])
+        if rest:
+            raise AssertionError(f"non-integer slope near tick {ts[i - 1]}/{m}")
+        if slopes and slopes[-1] == s:
+            keep[-1] = i    # the knot before i has no bend
+        else:
+            keep.append(i)
+            slopes.append(s)
+    prof = (first, *((Fraction(ts[i], m), Fraction(xs[i], m)) for i in keep[:-1]),
+            last)
+    return prof, tuple(slopes)
+
+
+def _of_rows(curve: TropicalCurve, m: int, vt: Dict[str, int],
+             rows: Dict[str, Tuple[List[int], List[int]]]) -> PLFunction:
+    """The `PLFunction` of vertex values vt[v]/m and, for every edge, a
+    profile in integers at scale m, as `_row_of_ticks` takes it."""
+    vv = {v: Fraction(x, m) for v, x in vt.items()}
+    pieces = {}
+    for e, (u, v, ell) in curve._edges.items():
+        ts, xs = rows[e]
+        pieces[e] = _row_of_ticks(ts, xs, m, (_ZERO, vv[u]), (ell, vv[v]))
+    return PLFunction._of_table(curve, vv, pieces)
+
+
+def _cut_at(f: PLFunction, c: Fraction, extra: Iterable[int] = ()):
+    """f in integers at one scale, cut where it crosses the level c.
+
+    Returns ``(m, C, vt, rows)``: c = C/m, f(v) = vt[v]/m, and for each
+    edge its profile ``rows[e] = (ts, xs)``, offsets ts[i]/m ascending from
+    0 to ℓ·m and values xs[i]/m, with f's knots and every offset inside the
+    edge where a piece crosses c.  m is the lcm of the denominators in f's
+    table, of c and of the integers ``extra``, times what puts each
+    crossing on a tick: a piece of slope s from value X crosses at (C − X)/s
+    ticks from its start.
+    """
+    m = lcm(c.denominator, *extra,
+            *(x.denominator for prof, _ in f._pieces.values()
+              for pt in prof for x in pt))
+    level = _ticks(c, m)
+    rows = {e: ([_ticks(o, m) for o, _ in prof], [_ticks(x, m) for _, x in prof])
+            for e, (prof, _) in f._pieces.items()}
+    k = 1
+    for e, (ts, xs) in rows.items():
+        for x0, x1, s in zip(xs, xs[1:], f._pieces[e][1]):
+            if (x0 - level) * (x1 - level) < 0 and (level - x0) % s:
+                k = lcm(k, s // gcd(s, level - x0))
+    if k > 1:
+        m, level = m * k, level * k
+        rows = {e: ([t * k for t in ts], [x * k for x in xs])
+                for e, (ts, xs) in rows.items()}
+    for e, (ts, xs) in rows.items():
+        slopes = f._pieces[e][1]
+        for i in range(len(slopes) - 1, -1, -1):
+            x0, x1 = xs[i], xs[i + 1]
+            if (x0 - level) * (x1 - level) < 0:
+                ts.insert(i + 1, ts[i] + (level - x0) // slopes[i])
+                xs.insert(i + 1, level)
+    vt = {v: _ticks(x, m) for v, x in f._vv.items()}
+    return m, level, vt, rows
 
 
 def star(E: Divisor) -> Divisor:
@@ -332,10 +424,13 @@ def restrict(D: Divisor, lam: Subcurve) -> Divisor:
 
 
 def pushforward(pm: PointMap, D: Divisor) -> Divisor:
-    """Image divisor under a point map (coefficients accumulate)."""
+    """Image divisor under a point map (coefficients accumulate).  A map's
+    images are canonical on its target (its vertex images and collapse
+    points are target vertices, and every other image comes from
+    `TropicalCurve.point`), so they are not checked again."""
     if pm.source != D.curve:
         raise ValueError("divisor does not live on the map's source")
-    return Divisor(pm.target, [(pm(p), m) for p, m in D.items()])
+    return Divisor._of_canonical(pm.target, [(pm(p), m) for p, m in D.items()])
 
 
 def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
@@ -343,30 +438,37 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
 
     A region that is a single point is not flattened (the pointwise min
     alone keeps continuity there); otherwise f must not dip below μ at the
-    region's boundary, which the construction asserts.
+    region's boundary, which the construction checks.  The work is done
+    in integers at one scale: that of `_cut_at`, which also covers the
+    region's interval ends, so every cut and value is an integer tick and
+    the result is built once.
     """
     mu = rat(mu)
     if region.parent != f.curve:
         raise ValueError("region on a different curve")
-    g = f.min_const(mu)
     # a connected region without an interval of positive length is a point
     if all(a == b for ivs in region.intervals.values() for a, b in ivs):
-        return g
+        return f.min_const(mu)
     for bp in region.boundary_points():
         if f._value(bp) < mu:
             raise ValueError(f"clamp would be discontinuous at {bp}: f < mu")
-    vv = g.vertex_values()
-    for v in region.vertices:
-        vv[v] = mu
-    knots = {}
-    for e in f.curve.edges():
-        ivs = [iv for iv in region.covered_intervals(e) if iv[0] < iv[1]]
-        ks = [k for k in g.knots(e) if not any(a <= k[0] <= b for a, b in ivs)]
-        ell = f.curve.length(e)
-        for a, b in ivs:
+    m, level, vt, rows = _cut_at(f, mu, (x.denominator for ivs in region.intervals.values()
+                                         for iv in ivs for x in iv))
+    vt = {v: level if v in region.vertices else min(x, level)
+          for v, x in vt.items()}
+    for e, (ts, xs) in rows.items():
+        flat = [(_ticks(a, m), _ticks(b, m)) for a, b in region.intervals.get(e, ())
+                if a < b]
+        ell = ts[-1]
+        knots = [(t, min(x, level)) for t, x in zip(ts[1:-1], xs[1:-1])
+                 if not any(a <= t <= b for a, b in flat)]
+        for a, b in flat:
             if a > 0:
-                ks.append((a, mu))
+                knots.append((a, level))
             if b < ell:
-                ks.append((b, mu))
-        knots[e] = sorted(ks)
-    return PLFunction(f.curve, vv, knots)
+                knots.append((b, level))
+        knots.sort()
+        u, v = f.curve.ends(e)
+        rows[e] = ([0, *(t for t, _ in knots), ell],
+                   [vt[u], *(x for _, x in knots), vt[v]])
+    return _of_rows(f.curve, m, vt, rows)

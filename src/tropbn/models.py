@@ -63,8 +63,8 @@ from operator import ne, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .curve import Point, Subcurve, TropicalCurve, _is_int
-from .divisor import Divisor, PLFunction
+from .curve import Point, Subcurve, TropicalCurve, _is_int, _ticks
+from .divisor import Divisor, PLFunction, _ZERO, _row_of_ticks
 
 # Largest lattice a model may have, counted on the lattice that is built:
 # a ``loops=False`` model leaves unmarked loops out, so a curve may reduce
@@ -188,14 +188,18 @@ class IntegerModel:
             raise IndexError(f"lattice index {i} out of range")
         if i < len(self._stops):
             return self._stops[i]
+        e, t = self._interior_tick(i)
+        return Point(edge=e, offset=Fraction(t, self.lam))
+
+    def _interior_tick(self, i: int) -> Tuple[str, int]:
+        """Edge and tick of an index i >= len(_stops), inside a piece."""
         # the piece whose interior holds i, and the tick of its first stop:
         # 0 at the edge's first end, else the stop's offset times λ
         ends, _, firsts, edges = self.pieces
         k = bisect_right(firsts, i) - 1
         a = self._stops[ends[2 * k]]
-        s = 0 if a.is_vertex else int(a.offset * self.lam)
-        return Point(edge=edges[k],
-                     offset=Fraction(s + 1 + i - firsts[k], self.lam))
+        s = 0 if a.is_vertex else _ticks(a.offset, self.lam)
+        return edges[k], s + 1 + i - firsts[k]
 
     def divisor_vector(self, D: Divisor) -> List[int]:
         """D as a lattice vector.  D's points are canonical on its curve
@@ -214,17 +218,35 @@ class IntegerModel:
         vertices where (L·σ)ᵢ ≠ 0; the curve's vertices among them are
         skipped.  f is affine on each unit step, and inside an edge
         (L·σ)ᵢ = 2σᵢ − σᵢ₋₁ − σᵢ₊₁ is minus the change of slope at point i,
-        so the bends are f's knots; `PLFunction` drops any that are
-        straight."""
-        factor = Fraction(-1, self.lam)
-        vv = {v: factor * sigma[i] for v, i in self._vindex.items()}
-        nv = len(vv)
-        knots: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
+        so the bends are f's knots, and its slope between two of them is an
+        integer.  The table is worked out on the lattice's ticks, at scale
+        λ, and built once (`divisor._row_of_ticks` drops the bends that are
+        straight); a loop the model leaves out is flat."""
+        lam = self.lam
+        vt = {v: -sigma[i] for v, i in self._vindex.items()}
+        nv = len(vt)
+        stops = self._stops
+        knots: Dict[str, List[Tuple[int, int]]] = {}
         for i in bends:
-            if i >= nv:
-                p = self.point_of_index(i)
-                knots.setdefault(p.edge, []).append((p.offset, factor * sigma[i]))
-        return PLFunction(self.curve, vv, knots)
+            if i < nv:
+                continue
+            if i < len(stops):
+                e, t = stops[i].edge, _ticks(stops[i].offset, lam)
+            else:
+                e, t = self._interior_tick(i)
+            knots.setdefault(e, []).append((t, -sigma[i]))
+        vv = {v: Fraction(x, lam) for v, x in vt.items()}
+        pieces = {}
+        for e, (u, v, ell) in self.curve._edges.items():
+            first, last = (_ZERO, vv[u]), (ell, vv[v])
+            if e not in self._rows:     # a loop left out: no bend, flat
+                pieces[e] = (first, last), (0,)
+                continue
+            ks = sorted(knots.get(e, ()))
+            pieces[e] = _row_of_ticks([0, *(t for t, _ in ks), self._rows[e][0][-1]],
+                                      [vt[u], *(x for _, x in ks), vt[v]],
+                                      lam, first, last)
+        return PLFunction._of_table(self.curve, vv, pieces)
 
     # -- reduction ---------------------------------------------------------
 
@@ -401,9 +423,9 @@ def is_equivalent(D1: Divisor, D2: Divisor) -> Tuple[bool, Optional[PLFunction]]
 def subcurve_diameter(sub: Subcurve) -> Fraction:
     """Largest ambient distance between two points of the subcurve.
 
-    Closed form from the distances D between curve vertices
-    (`TropicalCurve.vertex_distances`, Dijkstra on |V| points, cached per
-    curve); no lattice is built.  A connected subcurve is a single vertex,
+    Closed form from the distances D between curve vertices (Dijkstra on
+    |V| points, from each end of an edge the subcurve meets); no lattice is
+    built.  A connected subcurve is a single vertex,
     of diameter 0, or the union of its covered intervals, so its pieces are
     those intervals: [a, b] on an edge, whose point at offset s has legs s
     and ℓ − s to the edge's ends.  For a point at s on one piece and t on
@@ -421,26 +443,30 @@ def subcurve_diameter(sub: Subcurve) -> Fraction:
     solves a linear system with integer coefficients in {−2, …, 2}, so it
     is rational.  The largest distance among the candidates, over every
     pair of pieces (a piece with itself included), is the diameter.  The
-    arithmetic is exact and done in integers: every length is scaled by the
-    common denominator m of the edge lengths and the interval ends, and a
-    candidate is kept as integer numerators over one positive denominator.
+    arithmetic is exact and done in integers: every length, distances
+    included, is scaled by the common denominator m of the edge lengths and
+    the interval ends, and a candidate is kept as integer numerators over
+    one positive denominator.
     """
     curve = sub.parent
-    m = lcm(*(curve.length(e).denominator for e in curve.edges()),
+    m = lcm(*(ell.denominator for _, _, ell in curve._edges.values()),
             *(x.denominator for ivs in sub.intervals.values()
               for iv in ivs for x in iv))
+    lengths = {e: _ticks(ell, m) for e, (_, _, ell) in curve._edges.items()}
+    dists: Dict[str, Dict[str, int]] = {}   # in ticks, per source
 
     def dist(u, v):
-        return (curve.vertex_distances(u)[v] * m).numerator
+        if u not in dists:
+            dists[u] = curve._dijkstra({u: 0}, lengths)
+        return dists[u][v]
 
     # (edge, ends as (vertex, sign, c) with leg c + sign·s, lo, hi), all
     # scaled by m
     pieces = []
     for e, ivs in sub.intervals.items():
         u, v = curve.ends(e)
-        ends = ((u, 1, 0), (v, -1, (curve.length(e) * m).numerator))
-        pieces += [(e, ends, (a * m).numerator, (b * m).numerator)
-                   for a, b in ivs]
+        ends = ((u, 1, 0), (v, -1, lengths[e]))
+        pieces += [(e, ends, _ticks(a, m), _ticks(b, m)) for a, b in ivs]
     best, best_q = 0, 1
     for i, (e, ends_p, a, b) in enumerate(pieces):
         for f, ends_q, c, d in pieces[i:]:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .curve import (Point, Subcurve, TropicalCurve, _is_int, neighborhood,
-                    deformation_retracts, rat)
-from .divisor import Divisor, PLFunction, _point_key, clamp, restrict, star
+from .curve import (Point, Subcurve, TropicalCurve, _is_int, _ticks,
+                    neighborhood, deformation_retracts, rat)
+from .divisor import (Divisor, PLFunction, _cut_at, _point_key, clamp, restrict,
+                      star)
 from .models import IntegerModel, _reduced_divisor, is_equivalent
 from .rank import rank_weighted
 
@@ -51,6 +52,16 @@ def _concentration_radius(lam: Subcurve, d: int, r: int) -> Fraction:
     """ε(3d)^{d-r+1} with ε the diameter of Λ: how far `concentrate` may
     grow Λ for a divisor of degree d and rank target r (0 when r is 0)."""
     return lam.diameter() * (3 * d) ** (d - r + 1) if r > 0 else Fraction(0)
+
+
+def _plus(total: Optional[PLFunction], w: PLFunction) -> PLFunction:
+    """total + w, where None stands for the zero function: the first
+    witness of a loop is taken as it is."""
+    return w if total is None else total + w
+
+
+def _or_zero(curve: TropicalCurve, total: Optional[PLFunction]) -> PLFunction:
+    return PLFunction.constant(curve) if total is None else total
 
 
 # -- small geometric helpers -------------------------------------------------
@@ -102,71 +113,88 @@ def _subcurve_rds(lam: Subcurve) -> List[Point]:
 def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
                     mu: Fraction) -> Subcurve:
     """Closure of Λ plus the paths emanating from it along which f is
-    strictly decreasing and strictly above mu."""
-    cuts: Dict[str, List[Fraction]] = {}
-    for e in curve.edges():
-        cs = {Fraction(0), curve.length(e)}
-        for a, b in lam.covered_intervals(e):
-            cs.add(a)
-            cs.add(b)
-        cs.update(o for o, _ in f.knots(e))
-        cs.update(f.crossings(e, mu))
-        cuts[e] = sorted(cs)
+    strictly decreasing and strictly above mu.
 
-    def fv(e, o):
-        # o is a cut of edge e, its ends included; f is continuous there
-        return f._at(e, [o])[0]
-
+    Each edge is cut at its ends, Λ's interval ends, f's knots and the
+    points where f crosses mu, all as integer ticks at the one scale of
+    `divisor._cut_at`, which covers Λ's interval ends too.  A search from
+    Λ's boundary takes a piece between two cuts when f is above mu at its
+    near end and lower at its far end; Λ and the pieces taken are built
+    once, through `Subcurve._of_ticks`."""
+    m, level, vt, rows = _cut_at(f, mu, (x.denominator for ivs in lam.intervals.values()
+                                         for iv in ivs for x in iv))
+    held = {e: [(_ticks(a, m), _ticks(b, m)) for a, b in ivs]
+            for e, ivs in lam.intervals.items()}
+    # per edge: its cuts, f at each, and the pieces (i, i + 1) inside Λ
+    cuts: Dict[str, List[int]] = {}
+    values: Dict[str, List[int]] = {}
     occupied = set()
-    for e, cs in cuts.items():
-        ivs = lam.covered_intervals(e)
+    for e, (ts, xs) in rows.items():
+        cs = sorted({*ts, *(t for iv in held.get(e, ()) for t in iv)})
+        vals = []
+        k = 0
+        for t in cs:
+            while ts[k + 1] < t:
+                k += 1
+            vals.append(xs[k] + (xs[k + 1] - xs[k]) * (t - ts[k]) // (ts[k + 1] - ts[k]))
+        cuts[e], values[e] = cs, vals
         for i in range(len(cs) - 1):
-            if any(a <= cs[i] and cs[i + 1] <= b for a, b in ivs):
+            if any(a <= cs[i] and cs[i + 1] <= b for a, b in held.get(e, ())):
                 occupied.add((e, i))
+
+    # a node of the search is a vertex id or an (edge, tick) pair inside it
+    def node(e, t):
+        u, v = curve.ends(e)
+        return u if t == 0 else v if t == cuts[e][-1] else (e, t)
+
+    def value(pt):
+        if isinstance(pt, str):
+            return vt[pt]
+        e, t = pt
+        return values[e][cuts[e].index(t)]
 
     def adjacent(pt):
         out = []
-        if pt.vertex is not None:
-            for e in sorted({ed for ed, _ in curve.incident(pt.vertex)}):
+        if isinstance(pt, str):
+            for e in sorted({ed for ed, _ in curve.incident(pt)}):
                 u, w = curve.ends(e)
-                if u == pt.vertex:
+                if u == pt:
                     out.append((e, 0, True))
-                if w == pt.vertex:
+                if w == pt:
                     out.append((e, len(cuts[e]) - 2, False))
         else:
-            cs = cuts[pt.edge]
-            i = cs.index(pt.offset)
+            e, t = pt
+            i = cuts[e].index(t)
             if i > 0:
-                out.append((pt.edge, i - 1, False))
-            if i < len(cs) - 1:
-                out.append((pt.edge, i, True))
+                out.append((e, i - 1, False))
+            if i < len(cuts[e]) - 1:
+                out.append((e, i, True))
         return out
 
     included = set()
     seen = set()
-    dq = deque(lam.boundary_points())
+    dq = deque(dict.fromkeys(node(e, _ticks(t, m)) for e, t, _ in lam.exits()))
     while dq:
         pt = dq.popleft()
         if pt in seen:
             continue
         seen.add(pt)
-        fp = f._value(pt)
-        if fp <= mu:
+        fp = value(pt)
+        if fp <= level:
             continue
         for e, i, from_left in adjacent(pt):
             if (e, i) in occupied or (e, i) in included:
                 continue
-            a, b = cuts[e][i], cuts[e][i + 1]
-            near, far = (a, b) if from_left else (b, a)
-            if fv(e, far) >= fp:
+            far = i + 1 if from_left else i
+            if values[e][far] >= fp:
                 continue
             included.add((e, i))
-            dq.append(curve.point(e, far))
+            dq.append(node(e, cuts[e][far]))
 
-    extra: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
     for e, i in included:
-        extra.setdefault(e, []).append((cuts[e][i], cuts[e][i + 1]))
-    return lam.grown(extra)
+        held.setdefault(e, []).append((cuts[e][i], cuts[e][i + 1]))
+    return Subcurve._of_ticks(curve, set(lam.vertices), held, m,
+                              {e: ts[-1] for e, (ts, _) in rows.items()})
 
 
 def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
@@ -189,12 +217,11 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
     r = E.degree()
     if not rank_checked and rank_weighted(curve, D) < r:
         raise ValueError("rank precondition violated: rank(D) < deg E")
-    zero = PLFunction.constant(curve)
     if r == 0 or lam.is_whole_curve():
-        return TransportResult(D, lam, zero)
+        return TransportResult(D, lam, PLFunction.constant(curve))
     Es = star(E)
     if all(D._chips.get(p, 0) >= m for p, m in Es._chips.items()):
-        return TransportResult(D, lam, zero)
+        return TransportResult(D, lam, PLFunction.constant(curve))
     red, f = _reduced_divisor(curve, D - Es, Es.support()[0])
     if not red.is_effective():
         raise ValueError("rank precondition violated: D - star(E) has no "
@@ -203,7 +230,7 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
     nbh = neighborhood(curve, lam, eps)
     bps = nbh.boundary_points()
     if not bps:
-        return TransportResult(D, Subcurve.whole(curve), zero)
+        return TransportResult(D, Subcurve.whole(curve), PLFunction.constant(curve))
     mu = min(f._value(p) for p in bps)
     fbar = clamp(f, mu, nbh)
     return TransportResult(D + fbar.divisor(), _descent_region(curve, f, lam, mu),
@@ -231,9 +258,8 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
         raise ValueError("r must be >= 0")
     if not D.is_effective():
         raise ValueError("concentrate needs an effective divisor")
-    zero = PLFunction.constant(curve)
     if r == 0:
-        return TransportResult(D, lam, zero)
+        return TransportResult(D, lam, PLFunction.constant(curve))
     if not rank_checked and rank_weighted(curve, D) < r:
         raise ValueError("rank precondition violated: rank(D) < r")
     big = neighborhood(curve, lam, _concentration_radius(lam, D.degree(), r))
@@ -244,17 +270,17 @@ def concentrate(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
             raise ValueError(f"weighted vertex {v!r} inside the neighborhood "
                              "but outside Λ")
     rds = _subcurve_rds(lam)
-    cur_D, cur_lam, total = D, lam, zero
+    cur_D, cur_lam, total = D, lam, None
     for combo in itertools.combinations_with_replacement(rds, r):
-        S = Divisor(curve, [(p, 1) for p in combo])
+        S = Divisor._of_canonical(curve, [(p, 1) for p in combo])
         if _restriction_dominates(cur_lam, cur_D, S):
             continue
         res = push_single(curve, cur_D, cur_lam, S, rank_checked=True)
         cur_D, cur_lam = res.divisor, res.region
-        total = total + res.witness
+        total = _plus(total, res.witness)
     if not big.contains_subcurve(cur_lam):
         raise AssertionError("concentration region escaped its bound")
-    return TransportResult(cur_D, cur_lam, total)
+    return TransportResult(cur_D, cur_lam, _or_zero(curve, total))
 
 
 # -- diluting ----------------------------------------------------------------
@@ -293,7 +319,8 @@ def _emanating(curve: TropicalCurve, lam: Subcurve, f: PLFunction,
         fp = f.value(Point(edge=e, offset=t0))
         ffar = f.value(Point(edge=e, offset=t0 + direction * avail))
         s = (ffar - fp) / avail
-        assert s.denominator == 1
+        if s.denominator != 1:
+            raise AssertionError(f"non-integer slope {s} leaving Λ along {e!r}")
         return _Germ(e, t0, direction, fp, int(s), avail)
 
     return [germ(e, t0, direction) for e, t0, direction in lam.exits()]
@@ -345,7 +372,9 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
         raise ValueError("F does not drop below k on the subcurve")
 
     germs = _emanating(curve, lam, f, E)
-    assert sum(g.slope for g in germs) == degl - restrict(F, lam).degree()
+    if sum(g.slope for g in germs) != degl - restrict(F, lam).degree():
+        raise AssertionError("outgoing slopes do not account for the drop "
+                             "in degree on Λ")
     germs.sort(key=lambda g: (g.fp, g.slope, g.edge, g.t0, g.direction))
     running = degl
     alpha = None
@@ -354,10 +383,12 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
         if running <= k:
             alpha = i
             break
-    assert alpha is not None
+    if alpha is None:
+        raise AssertionError("the germs never bring the degree down to k")
     ga = germs[alpha]
     c = degl - sum(g.slope for g in germs[:alpha]) - k
-    assert 0 < c <= ga.slope
+    if not 0 < c <= ga.slope:
+        raise AssertionError(f"ramp slope {c} outside 1..{ga.slope}")
 
     if radius is not None and rat(radius) <= 0:
         raise ValueError("radius must be positive")
@@ -394,8 +425,11 @@ def dilute(curve: TropicalCurve, E: Divisor, lam: Subcurve, k: int, *,
     lamp = lam.grown(stubs)
 
     E2 = E + fbar.divisor()
-    assert E2.is_effective()
-    assert restrict(E2, lamp).degree() == k
+    if not E2.is_effective():
+        raise AssertionError("diluted divisor is not effective")
+    if restrict(E2, lamp).degree() != k:
+        raise AssertionError("diluted divisor does not have degree k on "
+                             "the region")
     return TransportResult(E2, lamp, fbar)
 
 
@@ -469,10 +503,9 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
                     *, budget: int = 4000, stub_radius=None):
     """Pin an effective U of degree r near Λ so that every equivalent divisor
     containing U keeps degree >= r + min(r, b1(Λ)) on the region."""
-    zero = PLFunction.constant(curve)
     if r == 0:
-        return D, lam, Divisor.zero(curve), zero
-    total = zero
+        return D, lam, Divisor.zero(curve), PLFunction.constant(curve)
+    total = None
     work = D
     s = min(r, lam.betti())
     V = Divisor.zero(curve)
@@ -486,16 +519,19 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
             raise ValueError("rank precondition violated: cannot contain the "
                              "confined configuration")
         work = red + Vs
-        total = total + fV
+        total = fV
     conc = concentrate(curve, work, lam, r, rank_checked=True)
     work, region = conc.divisor, conc.region
-    total = total + conc.witness
+    total = _plus(total, conc.witness)
     base = work - V
-    assert base.is_effective()
+    if not base.is_effective():
+        raise AssertionError("the confined configuration left the divisor")
     drop = _dilute_evidence(curve, base, region, r, sorted(curve.vertices()))
     if drop is None:
         rest = restrict(work, region) - V
-        assert rest.degree() >= r - s
+        if rest.degree() < r - s:
+            raise AssertionError("concentration left too few chips on the "
+                                 "region")
         extra = []
         need = r - s
         for p, m in rest.items():
@@ -508,7 +544,9 @@ def _arrange_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, r: int,
     dres = dilute(curve, base, region, r, F=drop, radius=stub_radius)
     total = total + dres.witness
     U = restrict(dres.divisor, dres.region)
-    assert U.degree() == r
+    if U.degree() != r:
+        raise AssertionError("diluted divisor does not have degree r on "
+                             "the region")
     return dres.divisor + V, dres.region, U, total
 
 
@@ -543,26 +581,27 @@ def arrange_multi(curve: TropicalCurve, D: Divisor, lams: Sequence[Subcurve],
         stub = min(_subcurve_gap(hoods[i], hoods[j])
                    for i in range(len(hoods))
                    for j in range(i + 1, len(hoods))) / 4
-    zero = PLFunction.constant(curve)
     work = D
-    total = zero
+    total = None
     regions: List[Subcurve] = []
     pinned: List[Divisor] = []
     for lam, r in zip(lams, targets):
         base = work
         for U in pinned:
             base = base - U
-        assert base.is_effective()
+        if not base.is_effective():
+            raise AssertionError("the pinned divisors left the divisor")
         Dt, reg, U, w = _arrange_single(curve, base, lam, r, budget=budget,
                                         stub_radius=stub)
         work = Dt
         for U0 in pinned:
             work = work + U0
-        total = total + w
+        total = _plus(total, w)
         regions.append(reg)
         pinned.append(U)
     region = regions[0] if regions else Subcurve.whole(curve)
-    return TransportResult(work, region, total, regions=tuple(regions),
+    return TransportResult(work, region, _or_zero(curve, total),
+                           regions=tuple(regions),
                            pinned=tuple(pinned))
 
 

@@ -23,6 +23,11 @@ its values: one-sided difference quotients at each vertex and knot.
 `two_pass_curve` and `two_pass_divisor` are the reference JSON readers:
 read every field first, then build with the public constructors, which
 check and coerce all of it again.
+`reference_neighborhood`, `reference_exits`, `reference_min_const`,
+`reference_clamp` and `reference_descent_region` are the transport
+geometry in `Fraction` arithmetic, built through the public `Subcurve` and
+`PLFunction` constructors, which merge, close and check everything again;
+the library does the same work in integers at one scale per call.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from tropbn.curve import Point, Subcurve, TropicalCurve
-from tropbn.divisor import Divisor
+from tropbn.divisor import Divisor, PLFunction
 from tropbn.io import parse_frac, parse_ids, parse_int, point_from_json
 from tropbn.models import IntegerModel
 
@@ -545,3 +550,163 @@ def two_pass_divisor(obj, curve: TropicalCurve) -> Divisor:
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed divisor JSON: {exc}") from exc
     return Divisor(curve, chips)
+
+
+# -- transport geometry in Fraction arithmetic -------------------------------
+
+
+def reference_neighborhood(curve: TropicalCurve, lam: Subcurve, delta) -> Subcurve:
+    """Closed delta-neighborhood N_delta(Λ): Dijkstra on the `Fraction`
+    lengths, then the public constructor merges the grown intervals,
+    closes them and checks that the result is connected."""
+    delta = Fraction(delta)
+    sources: Dict[str, Fraction] = {v: Fraction(0) for v in lam.vertices}
+    for e, ivs in lam.intervals.items():
+        u, v = curve.ends(e)
+        for vtx, d0 in ((u, ivs[0][0]), (v, curve.length(e) - ivs[-1][1])):
+            if vtx not in sources or d0 < sources[vtx]:
+                sources[vtx] = d0
+    dist = curve._dijkstra(sources, {e: curve.length(e) for e in curve.edges()})
+    segs: Dict[str, list] = {}
+    for e in curve.edges():
+        u, v = curve.ends(e)
+        ell = curve.length(e)
+        grown = [(max(Fraction(0), a - delta), min(ell, b + delta))
+                 for a, b in lam.covered_intervals(e)]
+        du, dv = dist.get(u), dist.get(v)
+        if du is not None and delta - du >= 0:
+            grown.append((Fraction(0), min(ell, delta - du)))
+        if dv is not None and delta - dv >= 0:
+            grown.append((max(Fraction(0), ell - (delta - dv)), ell))
+        if grown:
+            segs[e] = grown
+    vset = {v for v, d in dist.items() if d <= delta}
+    return Subcurve(curve, vset, segments=segs)
+
+
+def reference_exits(sub: Subcurve) -> List[Tuple[str, Fraction, int]]:
+    """`Subcurve.exits` by testing every candidate direction against every
+    interval of its edge."""
+    curve = sub.parent
+    cands = []
+    for v in sorted(sub.vertices):
+        for e in sorted({e for e, _ in curve.incident(v)}):
+            u, w = curve.ends(e)
+            if u == v:
+                cands.append((e, Fraction(0), 1))
+            if w == v:
+                cands.append((e, curve.length(e), -1))
+    for e, ivs in sub.intervals.items():
+        ell = curve.length(e)
+        for t in dict.fromkeys(t for iv in ivs for t in iv if 0 < t < ell):
+            cands += [(e, t, 1), (e, t, -1)]
+
+    def leaves(e, t, d):
+        ivs = sub.intervals.get(e, ())
+        if d > 0:
+            return not any(a <= t < b for a, b in ivs)
+        return not any(a < t <= b for a, b in ivs)
+
+    return [x for x in cands if leaves(*x)]
+
+
+def _crossings(f: PLFunction, e: str, c: Fraction) -> List[Fraction]:
+    """Ascending offsets inside edge e where a piece of f crosses c."""
+    prof, slopes = f._pieces[e]
+    return [o0 + (c - v0) / s
+            for (o0, v0), (_, v1), s in zip(prof, prof[1:], slopes)
+            if (v0 - c) * (v1 - c) < 0]
+
+
+def reference_min_const(f: PLFunction, c) -> PLFunction:
+    """min(f, c), sampled at f's knots and its crossings of c."""
+    c = Fraction(c)
+    vv = {v: min(x, c) for v, x in f.vertex_values().items()}
+    knots = {}
+    for e in f.curve.edges():
+        offs = sorted({o for o, _ in f.knots(e)} | set(_crossings(f, e, c)))
+        if offs:
+            knots[e] = [(o, min(x, c)) for o, x in zip(offs, f._at(e, offs))]
+    return PLFunction(f.curve, vv, knots)
+
+
+def reference_clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
+    """f̄ = μ on the region and min{f, μ} outside, in `Fraction`s."""
+    mu = Fraction(mu)
+    g = reference_min_const(f, mu)
+    if all(a == b for ivs in region.intervals.values() for a, b in ivs):
+        return g
+    for bp in region.boundary_points():
+        if f._value(bp) < mu:
+            raise ValueError(f"clamp would be discontinuous at {bp}: f < mu")
+    vv = g.vertex_values()
+    for v in region.vertices:
+        vv[v] = mu
+    knots = {}
+    for e in f.curve.edges():
+        ivs = [iv for iv in region.covered_intervals(e) if iv[0] < iv[1]]
+        ks = [k for k in g.knots(e) if not any(a <= k[0] <= b for a, b in ivs)]
+        ell = f.curve.length(e)
+        for a, b in ivs:
+            if a > 0:
+                ks.append((a, mu))
+            if b < ell:
+                ks.append((b, mu))
+        knots[e] = sorted(ks)
+    return PLFunction(f.curve, vv, knots)
+
+
+def reference_descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
+                             mu) -> Subcurve:
+    """Λ plus the paths from it along which f decreases strictly above mu,
+    searched over canonical points with `Fraction` cuts."""
+    mu = Fraction(mu)
+    cuts: Dict[str, List[Fraction]] = {}
+    for e in curve.edges():
+        cs = {Fraction(0), curve.length(e)}
+        for a, b in lam.covered_intervals(e):
+            cs.update((a, b))
+        cs.update(o for o, _ in f.knots(e))
+        cs.update(_crossings(f, e, mu))
+        cuts[e] = sorted(cs)
+    occupied = {(e, i) for e, cs in cuts.items() for i in range(len(cs) - 1)
+                if any(a <= cs[i] and cs[i + 1] <= b
+                       for a, b in lam.covered_intervals(e))}
+
+    def adjacent(pt):
+        if pt.vertex is not None:
+            out = []
+            for e in sorted({ed for ed, _ in curve.incident(pt.vertex)}):
+                u, w = curve.ends(e)
+                if u == pt.vertex:
+                    out.append((e, 0, True))
+                if w == pt.vertex:
+                    out.append((e, len(cuts[e]) - 2, False))
+            return out
+        i = cuts[pt.edge].index(pt.offset)
+        # an interior point is neither the first cut nor the last
+        return [(pt.edge, i - 1, False), (pt.edge, i, True)]
+
+    included: Set[Tuple[str, int]] = set()
+    seen = set()
+    dq = deque(lam.boundary_points())
+    while dq:
+        pt = dq.popleft()
+        if pt in seen:
+            continue
+        seen.add(pt)
+        fp = f._value(pt)
+        if fp <= mu:
+            continue
+        for e, i, from_left in adjacent(pt):
+            if (e, i) in occupied or (e, i) in included:
+                continue
+            far = cuts[e][i + 1] if from_left else cuts[e][i]
+            if f.value(curve.point(e, far)) >= fp:
+                continue
+            included.add((e, i))
+            dq.append(curve.point(e, far))
+    extra: Dict[str, list] = {}
+    for e, i in included:
+        extra.setdefault(e, []).append((cuts[e][i], cuts[e][i + 1]))
+    return lam.grown(extra)

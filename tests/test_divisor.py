@@ -180,6 +180,34 @@ def test_pushforward_collapses_chips():
     assert len(img.support()) == 1
 
 
+def test_pushforward_images_are_canonical_on_the_target():
+    """Every map's images are canonical on its target, so `pushforward`
+    builds its divisor without checking them again: the same divisor as
+    the checking constructor, on contractions, subdivisions both ways, a
+    realization that contracts a loop, and a subcurve's extraction."""
+    from tropbn import CombinatorialType, contract, pushforward, realize, subdivide
+    c = TropicalCurve({"a": 0, "b": 1},
+                      [("e1", ("a", "b"), F(2, 3)), ("e2", ("a", "b"), 1),
+                       ("l", ("b", "b"), F(1, 2))])
+    _, to_fine, to_c = subdivide(c, [c.point("e1", F(1, 3)),
+                                     c.point("l", F(1, 4))])
+    ct = CombinatorialType([("x", 0), ("y", 0)],
+                           [("l1", ("x", "x")), ("br", ("x", "y"))])
+    whole = [contract(c, ["e1"])[1], contract(c, ["l", "e2"])[1], to_fine,
+             to_c, realize(ct, [0, 2])[1], realize(ct, [F(1, 3), 1])[1]]
+    # (map, edges to put chips on); the extraction is defined on e2 only
+    cases = [(pm, pm.source.edges()) for pm in whole]
+    cases.append((Subcurve(c, whole_edges=["e2"]).as_curve()[1], ["e2"]))
+    for pm, edges in cases:
+        src = pm.source
+        D = Divisor(src, [(src.point(e, src.length(e) * k), m) for e in edges
+                          for k, m in ((0, 1), (F(1, 3), 2), (F(1, 2), -1))])
+        img = pushforward(pm, D)
+        assert all(pm.target.point(p) == p for p in img.support())
+        assert img == Divisor(pm.target, [(pm(p), m) for p, m in D.items()])
+        assert img.degree() == D.degree()
+
+
 def test_constant_functions_differ_on_a_one_vertex_curve():
     c = TropicalCurve({"v": 0}, [])
     assert PLFunction.constant(c, 0) != PLFunction.constant(c, 1)
