@@ -3,7 +3,10 @@
 A curve is a connected multigraph (loops and parallel edges allowed) with a
 non-negative integer weight on each vertex and a positive rational length on
 each edge.  All geometry is exact: offsets, lengths and distances are
-`fractions.Fraction` values, never floats.
+`fractions.Fraction` values, never floats.  Inside one call, `neighborhood`
+and `models.subcurve_diameter` scale every length by the lcm m of its
+denominators and work on the integer ticks ℓ·m; the results are
+`Fraction`s again.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ def rat(x: RatLike) -> Fraction:
 
 # a Point's fields are set through object's own __setattr__: its own refuses
 _setattr = object.__setattr__
+
+_ZERO = Fraction(0)
 
 
 class Point:
@@ -335,8 +340,8 @@ class TropicalCurve:
     def vertex_distances(self, source: str) -> Dict[str, Fraction]:
         """Exact shortest-path distances from a vertex to every vertex."""
         if source not in self._dist_cache:
-            self._dist_cache[source] = self._dijkstra(
-                {source: Fraction(0)}, {e: ell for e, (_, _, ell) in self._edges.items()})
+            lengths = {e: ell for e, (_, _, ell) in self._edges.items()}
+            self._dist_cache[source] = self._dijkstra({source: Fraction(0)}, lengths)
         return self._dist_cache[source]
 
     def _dijkstra(self, sources: Mapping[str, Fraction],
@@ -760,7 +765,7 @@ class Subcurve:
         for e in whole_edges:
             if not parent.has_edge(e):
                 raise ValueError(f"unknown edge {e!r}")
-            raw.setdefault(e, []).append((Fraction(0), parent.length(e)))
+            raw.setdefault(e, []).append((_ZERO, parent.length(e)))
         for e, ivs in (segments or {}).items():
             if not parent.has_edge(e):
                 raise ValueError(f"unknown edge {e!r}")
@@ -818,13 +823,16 @@ class Subcurve:
                     merged[-1][1] = max(merged[-1][1], b)
                 else:
                     merged.append([a, b])
-            u, v = parent.ends(e)
+            u, v, length = parent._edges[e]
             if merged[0][0] == 0:
                 vertices.add(u)
             if merged[-1][1] == ell:
                 vertices.add(v)
-            kept = tuple((Fraction(a, m), Fraction(b, m)) for a, b in merged
-                         if a < b or 0 < a < ell)
+            # the ends 0 and ℓ are the objects the curve already has
+            ends = {0: _ZERO, ell: length}
+            kept = tuple((ends[a] if a in ends else Fraction(a, m),
+                          ends[b] if b in ends else Fraction(b, m))
+                         for a, b in merged if a < b or 0 < a < ell)
             if kept:
                 intervals[e] = kept
         sub = cls.__new__(cls)
@@ -851,8 +859,8 @@ class Subcurve:
         for e, ivs in self.intervals.items():
             u, v = self.parent.ends(e)
             ell = self.parent.length(e)
-            for a, b in ivs:
-                piece = (e, a)
+            for i, (a, b) in enumerate(ivs):
+                piece = (e, i)
                 par[piece] = piece
                 if a == 0:
                     par[find(piece)] = find(u)
@@ -864,7 +872,9 @@ class Subcurve:
     # -- views for JSON --------------------------------------------------
 
     def _is_whole(self, e: str) -> bool:
-        return self.intervals.get(e) == ((0, self.parent.length(e)),)
+        # the constructors put the shared zero and the curve's own length
+        # object at a whole edge's ends, so the tuple test is by identity
+        return self.intervals.get(e) == ((_ZERO, self.parent.length(e)),)
 
     @property
     def whole_edges(self) -> frozenset:
@@ -914,6 +924,12 @@ class Subcurve:
         there); an inner end of an interval of positive length leaves on
         its outer side, and an isolated point leaves both ways.
         """
+        return [x[1:] for x in self._exits()]
+
+    def _exits(self) -> List[Tuple[Point, str, Fraction, int]]:
+        """`exits`, each with its base point first.  A vertex base is the
+        curve's shared point, and an inner end lies strictly inside its
+        edge, so every base is canonical as it is built."""
         curve = self.parent
         out = []
         for v in sorted(self.vertices):
@@ -921,24 +937,25 @@ class Subcurve:
                 u, w, ell = curve._edges[e]
                 ivs = self.intervals.get(e)
                 if u == v and not (ivs and ivs[0][0] == 0):
-                    out.append((e, Fraction(0), 1))
+                    out.append((curve._vertex_point(v), e, _ZERO, 1))
                 if w == v and not (ivs and ivs[-1][1] == ell):
-                    out.append((e, ell, -1))
+                    out.append((curve._vertex_point(v), e, ell, -1))
         for e, ivs in self.intervals.items():
             ell = curve._edges[e][2]
             for a, b in ivs:
                 if a == b:
-                    out += [(e, a, 1), (e, a, -1)]
+                    p = Point(edge=e, offset=a)
+                    out += [(p, e, a, 1), (p, e, a, -1)]
                     continue
                 if a != 0:
-                    out.append((e, a, -1))
+                    out.append((Point(edge=e, offset=a), e, a, -1))
                 if b != ell:
-                    out.append((e, b, 1))
+                    out.append((Point(edge=e, offset=b), e, b, 1))
         return out
 
     def boundary_points(self) -> List[Point]:
         """Points of the subcurve with a curve-direction leaving it."""
-        return list(dict.fromkeys(self.parent.point(e, t) for e, t, _ in self.exits()))
+        return list(dict.fromkeys(p for p, _, _, _ in self._exits()))
 
     def betti(self) -> int:
         """First Betti number of the subcurve as a topological graph."""
@@ -978,48 +995,46 @@ class Subcurve:
         the subcurve to the extracted curve and refuses any other point.
         Whole edges come first and keep their ids; an interval [a, b] of
         edge e that is not all of it becomes ``e[a..b]``, and a point at
-        offset t of it lands at offset t − a.
+        offset t of it lands at offset t − a.  The ids are made unique and
+        the lengths are positive, and a subcurve is connected, so the curve
+        is built from its tables (`TropicalCurve._of_tables`).
         """
-        vertices: List[Tuple[str, int]] = [
-            (v, self.parent.weight(v)) for v in self.parent.vertices()
-            if v in self.vertices]
-        taken = {v for v, _ in vertices}
-        names: Dict[Tuple[str, Fraction], str] = {}
+        vertices: Dict[str, int] = {
+            v: w for v, w in self.parent._weights.items() if v in self.vertices}
+        taken = set(vertices)
 
-        def node(e, off):
-            u, v = self.parent.ends(e)
-            if off == 0:
-                return u
-            if off == self.parent.length(e):
-                return v
-            if (e, off) not in names:
-                nid = f"{e}@{off}"
-                while nid in taken:
-                    nid += "'"
-                taken.add(nid)
-                names[(e, off)] = nid
-                vertices.append((nid, 0))
-            return names[(e, off)]
+        def node(e, off, end):
+            # the vertex at an interval's end: a curve vertex when the end
+            # is that of the edge, else a new one (an inner end belongs to
+            # one interval only, since the intervals do not touch)
+            if off == (0 if end == 0 else self.parent._edges[e][2]):
+                return self.parent._edges[e][end]
+            nid = f"{e}@{off}"
+            while nid in taken:
+                nid += "'"
+            taken.add(nid)
+            vertices[nid] = 0
+            return nid
 
-        edges = []
-        used = set()
+        edges: Dict[str, Tuple[str, str, Fraction]] = {}
         back_rules: Dict[str, List[tuple]] = {}
+        whole = {e: self._is_whole(e) for e in self.intervals}
         for e, ivs in sorted(self.intervals.items(),
-                             key=lambda item: not self._is_whole(item[0])):
+                             key=lambda item: not whole[item[0]]):
             rules = []
             for a, b in ivs:
                 if a == b:
-                    rules.append((a, a, None, Point(vertex=node(e, a)), None))
+                    rules.append((a, a, None, Point(vertex=node(e, a, 0)), None))
                     continue
-                eid = e if self._is_whole(e) else f"{e}[{a}..{b}]"
-                while eid in used:
+                eid = e if whole[e] else f"{e}[{a}..{b}]"
+                while eid in edges:
                     eid += "'"
-                used.add(eid)
-                edges.append((eid, (node(e, a), node(e, b)), b - a))
-                rules.append((a, b, eid, Fraction(0), b - a))
+                d = b - a
+                edges[eid] = (node(e, a, 0), node(e, b, 1), d)
+                rules.append((a, b, eid, _ZERO, d))
             back_rules[e] = rules
 
-        sub = TropicalCurve(vertices, edges)
+        sub = TropicalCurve._of_tables(vertices, edges)
         return sub, _PartialBack(self.parent, sub, self,
                                  {v: Point(vertex=v) for v in self.vertices}, back_rules)
 
@@ -1047,7 +1062,9 @@ class Subcurve:
 
 class _PartialBack(PointMap):
     """Parent → extracted curve of `Subcurve.as_curve`: defined only on
-    the subcurve's points."""
+    the subcurve's points.  Each rule moves an interval [a, b] of a parent
+    edge to the offsets 0..b − a of one extracted edge, or collapses an
+    isolated point, so an image is found with one subtraction."""
 
     def __init__(self, source, target, subcurve, vertex_images, edge_rules):
         super().__init__(source, target, vertex_images, edge_rules)
@@ -1058,6 +1075,14 @@ class _PartialBack(PointMap):
         if not self._subcurve._contains(p):
             raise ValueError(f"{p} lies outside the subcurve")
         return self._image(p)
+
+    def _image(self, p: Point) -> Point:
+        if p.is_vertex:
+            return self.vertex_images[p.vertex]
+        for a, b, te, ta, _ in self.edge_rules[p.edge]:
+            if a <= p.offset <= b:
+                return ta if te is None else self.target.point(te, p.offset - a)
+        raise ValueError(f"offset {p.offset} not covered by rules of edge {p.edge!r}")
 
 
 def _ticks(x: Fraction, m: int) -> int:

@@ -11,7 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .curve import Point, PointMap, Subcurve, TropicalCurve, _is_int, _ticks, rat
+from .curve import (_ZERO, Point, PointMap, Subcurve, TropicalCurve, _is_int, _ticks,
+                    rat)
 
 
 def _nonzero(data: Dict[Point, int]) -> Dict[Point, int]:
@@ -311,10 +312,11 @@ class PLFunction:
     def min_const(self, c) -> "PLFunction":
         """Pointwise min with a constant, worked out in integers at one
         scale (see `_cut_at`)."""
-        m, level, vt, rows = _cut_at(self, rat(c))
+        c = rat(c)
+        m, level, vt, rows = _cut_at(self, c)
         return _of_rows(self.curve, m, {v: min(x, level) for v, x in vt.items()},
                         {e: (ts, [min(x, level) for x in xs])
-                         for e, (ts, xs) in rows.items()})
+                         for e, (ts, xs) in rows.items()}, level, c)
 
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
@@ -327,19 +329,17 @@ class PLFunction:
         return f"PLFunction({len(self._vv)} vertex values, {nk} knots)"
 
 
-_ZERO = Fraction(0)
-
-
 def _row_of_ticks(ts: Sequence[int], xs: Sequence[int], m: int,
                   first: Tuple[Fraction, Fraction],
-                  last: Tuple[Fraction, Fraction]):
+                  last: Tuple[Fraction, Fraction], known: Dict[int, Fraction]):
     """An edge's row of the `PLFunction` table from its profile in
     integers at scale m: offsets ts[i]/m, strictly ascending from 0 to ℓ·m,
     and values xs[i]/m.  ``first`` and ``last`` are the ends' (offset,
     value) pairs as `Fraction`s, which the caller already has; a knot
     without a bend is dropped, and each kept knot becomes `Fraction`s only
-    here.  Every slope must be an integer: one that is not is an invariant
-    violation of the caller."""
+    here, its value taken from ``known`` (values in ticks to the caller's
+    `Fraction`s) when it is there.  Every slope must be an integer: one
+    that is not is an invariant violation of the caller."""
     keep: List[int] = []
     slopes: List[int] = []
     for i in range(1, len(ts)):
@@ -351,20 +351,24 @@ def _row_of_ticks(ts: Sequence[int], xs: Sequence[int], m: int,
         else:
             keep.append(i)
             slopes.append(s)
-    prof = (first, *((Fraction(ts[i], m), Fraction(xs[i], m)) for i in keep[:-1]),
-            last)
+    prof = (first, *((Fraction(ts[i], m),
+                      known[xs[i]] if xs[i] in known else Fraction(xs[i], m))
+                     for i in keep[:-1]), last)
     return prof, tuple(slopes)
 
 
 def _of_rows(curve: TropicalCurve, m: int, vt: Dict[str, int],
-             rows: Dict[str, Tuple[List[int], List[int]]]) -> PLFunction:
+             rows: Dict[str, Tuple[List[int], List[int]]], level: int,
+             c: Fraction) -> PLFunction:
     """The `PLFunction` of vertex values vt[v]/m and, for every edge, a
-    profile in integers at scale m, as `_row_of_ticks` takes it."""
-    vv = {v: Fraction(x, m) for v, x in vt.items()}
+    profile in integers at scale m, as `_row_of_ticks` takes it; a value
+    ``level`` is the `Fraction` c."""
+    known = {level: c}
+    vv = {v: known[x] if x in known else Fraction(x, m) for v, x in vt.items()}
     pieces = {}
     for e, (u, v, ell) in curve._edges.items():
         ts, xs = rows[e]
-        pieces[e] = _row_of_ticks(ts, xs, m, (_ZERO, vv[u]), (ell, vv[v]))
+        pieces[e] = _row_of_ticks(ts, xs, m, (_ZERO, vv[u]), (ell, vv[v]), known)
     return PLFunction._of_table(curve, vv, pieces)
 
 
@@ -403,6 +407,18 @@ def _cut_at(f: PLFunction, c: Fraction, extra: Iterable[int] = ()):
                 xs.insert(i + 1, level)
     vt = {v: _ticks(x, m) for v, x in f._vv.items()}
     return m, level, vt, rows
+
+
+def _values_at(ts: Sequence[int], xs: Sequence[int], at: Iterable[int]) -> List[int]:
+    """Values of a profile in ticks (`_cut_at`'s rows) at ascending ticks
+    from 0 to ts[-1], in one walk along it; its slopes are integers."""
+    out = []
+    k = 0
+    for t in at:
+        while ts[k + 1] < t:
+            k += 1
+        out.append(xs[k] + (xs[k + 1] - xs[k]) // (ts[k + 1] - ts[k]) * (t - ts[k]))
+    return out
 
 
 def star(E: Divisor) -> Divisor:
@@ -449,11 +465,14 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
     # a connected region without an interval of positive length is a point
     if all(a == b for ivs in region.intervals.values() for a, b in ivs):
         return f.min_const(mu)
-    for bp in region.boundary_points():
-        if f._value(bp) < mu:
-            raise ValueError(f"clamp would be discontinuous at {bp}: f < mu")
-    m, level, vt, rows = _cut_at(f, mu, (x.denominator for ivs in region.intervals.values()
+    m, level, vt, rows = _cut_at(f, mu, (x.denominator
+                                         for ivs in region.intervals.values()
                                          for iv in ivs for x in iv))
+    for e, t, _ in region.exits():
+        ts, xs = rows[e]
+        if _values_at(ts, xs, [_ticks(t, m)])[0] < level:
+            raise ValueError(f"clamp would be discontinuous at "
+                             f"{f.curve.point(e, t)}: f < mu")
     vt = {v: level if v in region.vertices else min(x, level)
           for v, x in vt.items()}
     for e, (ts, xs) in rows.items():
@@ -471,4 +490,4 @@ def clamp(f: PLFunction, mu, region: Subcurve) -> PLFunction:
         u, v = f.curve.ends(e)
         rows[e] = ([0, *(t for t, _ in knots), ell],
                    [vt[u], *(x for _, x in knots), vt[v]])
-    return _of_rows(f.curve, m, vt, rows)
+    return _of_rows(f.curve, m, vt, rows, level, mu)

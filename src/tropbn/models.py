@@ -63,8 +63,8 @@ from operator import ne, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .curve import Point, Subcurve, TropicalCurve, _is_int, _ticks
-from .divisor import Divisor, PLFunction, _ZERO, _row_of_ticks
+from .curve import _ZERO, Point, Subcurve, TropicalCurve, _is_int, _ticks
+from .divisor import Divisor, PLFunction, _row_of_ticks
 
 # Largest lattice a model may have, counted on the lattice that is built:
 # a ``loops=False`` model leaves unmarked loops out, so a curve may reduce
@@ -235,7 +235,8 @@ class IntegerModel:
             else:
                 e, t = self._interior_tick(i)
             knots.setdefault(e, []).append((t, -sigma[i]))
-        vv = {v: Fraction(x, lam) for v, x in vt.items()}
+        known = {0: _ZERO}
+        vv = {v: known[x] if x in known else Fraction(x, lam) for v, x in vt.items()}
         pieces = {}
         for e, (u, v, ell) in self.curve._edges.items():
             first, last = (_ZERO, vv[u]), (ell, vv[v])
@@ -245,7 +246,7 @@ class IntegerModel:
             ks = sorted(knots.get(e, ()))
             pieces[e] = _row_of_ticks([0, *(t for t, _ in ks), self._rows[e][0][-1]],
                                       [vt[u], *(x for _, x in ks), vt[v]],
-                                      lam, first, last)
+                                      lam, first, last, known)
         return PLFunction._of_table(self.curve, vv, pieces)
 
     # -- reduction ---------------------------------------------------------
@@ -425,14 +426,13 @@ def subcurve_diameter(sub: Subcurve) -> Fraction:
 
     Closed form from the distances D between curve vertices (Dijkstra on
     |V| points, from each end of an edge the subcurve meets); no lattice is
-    built.  A connected subcurve is a single vertex,
-    of diameter 0, or the union of its covered intervals, so its pieces are
-    those intervals: [a, b] on an edge, whose point at offset s has legs s
-    and ℓ − s to the edge's ends.  For a point at s on one piece and t on
-    another, the distance is the least of the terms leg(s) + D(w, w') +
-    leg(t), one per pair of ends w, w', and of |s − t| when both pieces lie
-    on one edge.  Every term is affine in (s, t) with coefficients in
-    {−1, 0, 1}.
+    built.  A connected subcurve is a single vertex, of diameter 0, or the
+    union of its covered intervals, so its pieces are those intervals:
+    [a, b] on an edge, whose point at offset s has legs s and ℓ − s to the
+    edge's ends.  For a point at s on one piece and t on another, the
+    distance is the least of the terms leg(s) + D(w, w') + leg(t), one per
+    pair of ends w, w', and of |s − t| when both pieces lie on one edge.
+    Every term is affine in (s, t) with coefficients in {−1, 0, 1}.
 
     Writing |s − t| = max(s − t, t − s) turns the maximum over the box
     [a, b] × [c, d] into two linear programs in (s, t, z): maximise z with

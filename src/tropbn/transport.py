@@ -4,6 +4,11 @@ diluting, confinement candidates, and multi-subcurve arrangement.
 All operations return a :class:`TransportResult` carrying the transported
 divisor, the (possibly enlarged) region, and the piecewise linear witness
 relating input and output.
+
+The geometry of a push (the neighbourhood of Λ, the clamped witness and
+the descent region) is worked out in integer ticks at one scale per call
+and converted to `Fraction`s once, where each result is built; see
+`curve.neighborhood`, `divisor.clamp` and `_descent_region`.
 """
 
 import itertools
@@ -14,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import (Point, Subcurve, TropicalCurve, _is_int, _ticks,
                     neighborhood, deformation_retracts, rat)
-from .divisor import (Divisor, PLFunction, _cut_at, _point_key, clamp, restrict,
-                      star)
+from .divisor import (Divisor, PLFunction, _cut_at, _point_key, _values_at, clamp,
+                      restrict, star)
 from .models import IntegerModel, _reduced_divisor, is_equivalent
 from .rank import rank_weighted
 
@@ -121,7 +126,8 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
     Λ's boundary takes a piece between two cuts when f is above mu at its
     near end and lower at its far end; Λ and the pieces taken are built
     once, through `Subcurve._of_ticks`."""
-    m, level, vt, rows = _cut_at(f, mu, (x.denominator for ivs in lam.intervals.values()
+    m, level, vt, rows = _cut_at(f, mu, (x.denominator
+                                         for ivs in lam.intervals.values()
                                          for iv in ivs for x in iv))
     held = {e: [(_ticks(a, m), _ticks(b, m)) for a, b in ivs]
             for e, ivs in lam.intervals.items()}
@@ -131,13 +137,7 @@ def _descent_region(curve: TropicalCurve, f: PLFunction, lam: Subcurve,
     occupied = set()
     for e, (ts, xs) in rows.items():
         cs = sorted({*ts, *(t for iv in held.get(e, ()) for t in iv)})
-        vals = []
-        k = 0
-        for t in cs:
-            while ts[k + 1] < t:
-                k += 1
-            vals.append(xs[k] + (xs[k + 1] - xs[k]) * (t - ts[k]) // (ts[k + 1] - ts[k]))
-        cuts[e], values[e] = cs, vals
+        cuts[e], values[e] = cs, _values_at(ts, xs, cs)
         for i in range(len(cs) - 1):
             if any(a <= cs[i] and cs[i + 1] <= b for a, b in held.get(e, ())):
                 occupied.add((e, i))
@@ -230,7 +230,8 @@ def push_single(curve: TropicalCurve, D: Divisor, lam: Subcurve, E: Divisor,
     nbh = neighborhood(curve, lam, eps)
     bps = nbh.boundary_points()
     if not bps:
-        return TransportResult(D, Subcurve.whole(curve), PLFunction.constant(curve))
+        return TransportResult(D, Subcurve.whole(curve),
+                               PLFunction.constant(curve))
     mu = min(f._value(p) for p in bps)
     fbar = clamp(f, mu, nbh)
     return TransportResult(D + fbar.divisor(), _descent_region(curve, f, lam, mu),
