@@ -872,8 +872,8 @@ class Subcurve:
     # -- views for JSON --------------------------------------------------
 
     def _is_whole(self, e: str) -> bool:
-        # the constructors put the shared zero and the curve's own length
-        # object at a whole edge's ends, so the tuple test is by identity
+        # a whole edge's ends are mostly the shared zero and the curve's
+        # own length object, which the tuple test matches by identity
         return self.intervals.get(e) == ((_ZERO, self.parent.length(e)),)
 
     @property
